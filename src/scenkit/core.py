@@ -44,6 +44,8 @@ class SceneSchema:
     """Ordered, named dimensions of a scene vector."""
 
     dimensions: tuple[Dimension, ...]
+    _positions: dict[str, int] = field(init=False, compare=False, repr=False)
+    _enum_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(
@@ -52,9 +54,12 @@ class SceneSchema:
         object.__setattr__(self, "dimensions", dims)
         if len(dims) < 1:
             raise SchemaError("a schema needs at least one dimension")
-        names = [d.name for d in dims]
-        if len(set(names)) != len(names):
+        positions = {d.name: i for i, d in enumerate(dims)}
+        if len(positions) != len(dims):
             raise SchemaError("dimension names must be unique")
+        object.__setattr__(self, "_positions", positions)
+        enums = tuple(i for i, d in enumerate(dims) if d.unit == "enum-code")
+        object.__setattr__(self, "_enum_indices", enums)
 
     @property
     def k(self) -> int:
@@ -62,16 +67,16 @@ class SceneSchema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.dimensions)
+        return tuple(self._positions)
 
     def index(self, name: str) -> int:
-        for i, d in enumerate(self.dimensions):
-            if d.name == name:
-                return i
-        raise SchemaError(f"no dimension named {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise SchemaError(f"no dimension named {name!r}") from None
 
     def has(self, name: str) -> bool:
-        return any(d.name == name for d in self.dimensions)
+        return name in self._positions
 
 
 def schema_of(*dims: tuple[str, str]) -> SceneSchema:
@@ -87,13 +92,18 @@ class Scene:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        schema = self.schema
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
-        if len(vals) != self.schema.k:
-            raise SchemaError(
-                f"scene has {len(vals)} values, schema expects {self.schema.k}"
-            )
-        for d, v in zip(self.schema.dimensions, vals):
+        if len(vals) != schema.k:
+            raise SchemaError(f"scene has {len(vals)} values, schema expects {schema.k}")
+        # Fast accept; the loop below runs only to name the first fault.
+        enums = schema._enum_indices
+        if all(map(math.isfinite, vals)) and (
+            not enums or all(vals[i].is_integer() for i in enums)
+        ):
+            return
+        for d, v in zip(schema.dimensions, vals):
             if not math.isfinite(v):
                 raise SchemaError(f"non-finite value {v!r} in dimension {d.name!r}")
             if d.unit == "enum-code" and v != int(v):

@@ -1182,7 +1182,6 @@ def _resolve_logical(
     probe_env = {}
     for p, axis in zip(d.params, axes):
         probe_env[p.name] = axis.lo if isinstance(axis, ContinuousAxis) else axis.values[0]
-    pre_diags = list(diags)
 
     def binder(x):
         env = dict(zip(param_names, x))
@@ -1211,7 +1210,6 @@ def _resolve_logical(
     except ScenarioError as exc:
         diags.append(Diagnostic("RES003", 0, 0, f"scenario {d.name!r}: {exc}"))
         return
-    del pre_diags
     spec.logicals[d.name] = LogicalScenario(space, binder, grid, name=d.name)
     spec.distributions[d.name] = dist
 

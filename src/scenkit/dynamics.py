@@ -66,7 +66,7 @@ class DeterministicModel:
         return self.schema.names if self.owns is None else self.owns
 
     def evolve(self, theta: float, scene: Scene) -> Scene:
-        if scene.schema != self.schema:
+        if scene.schema is not self.schema and scene.schema != self.schema:
             raise SchemaError(f"scene schema does not match model {self.id!r}")
         if theta < 0 or theta > self.theta_max:
             raise RangeError(f"theta {theta} outside [0, {self.theta_max}]")
@@ -80,6 +80,13 @@ class ModelFamily:
     members: tuple[DeterministicModel, ...]
     epsilon: float
     shared: tuple[str, ...] = ()
+    #: Per member, the schema indices of the dimensions it writes.
+    _owned: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index = self.schema.index
+        owned = tuple(tuple(map(index, m.owned_names())) for m in self.members)
+        object.__setattr__(self, "_owned", owned)
 
     @property
     def schema(self) -> SceneSchema:
@@ -91,13 +98,16 @@ class ModelFamily:
 
     def evolve(self, theta: float, scene: Scene) -> Scene:
         """Combined evolution: each member writes its owned dims."""
-        out = list(scene.values)
-        schema = self.schema
-        for m in self.members:
-            result = m.evolve(theta, scene)
-            for name in m.owned_names():
-                out[schema.index(name)] = result[name]
-        return Scene(schema, tuple(out))
+        return self._merge(scene, [m.evolve(theta, scene) for m in self.members])
+
+    def _merge(self, base: Scene, outputs: Sequence[Scene]) -> Scene:
+        """``base`` with each member's owned dims taken from its output."""
+        vals = list(base.values)
+        for out, idx in zip(outputs, self._owned):
+            out_vals = out.values
+            for i in idx:
+                vals[i] = out_vals[i]
+        return Scene(self.schema, tuple(vals))
 
 
 def combine(
@@ -177,20 +187,19 @@ def evaluate(
             t_sup=family.theta_max,
         )
     schema = family.schema
-    multi_writers = {
-        name: [m for m in family.members if name in m.owned_names()]
-        for name in family.shared
-    }
-    multi_writers = {n: ms for n, ms in multi_writers.items() if len(ms) > 1}
+    # (name, index, writer positions) per shared dim with several writers.
+    scans = []
+    for name in family.shared:
+        writers = [j for j, m in enumerate(family.members) if name in m.owned_names()]
+        if len(writers) > 1:
+            scans.append((name, schema.index(name), writers))
     samples: list[Scene] = []
     for i in range(grid.count):
         theta = grid.t(i)
         outputs = [m.evolve(theta, start) for m in family.members]
         contradiction = None
-        for name, ms in multi_writers.items():
-            vals = [
-                out[name] for out, m in zip(outputs, family.members) if m in ms
-            ]
+        for name, d, writers in scans:
+            vals = [outputs[j].values[d] for j in writers]
             if max(vals) - min(vals) > CONTRADICTION_TOL:
                 contradiction = name
                 break
@@ -208,11 +217,7 @@ def evaluate(
             raise TruncationError(
                 f"members contradict on {contradiction!r} at t={t_c}", result
             )
-        merged = list(start.values)
-        for m, out in zip(family.members, outputs):
-            for name in m.owned_names():
-                merged[schema.index(name)] = out[name]
-        samples.append(Scene(schema, tuple(merged)))
+        samples.append(family._merge(start, outputs))
     return Trajectory(schema, grid, tuple(samples))
 
 
@@ -477,7 +482,7 @@ def check_semigroup(
         raise RangeError("trials must be >= 1")
     rng = random.Random(rng_seed)
     schema = model.schema
-    theta_cap = model.theta_max if isinstance(model, ModelFamily) else model.theta_max
+    theta_cap = model.theta_max
     max_total = min(max_steps, int(theta_cap / theta_step)) if math.isfinite(theta_cap) else max_steps
     sampler = getattr(model, "state_sampler", None)
     worst_id = 0.0

@@ -303,16 +303,7 @@ def sample_abstract(
         path = roots[rng.randrange(len(roots))]
         dead = False
         for _ in range(inst.horizon):
-            kids = []
-            for cand in inst.successors(path):
-                nxt = path + (cand,)
-                ok = (
-                    evaluate3(guide, nxt, inst.horizon, scene_tol=inst.scene_tol)
-                    is not Verdict3.FALSE
-                )
-                if ok:
-                    kids.append(nxt)
-            kids = _sorted_unique(kids)
+            kids = _children(scenario, path, guide)
             if not kids:
                 dead = True
                 break

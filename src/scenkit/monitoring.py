@@ -37,6 +37,17 @@ class WordReport:
     reason: str
 
 
+def _first_inadmissible(samples: Path, scenario: AbstractScenario) -> int | None:
+    """Index of the first scene the instance does not admit, or None."""
+    inst = scenario.instance
+    if samples and not inst.allows_initial(samples[0]):
+        return 0
+    for i in range(1, len(samples)):
+        if not inst.allows_step(samples[:i], samples[i]):
+            return i
+    return None
+
+
 def _word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
     inst = scenario.instance
     _check_conforms(scenario, c)
@@ -46,13 +57,10 @@ def _word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
             f"got {len(c.samples)}"
         )
     samples = c.samples
-    if not inst.allows_initial(samples[0]):
-        return WordReport(Verdict.REJECTED, 0, "starting scene not admissible")
-    for i in range(len(samples) - 1):
-        if not inst.allows_step(samples[: i + 1], samples[i + 1]):
-            return WordReport(
-                Verdict.REJECTED, i + 1, f"transition at step {i + 1} not admissible"
-            )
+    bad = _first_inadmissible(samples, scenario)
+    if bad is not None:
+        what = f"transition at step {bad}" if bad else "starting scene"
+        return WordReport(Verdict.REJECTED, bad, f"{what} not admissible")
     conj = scenario.conjoined()
     verdict = evaluate3(conj, samples, inst.horizon, scene_tol=inst.scene_tol)
     if verdict is not Verdict3.TRUE:
@@ -70,18 +78,6 @@ def monitor_word(c: Trajectory, scenario: AbstractScenario) -> Verdict:
 def monitor_word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
     """Word verdict plus the index of the first inadmissible step, if any."""
     return _word_report(c, scenario)
-
-
-def _prefix_is_path_valid(samples: Path, scenario: AbstractScenario) -> bool:
-    inst = scenario.instance
-    if not samples:
-        return True
-    if not inst.allows_initial(samples[0]):
-        return False
-    return all(
-        inst.allows_step(samples[: i + 1], samples[i + 1])
-        for i in range(len(samples) - 1)
-    )
 
 
 def _explore(
@@ -171,7 +167,7 @@ def monitor_prefix(
                 f"prefix longer than the horizon length {inst.full_length()}"
             )
         samples = c.samples
-    if not _prefix_is_path_valid(samples, scenario):
+    if _first_inadmissible(samples, scenario) is not None:
         return Verdict3.FALSE
     conj = scenario.conjoined()
     status = evaluate3(conj, samples, inst.horizon, scene_tol=inst.scene_tol)

@@ -1,0 +1,121 @@
+"""Differential checks against values saved from the reference implementation.
+
+Scene validation and family evaluation have fast paths; these tests pin
+what the straightforward per-dimension code produced, so a fast path
+that changes a sample value or an error message fails here.
+"""
+
+import hashlib
+import math
+import struct
+from pathlib import Path
+
+import pytest
+
+from scenkit import dsl
+from scenkit.core import Scene, schema_of
+from scenkit.errors import ScenarioError, SchemaError
+from scenkit.logic import sample_abstract
+from scenkit.logical import sample
+from scenkit.rural import RuralConfig, enumerate_choices, synthesize
+
+from conftest import random_step_scenario
+
+ASSETS = Path(__file__).resolve().parents[1] / "src" / "scenkit" / "assets"
+
+
+def _digest(trajectories) -> str:
+    """SHA-256 over the little-endian doubles of every sample, in order."""
+    h = hashlib.sha256()
+    for traj in trajectories:
+        for s in traj.samples:
+            h.update(struct.pack(f"<{len(s.values)}d", *s.values))
+    return h.hexdigest()
+
+
+def _logical_draws(asset: str, name: str, count: int, seed: int):
+    spec = dsl.load((ASSETS / asset).read_text(encoding="utf-8"))
+    draws = sample(spec.logicals[name], spec.distributions[name], count, seed)
+    return [traj for _, traj in draws]
+
+
+def test_rural_synthesis_matches_reference_digest():
+    cfg = RuralConfig(n=3, m=2)
+    choices = enumerate_choices(3, 2)[::9]
+    assert len(choices) == 40
+    assert _digest(synthesize(c, cfg) for c in choices) == (
+        "2837678aadfd87d7577160e7eab7c3b8a01d05ef5416b8d59d3237e6b275f2f3"
+    )
+
+
+@pytest.mark.parametrize(
+    "asset, name, count, seed, digest",
+    [
+        (
+            "slope_drive.scn", "slope_drive", 50, 7,
+            "daeb5228a677828acaa8392586d9f14af0e2c9298d6efb43247eb16c695d26cb",
+        ),
+        (
+            "straight_drive.scn", "speed_choices", 30, 3,
+            "b58e49dca05d5c1994b7b68e8ef9743fc2bc41fb052b00b5cbde82b67e6cfd2e",
+        ),
+    ],
+)
+def test_seeded_realizations_match_reference_digest(asset, name, count, seed, digest):
+    assert _digest(_logical_draws(asset, name, count, seed)) == digest
+
+
+MIXED = schema_of(("x", "m"), ("kind", "enum-code"), ("z", "m/s"))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1.0, 2.0), "scene has 2 values, schema expects 3"),
+        ((0.0, 1.0, 2.0, 3.0), "scene has 4 values, schema expects 3"),
+        ((math.nan,), "scene has 1 values, schema expects 3"),
+        ((math.nan, 1.0, 0.0), "non-finite value nan in dimension 'x'"),
+        ((0.0, math.inf, 0.0), "non-finite value inf in dimension 'kind'"),
+        ((0.0, 1.0, -math.inf), "non-finite value -inf in dimension 'z'"),
+        ((0.0, 2.5, 0.0), "enum dimension 'kind' holds non-integer 2.5"),
+        ((0.0, 1.5, math.nan), "enum dimension 'kind' holds non-integer 1.5"),
+        ((math.inf, 1.5, 0.0), "non-finite value inf in dimension 'x'"),
+    ],
+)
+def test_scene_error_messages_match_reference(values, message):
+    with pytest.raises(SchemaError) as info:
+        Scene(MIXED, values)
+    assert str(info.value) == message
+
+
+def test_scene_accepts_integral_enum_values():
+    assert Scene(MIXED, (0.5, -3, 1)).values == (0.5, -3.0, 1.0)
+
+
+def test_schema_index_on_unknown_name():
+    assert [MIXED.index(n) for n in ("x", "kind", "z")] == [0, 1, 2]
+    assert MIXED.has("kind") and not MIXED.has("q")
+    with pytest.raises(SchemaError) as info:
+        MIXED.index("q")
+    assert str(info.value) == "no dimension named 'q'"
+
+
+@pytest.mark.parametrize(
+    "strategy, digest",
+    [
+        ("uniform-branch", "e9d19346970c57237f67e3de56384c8bfdab11cfa9c9a926841cce1878f3d830"),
+        ("rejection", "f2f67212e14e7ca47da305139e129ef0abdd8042408592a75d1540160479ca6c"),
+    ],
+)
+def test_seeded_abstract_draws_match_reference_digest(strategy, digest):
+    h = hashlib.sha256()
+    for seed in range(20):
+        try:
+            draws = sample_abstract(
+                random_step_scenario(seed), 6, strategy, rng_seed=seed, max_attempts=200
+            )
+        except ScenarioError as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        h.update(_digest(draws).encode())
+    assert h.hexdigest() == digest
