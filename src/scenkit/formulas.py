@@ -9,7 +9,6 @@ filtering and monitoring sound.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -182,10 +181,20 @@ def evaluate3(
         ok = _scene_matches(samples[position], formula.target, scene_tol)
         return Verdict3.TRUE if ok else Verdict3.FALSE
     if isinstance(formula, And):
-        return _and3(
-            evaluate3(formula.left, samples, horizon, position, scene_tol),
-            evaluate3(formula.right, samples, horizon, position, scene_tol),
-        )
+        # Walk the right-nested And/Next spine in a loop: trace formulas
+        # nest one level per sample, too deep for one call per level.
+        out = evaluate3(formula.left, samples, horizon, position, scene_tol)
+        formula = formula.right
+        while isinstance(formula, (And, Next)):
+            if isinstance(formula, And):
+                out = _and3(out, evaluate3(formula.left, samples, horizon, position, scene_tol))
+                formula = formula.right
+            elif position + 1 > horizon:
+                return Verdict3.FALSE
+            else:
+                position += 1
+                formula = formula.sub
+        return _and3(out, evaluate3(formula, samples, horizon, position, scene_tol))
     if isinstance(formula, Or):
         return _or3(
             evaluate3(formula.left, samples, horizon, position, scene_tol),
@@ -216,15 +225,3 @@ def evaluate3(
                 out = Verdict3.UNKNOWN
         return out
     raise TypeError(f"unknown formula node {formula!r}")
-
-
-def formula_size(formula: Formula) -> int:
-    if isinstance(formula, (And, Or)):
-        return 1 + formula_size(formula.left) + formula_size(formula.right)
-    if isinstance(formula, (Next, Eventually, Always)):
-        return 1 + formula_size(formula.sub)
-    return 1
-
-
-def infinite_interval() -> tuple[float, float]:
-    return (-math.inf, math.inf)

@@ -147,14 +147,13 @@ def _sorted_unique(paths: list[Path]) -> list[Path]:
 
 
 def _children(scenario: AbstractScenario, samples: Path, conj: Formula) -> list[Path]:
-    """Filtered one-step extensions of a prefix, canonically ordered."""
-    inst = scenario.instance
-    out = []
-    for cand in inst.successors(samples):
+    """Filtered one-step extensions of a prefix, ordered by their last scene."""
+    out = {}
+    for cand in scenario.instance.successors(samples):
         nxt = samples + (cand,)
         if _prefix_ok(scenario, nxt, conj):
-            out.append(nxt)
-    return _sorted_unique(out)
+            out[cand.values] = nxt
+    return [out[k] for k in sorted(out)]
 
 
 def _to_trajectory(inst: ScenarioLogicInstance, samples: Path) -> Trajectory:
@@ -192,7 +191,7 @@ def expand(
             nxt = []
             for p in frontier:
                 nxt.extend(_children(scenario, p, conj))
-            frontier = _sorted_unique(nxt)
+            frontier = nxt  # already sorted and unique, as in enumerate_scenarios
     return tuple(_to_trajectory(inst, p) for p in frontier)
 
 
@@ -223,9 +222,12 @@ def enumerate_scenarios(
                 raise ComplexityError(
                     f"enumeration frontier exceeded the guard of {guard}"
                 )
-        frontier = _sorted_unique(nxt)
+        # Distinct, sorted, equal-length parents: their sorted children in
+        # parent order are already the sorted, unique frontier.
+        frontier = nxt
+    grid = inst.grid(inst.full_length())
     leaves = [p for p in frontier if _full_eval_ok(scenario, p, conj)]
-    return tuple(_to_trajectory(inst, p) for p in leaves)
+    return tuple(Trajectory(inst.schema, grid, p) for p in leaves)
 
 
 def trace_formula(c: Trajectory) -> Formula:

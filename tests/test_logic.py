@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scenkit.core import Scene, TimeGrid, schema_of, is_prefix
+from scenkit.core import Scene, TimeGrid, Trajectory, schema_of, is_prefix
 from scenkit.dynamics import drift, family_of
 from scenkit.errors import (
     ComplexityError,
@@ -17,6 +19,7 @@ from scenkit.formulas import (
     Atom,
     Eventually,
     FalseFormula,
+    Next,
     SceneConst,
     ScenePredicate,
     TrueFormula,
@@ -35,6 +38,7 @@ from scenkit.logic import (
     expand,
     is_deterministic,
     prefix_breaking_mutant,
+    quantized_motion_instance,
     sample_abstract,
     trace_formula,
 )
@@ -88,6 +92,32 @@ def test_formula_monotonicity_random_walks(line):
             if prev is Verdict3.FALSE:
                 assert cur is Verdict3.FALSE
             prev = cur
+
+
+def test_and_is_the_three_valued_conjunction_of_its_sides(line):
+    # evaluate3 walks right-nested And/Next spines in a loop; each And must
+    # still mean the conjunction of one verdict per side.
+    from conftest import random_formula
+
+    rng = random.Random(9)
+    for _ in range(3000):
+        left = random_formula(rng, line)
+        right = random_formula(rng, line)
+        if rng.random() < 0.5:
+            right = Next(And(random_formula(rng, line), Next(right)))
+        horizon = rng.randint(0, 4)
+        samples = tuple(
+            Scene(line, (float(rng.randint(-3, 3)),)) for _ in range(rng.randint(0, horizon + 1))
+        )
+        pos = rng.randint(0, horizon)
+        sides = {evaluate3(left, samples, horizon, pos), evaluate3(right, samples, horizon, pos)}
+        if Verdict3.FALSE in sides:
+            expected = Verdict3.FALSE
+        elif sides == {Verdict3.TRUE}:
+            expected = Verdict3.TRUE
+        else:
+            expected = Verdict3.UNKNOWN
+        assert evaluate3(And(left, right), samples, horizon, pos) is expected
 
 
 # --- expansion -------------------------------------------------------------------
@@ -219,6 +249,25 @@ def test_trace_formula_pins_single_trajectory():
     leaves = enumerate_scenarios(pinned)
     assert len(leaves) == 1
     assert leaves[0].sort_key() == target.sort_key()
+
+
+def test_long_trace_formula_monitors_without_recursion_error(plane):
+    # One And/Next level per sample: 10,000 levels are far past the
+    # interpreter's recursion limit.
+    n = 10_000
+    rows = [(-50.0 + i, 100.0 - 0.5 * i, 10.0, -5.0) for i in range(n)]
+    samples = tuple(Scene(plane, r) for r in rows)
+    own = Trajectory(plane, TimeGrid(0.1, n), samples)
+    inst = quantized_motion_instance(
+        plane, accels=(-2.0, 0.0, 2.0), step=0.1, horizon=n - 1, probe_scenes=samples[:1]
+    )
+    A = AbstractScenario(trace_formula(own), (), inst)
+    assert monitor_word(own, A) is Verdict.ACCEPTED
+    moved = list(samples)
+    moved[n // 2] = moved[n // 2].replace(x=moved[n // 2]["x"] + 1e-3)
+    other = Trajectory(plane, own.grid, tuple(moved))
+    assert monitor_word(other, A) is Verdict.REJECTED
+    assert evaluate3(A.constraints, other.samples, n - 1, scene_tol=1e-6) is Verdict3.FALSE
 
 
 def test_trace_formula_of_length_one_is_scene_const(line):
@@ -387,3 +436,103 @@ def test_planar_instance_follows_reach_formula():
     from scenkit.fixtures import straight_drive_trajectory
 
     assert monitor_word(straight_drive_trajectory(), A) is Verdict.ACCEPTED
+
+
+# --- canonical order against a brute-force reference ---------------------------------
+
+
+def _reference_order(inst, paths):
+    """Full-path keyed dedupe and sort: the order the walk must produce."""
+    seen = {}
+    for p in paths:
+        seen[tuple(s.values for s in p)] = p
+    return [(inst.grid(len(seen[k])), k) for k in sorted(seen)]
+
+
+def _all_extensions(inst, prefix, steps):
+    """Every successor path of ``steps`` more scenes, in successor order."""
+    if steps == 0:
+        return [prefix]
+    out = []
+    for cand in inst.successors(prefix):
+        out.extend(_all_extensions(inst, prefix + (cand,), steps - 1))
+    return out
+
+
+def _survives(A, path, start):
+    """No prefix of path longer than ``start`` samples is already FALSE."""
+    conj, inst = A.conjoined(), A.instance
+    return all(
+        evaluate3(conj, path[:i], inst.horizon) is not Verdict3.FALSE
+        for i in range(start + 1, len(path) + 1)
+    )
+
+
+def _keys_of(trajs):
+    return [(t.grid, t.sort_key()) for t in trajs]
+
+
+def _formulas(k):
+    dims = [f"d{i}" for i in range(k)]
+    atoms = st.builds(
+        lambda name, lo, width: Atom(ScenePredicate(((name, float(lo), float(lo + width)),))),
+        st.sampled_from(dims),
+        st.integers(-4, 3),
+        st.integers(0, 4),
+    )
+    within = st.sampled_from([None, 1, 2])
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            st.builds(Always, sub, within),
+            st.builds(Eventually, sub, within),
+            st.builds(Next, sub),
+            st.builds(And, sub, sub),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def small_step_scenarios(draw):
+    k = draw(st.integers(1, 2))
+    schema = schema_of(*[(f"d{i}", "dimensionless") for i in range(k)])
+    vec = st.tuples(*[st.integers(-2, 2).map(float)] * k)
+    deltas = draw(st.lists(vec, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        deltas.append(deltas[0])
+    if draw(st.booleans()):
+        deltas.sort(reverse=True)
+    else:
+        deltas = draw(st.permutations(deltas))
+    starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=3))]
+    inst = delta_step_instance(schema, deltas, 1.0, draw(st.integers(0, 4)), starts)
+    return AbstractScenario(draw(_formulas(k)), (), inst)
+
+
+@given(small_step_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_brute_force_in_order(A):
+    inst = A.instance
+    paths = [
+        p
+        for s in inst.initial_scenes
+        for p in _all_extensions(inst, (s,), inst.horizon)
+        if _survives(A, p, 0)
+        and evaluate3(A.conjoined(), p, inst.horizon) is Verdict3.TRUE
+        and inst.accepts_path(p)
+    ]
+    assert _keys_of(enumerate_scenarios(A)) == _reference_order(inst, paths)
+
+
+@given(small_step_scenarios(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_expand_matches_brute_force_in_order(A, data):
+    inst = A.instance
+    prefix = (data.draw(st.sampled_from(inst.initial_scenes)),)
+    for _ in range(data.draw(st.integers(0, inst.horizon))):
+        prefix += (data.draw(st.sampled_from(inst.successors(prefix))),)
+    steps = data.draw(st.integers(0, inst.horizon - (len(prefix) - 1)))
+    c = Trajectory(inst.schema, inst.grid(len(prefix)), prefix)
+    paths = [p for p in _all_extensions(inst, prefix, steps) if _survives(A, p, len(prefix))]
+    assert _keys_of(expand(A, c, steps)) == _reference_order(inst, paths)

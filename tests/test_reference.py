@@ -1,8 +1,8 @@
 """Differential checks against values saved from the reference implementation.
 
-Scene validation and family evaluation have fast paths; these tests pin
-what the straightforward per-dimension code produced, so a fast path
-that changes a sample value or an error message fails here.
+Scene validation, family evaluation and the enumeration walk have fast
+paths; these tests pin what the straightforward code produced, so a fast
+path that changes a sample value, an order or an error message fails here.
 """
 
 import hashlib
@@ -15,7 +15,14 @@ import pytest
 from scenkit import dsl
 from scenkit.core import Scene, schema_of
 from scenkit.errors import ScenarioError, SchemaError
-from scenkit.logic import sample_abstract
+from scenkit.formulas import Always, And, Eventually, pred
+from scenkit.logic import (
+    AbstractScenario,
+    binary_scenarios,
+    delta_step_instance,
+    enumerate_scenarios,
+    sample_abstract,
+)
 from scenkit.logical import sample
 from scenkit.rural import RuralConfig, enumerate_choices, synthesize
 
@@ -119,3 +126,22 @@ def test_seeded_abstract_draws_match_reference_digest(strategy, digest):
             continue
         h.update(_digest(draws).encode())
     assert h.hexdigest() == digest
+
+
+def test_binary_enumeration_matches_reference_digest():
+    leaves = [t for n in range(1, 13) for t in enumerate_scenarios(binary_scenarios(n))]
+    assert len(leaves) == 2**13 - 2
+    assert _digest(leaves) == (
+        "0eea8afd4cf6be3c64cb7aeed7e6e6567edbd3d598aa1f2b9bcd92a5d6651871"
+    )
+
+
+def test_walk_enumeration_matches_reference_digest():
+    d0 = schema_of(("d0", "dimensionless"))
+    inst = delta_step_instance(d0, [(-1.0,), (0.0,), (1.0,)], 1.0, 8, [Scene(d0, (0.0,))])
+    constraint = And(Always(pred(d0=(-3.0, 3.0))), Eventually(pred(d0=(2.0, 2.0))))
+    leaves = enumerate_scenarios(AbstractScenario(constraint, (), inst))
+    assert len(leaves) == 2057
+    assert _digest(leaves) == (
+        "917ad51fd6929b369f080dfa91afaaf2eab57cade07d7e1904d5971f756285c4"
+    )
