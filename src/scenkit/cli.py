@@ -151,17 +151,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _first_false_step(trace, scenario):
-    """Index of the first prefix whose three-valued verdict is FALSE."""
-    from .monitoring import monitor_stream
-
-    mon = monitor_stream(scenario)
-    for i, scene in enumerate(trace.samples):
-        if mon.step(scene) is Verdict3.FALSE:
-            return i
-    return None
-
-
 def _cmd_monitor(args) -> int:
     spec = _load_spec(args.spec)
     if args.scenario not in spec.abstracts:
@@ -175,8 +164,6 @@ def _cmd_monitor(args) -> int:
     if len(trace.samples) == full:
         report = monitor_word_report(trace, scenario)
         violation = report.violation_index
-        if report.verdict is not Verdict.ACCEPTED and violation is None:
-            violation = _first_false_step(trace, scenario)
         _emit(
             {
                 "verdict": report.verdict.value,

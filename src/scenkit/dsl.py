@@ -13,7 +13,9 @@ m/s at parse time, so printed documents are always in SI units.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,7 +41,7 @@ from .formulas import (
     ScenePredicate,
     TrueFormula,
 )
-from .logic import AbstractScenario, ScenarioLogicInstance
+from .logic import AbstractScenario, ScenarioLogicInstance, box_step
 from .logical import (
     ContinuousAxis,
     DiscreteAxis,
@@ -1038,7 +1040,8 @@ def _bounded_step_instance(
 ) -> ScenarioLogicInstance:
     """Per-dimension step-bound world: the quantized successor offers
     -bound, 0, +bound per bounded dimension; monitoring admits anything
-    inside the box; unbounded dimensions are frozen."""
+    inside the box, so it decides prefixes by the formula alone;
+    unbounded dimensions are frozen."""
     bound_by_dim = dict(decl.bounds)
     for dim in bound_by_dim:
         if not schema.has(dim):
@@ -1046,34 +1049,14 @@ def _bounded_step_instance(
     horizon = int(round(decl.horizon / decl.step))
     names = schema.names
     slack = 1e-9
+    reach = [bound_by_dim.get(name, 0.0) + slack for name in names]
+
+    options = [(0.0,) if b is None else (-b, 0.0, b) for b in map(bound_by_dim.get, names)]
+    moves = tuple(itertools.product(*options))
 
     def successors(samples):
-        end = samples[-1]
-        options = []
-        for name in names:
-            b = bound_by_dim.get(name)
-            options.append((0.0,) if b is None else (-b, 0.0, b))
-        out = []
-
-        def build(i: int, vals: list[float]):
-            if i == len(names):
-                out.append(Scene(schema, tuple(vals)))
-                return
-            for d in options[i]:
-                vals.append(end.values[i] + d)
-                build(i + 1, vals)
-                vals.pop()
-
-        build(0, [])
-        return tuple(out)
-
-    def allows(samples, nxt) -> bool:
-        end = samples[-1]
-        for i, name in enumerate(names):
-            b = bound_by_dim.get(name, 0.0)
-            if abs(nxt.values[i] - end.values[i]) > b + slack:
-                return False
-        return True
+        end = samples[-1].values
+        return tuple(Scene(schema, tuple(map(operator.add, end, d))) for d in moves)
 
     return ScenarioLogicInstance(
         id=f"dsl-{decl.name}",
@@ -1082,7 +1065,7 @@ def _bounded_step_instance(
         horizon=max(horizon, 1),
         initial_scenes=None,
         successors=successors,
-        allows=allows,
+        allows=box_step((-r, r) for r in reach),
         initial_allows=lambda scene: True,
         scene_tol=1e-6,
         probe_scenes=(Scene(schema, (0.0,) * schema.k),),

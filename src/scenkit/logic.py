@@ -16,7 +16,7 @@ import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     ALIGN_TOL,
@@ -25,7 +25,6 @@ from .core import (
     TimeGrid,
     Trajectory,
     is_prefix,
-    scene_distance,
 )
 from .errors import (
     ComplexityError,
@@ -43,6 +42,7 @@ from .formulas import (
     SceneConst,
     TrueFormula,
     Verdict3,
+    _scene_matches,
     conjoin,
     evaluate3,
 )
@@ -58,11 +58,12 @@ class ScenarioLogicInstance:
     """One finitely-branching executable member of the scenario-logic class.
 
     ``successors`` maps a prefix (tuple of scenes) to the finite set of
-    candidate next scenes; ``allows`` is the membership test used when
-    following a given trajectory (defaults to exact membership in the
-    successor set); ``accepts`` is an extra instance-level acceptance
-    condition on full-length paths (defaults to true). Full-length paths
-    have horizon+1 samples.
+    candidate next scenes and defines the admissible steps, matched up
+    to ``scene_tol``; only worlds the successors do not cover (see
+    ``box_step``) set ``allows``, and monitoring does not explore them.
+    ``accepts`` is an extra instance-level acceptance condition on
+    full-length paths (defaults to true). Full-length paths have
+    horizon+1 samples.
     """
 
     id: str
@@ -75,7 +76,6 @@ class ScenarioLogicInstance:
     initial_allows: Callable[[Scene], bool] | None = None
     accepts: Callable[[Path], bool] | None = None
     scene_tol: float = 0.0
-    closed_end: bool = True
     probe_scenes: tuple[Scene, ...] | None = None
     one_step_override: Callable[["AbstractScenario", Path], Sequence[Path]] | None = None
 
@@ -84,7 +84,7 @@ class ScenarioLogicInstance:
             raise RangeError("horizon must be >= 0 steps")
 
     def grid(self, count: int) -> TimeGrid:
-        return TimeGrid(self.step, count, self.closed_end)
+        return TimeGrid(self.step, count)
 
     def full_length(self) -> int:
         return self.horizon + 1
@@ -99,7 +99,8 @@ class ScenarioLogicInstance:
     def allows_step(self, prefix: Path, nxt: Scene) -> bool:
         if self.allows is not None:
             return self.allows(prefix, nxt)
-        return any(nxt.values == s.values for s in self.successors(prefix))
+        tol = self.scene_tol
+        return any(_scene_matches(nxt, s, tol) for s in self.successors(prefix))
 
     def accepts_path(self, path: Path) -> bool:
         return True if self.accepts is None else self.accepts(path)
@@ -121,7 +122,8 @@ def _check_conforms(scenario: AbstractScenario, c: Trajectory) -> None:
     inst = scenario.instance
     if c.schema != inst.schema:
         raise SchemaError("trajectory schema does not match the logic instance")
-    if abs(c.grid.step - inst.step) > ALIGN_TOL * inst.step:
+    # A one-point grid has no step to compare.
+    if c.grid.count > 1 and abs(c.grid.step - inst.step) > ALIGN_TOL * inst.step:
         raise GridAlignmentError(
             f"trajectory step {c.grid.step} differs from instance step {inst.step}"
         )
@@ -201,6 +203,19 @@ def _full_eval_ok(scenario: AbstractScenario, samples: Path, conj: Formula) -> b
     return verdict is Verdict3.TRUE and inst.accepts_path(samples)
 
 
+def box_step(bounds: Iterable[tuple[float, float]]) -> Callable[[Path, Scene], bool]:
+    """``allows`` of a box world: in one step, value i changes by [lo_i, hi_i]."""
+    bounds = tuple(bounds)
+
+    def allows(samples: Path, nxt: Scene) -> bool:
+        for a, b, (lo, hi) in zip(samples[-1].values, nxt.values, bounds):
+            if not lo <= b - a <= hi:
+                return False
+        return True
+
+    return allows
+
+
 def enumerate_scenarios(
     scenario: AbstractScenario, guard: int = ENUMERATION_GUARD, force: bool = False
 ) -> tuple[Trajectory, ...]:
@@ -226,7 +241,10 @@ def enumerate_scenarios(
         # parent order are already the sorted, unique frontier.
         frontier = nxt
     grid = inst.grid(inst.full_length())
-    leaves = [p for p in frontier if _full_eval_ok(scenario, p, conj)]
+    # _children kept only paths whose verdict is not FALSE, and at full
+    # length the verdict is two-valued, so every leaf already satisfies
+    # the formula.
+    leaves = [p for p in frontier if inst.accepts_path(p)]
     return tuple(Trajectory(inst.schema, grid, p) for p in leaves)
 
 
@@ -563,10 +581,10 @@ def quantized_motion_instance(
     """Planar kinematics with a finite acceleration grid per step.
 
     Successors advance position by the current velocity and velocity by
-    one of the quantized accelerations. Path-following snaps to the
-    nearest candidate within snap_tol, so trajectories produced by exact
-    closed forms still monitor cleanly despite float drift. Any finite
-    scene is an admissible start; the world is constrained by formulas.
+    one of the quantized accelerations. Path-following matches a
+    candidate within snap_tol, so trajectories produced by exact closed
+    forms still monitor cleanly despite float drift. Any finite scene is
+    an admissible start; the world is constrained by formulas.
     """
     ix, iy = schema.index(x), schema.index(y)
     ivx, ivy = schema.index(vx), schema.index(vy)
@@ -584,11 +602,6 @@ def quantized_motion_instance(
         end = samples[-1]
         return tuple(advance(end, ax, ay) for ax, ay in pairs)
 
-    def allows(samples: Path, nxt: Scene) -> bool:
-        return any(
-            scene_distance(nxt, cand) <= snap_tol for cand in successors(samples)
-        )
-
     return ScenarioLogicInstance(
         id=id,
         schema=schema,
@@ -596,8 +609,6 @@ def quantized_motion_instance(
         horizon=horizon,
         initial_scenes=tuple(probe_scenes),
         successors=successors,
-        allows=allows,
         initial_allows=lambda scene: True,
         scene_tol=snap_tol,
-        probe_scenes=tuple(probe_scenes),
     )

@@ -3,11 +3,19 @@
 The word problem follows the given trajectory through the instance's
 successor relation instead of enumerating the scenario set, checks the
 conjoined formula on the full trace, and applies the instance acceptance
-condition. The prefix problem quantifies over all instance-valid
-horizon-length completions of the prefix, with the formula as the
-acceptance condition, which makes its TRUE and FALSE verdicts
-irrevocable under any continuation the world permits. The stream monitor
-latches accordingly.
+condition. A rejected word's violation index is the last index of its
+shortest prefix that holds an inadmissible scene or on which the formula
+is FALSE (None when only the instance acceptance fails); the CLI prints
+it, times the grid step, as ``first_violation_time``.
+
+The prefix problem quantifies over all instance-valid horizon-length
+completions of the prefix, with the formula as the acceptance condition,
+which makes its TRUE and FALSE verdicts irrevocable under any
+continuation the world permits. Exploration decides only worlds the
+successors cover: no explicit ``allows`` and, for the empty prefix, an
+enumerable start set. Elsewhere, as in the box worlds of the DSL and the
+rural study, the verdict is the formula's own, UNKNOWN while it is
+undecided. The stream monitor latches accordingly.
 """
 
 from __future__ import annotations
@@ -48,6 +56,19 @@ def _first_inadmissible(samples: Path, scenario: AbstractScenario) -> int | None
     return None
 
 
+def _first_false(conj, samples: Path, horizon: int, scene_tol: float) -> int:
+    """Last index of the shortest FALSE prefix of a FALSE ``samples``,
+    found by bisection: the verdict is monotone in the prefix."""
+    lo, hi = 1, len(samples)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if evaluate3(conj, samples[:mid], horizon, scene_tol=scene_tol) is Verdict3.FALSE:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo - 1
+
+
 def _word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
     inst = scenario.instance
     _check_conforms(scenario, c)
@@ -58,13 +79,17 @@ def _word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
         )
     samples = c.samples
     bad = _first_inadmissible(samples, scenario)
+    # The formula may already reject the admissible part. With every step
+    # admissible that is the full trace, whose verdict is two-valued.
+    seen = samples if bad is None else samples[:bad]
+    conj = scenario.conjoined()
+    verdict = evaluate3(conj, seen, inst.horizon, scene_tol=inst.scene_tol)
+    if verdict is Verdict3.FALSE:
+        first = _first_false(conj, seen, inst.horizon, inst.scene_tol)
+        return WordReport(Verdict.REJECTED, first, "constraint formula not satisfied")
     if bad is not None:
         what = f"transition at step {bad}" if bad else "starting scene"
         return WordReport(Verdict.REJECTED, bad, f"{what} not admissible")
-    conj = scenario.conjoined()
-    verdict = evaluate3(conj, samples, inst.horizon, scene_tol=inst.scene_tol)
-    if verdict is not Verdict3.TRUE:
-        return WordReport(Verdict.REJECTED, None, "constraint formula not satisfied")
     if not inst.accepts_path(samples):
         return WordReport(Verdict.REJECTED, None, "instance acceptance failed")
     return WordReport(Verdict.ACCEPTED, None, "accepted")
@@ -76,7 +101,7 @@ def monitor_word(c: Trajectory, scenario: AbstractScenario) -> Verdict:
 
 
 def monitor_word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
-    """Word verdict plus the index of the first inadmissible step, if any."""
+    """Word verdict plus, for a rejection, the first violation's index."""
     return _word_report(c, scenario)
 
 
@@ -153,7 +178,8 @@ def monitor_prefix(
     TRUE iff every reachable horizon-length extension is accepted, FALSE
     iff none is. The monotone formula verdict decides most prefixes
     outright; otherwise a bounded tree exploration settles the rest and
-    reports UNKNOWN when its node budget runs out.
+    reports UNKNOWN when its node budget runs out. Worlds the successors
+    do not cover are not explored (see the module docstring).
 
     ``c=None`` stands for the empty prefix (nothing observed yet).
     """
@@ -183,21 +209,20 @@ def monitor_prefix(
         # start to exist.
         if samples or inst.initial_scenes is None or len(inst.initial_scenes) > 0:
             return Verdict3.TRUE
+    if inst.allows is not None or (
+        not samples and (inst.initial_scenes is None or inst.initial_allows is not None)
+    ):
+        # The successors do not cover the admissible steps or starts, so
+        # exploring them could claim a verdict a continuation revokes.
+        return Verdict3.UNKNOWN
     if not samples:
-        if inst.initial_scenes is None or inst.initial_allows is not None:
-            # The admissible starts are not a finite enumerable set.
-            return Verdict3.UNKNOWN
         verdicts = {
             _explore(scenario, (s,), conj, explore_budget)
             for s in inst.initial_scenes
         }
-        if not verdicts:
-            return Verdict3.FALSE
-        if verdicts == {Verdict3.TRUE}:
-            return Verdict3.TRUE
-        if verdicts == {Verdict3.FALSE}:
-            return Verdict3.FALSE
-        return Verdict3.UNKNOWN
+        if len(verdicts) == 1:
+            return verdicts.pop()
+        return Verdict3.UNKNOWN if verdicts else Verdict3.FALSE
     return _explore(scenario, samples, conj, explore_budget)
 
 

@@ -20,7 +20,7 @@ from .core import Scene, SceneSchema, TimeGrid, Trajectory
 from .dynamics import combine, evaluate, waypoint_follower
 from .errors import ComplexityError, RangeError, ScheduleError
 from .formulas import Always, And, Atom, Eventually, ScenePredicate
-from .logic import AbstractScenario, Path, ScenarioLogicInstance
+from .logic import AbstractScenario, Path, ScenarioLogicInstance, box_step
 
 INF = math.inf
 
@@ -348,23 +348,24 @@ def _rural_instance(cfg: RuralConfig, grid: TimeGrid) -> ScenarioLogicInstance:
 
     The quantized successor used for expansion just holds every actor's
     course; monitoring admits any transition inside the boxes, leaving
-    the behavioral restrictions to the world-model formulas.
+    the behavioral restrictions to the world-model formulas, and decides
+    prefixes by the formula alone.
     """
     schema = rural_schema(cfg.n, cfg.m)
     step = grid.step
     slack = 1e-9
-    box = {}
-    for d in schema.dimensions:
-        if d.name == "clock":
-            box[d.name] = (step - slack, step + slack)
-        elif d.name.endswith("_vx") or d.name.endswith("_vy"):
-            box[d.name] = (-2.0 * cfg.v_car_max, 2.0 * cfg.v_car_max)
-        elif d.name.endswith("_y"):
-            box[d.name] = (-cfg.lat_cap * step - slack, cfg.lat_cap * step + slack)
+    names = schema.names
+    box = []
+    for name in names:
+        if name == "clock":
+            box.append((step - slack, step + slack))
+        elif name.endswith("_vx") or name.endswith("_vy"):
+            box.append((-2.0 * cfg.v_car_max, 2.0 * cfg.v_car_max))
+        elif name.endswith("_y"):
+            box.append((-cfg.lat_cap * step - slack, cfg.lat_cap * step + slack))
         else:
             bound = 1.2 * cfg.v_car_max * step + slack
-            box[d.name] = (-bound, bound)
-    names = schema.names
+            box.append((-bound, bound))
 
     def hold_course(samples: Path) -> tuple[Scene, ...]:
         end = samples[-1]
@@ -378,15 +379,6 @@ def _rural_instance(cfg: RuralConfig, grid: TimeGrid) -> ScenarioLogicInstance:
                 vals[i] += end.values[schema.index(name[:-2] + "_vy")] * step
         return (Scene(schema, tuple(vals)),)
 
-    def allows(samples: Path, nxt: Scene) -> bool:
-        end = samples[-1]
-        for i, name in enumerate(names):
-            lo, hi = box[name]
-            delta = nxt.values[i] - end.values[i]
-            if delta < lo or delta > hi:
-                return False
-        return True
-
     seed = Scene(schema, (0.0,) * schema.k)
     return ScenarioLogicInstance(
         id=f"rural-{cfg.n}-{cfg.m}",
@@ -395,10 +387,9 @@ def _rural_instance(cfg: RuralConfig, grid: TimeGrid) -> ScenarioLogicInstance:
         horizon=grid.count - 1,
         initial_scenes=(seed,),
         successors=hold_course,
-        allows=allows,
+        allows=box_step(box),
         initial_allows=lambda scene: True,
         scene_tol=1e-9,
-        probe_scenes=(seed,),
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from scenkit import traceio
 from scenkit.cli import EX_DATAERR, EX_NOINPUT, EX_USAGE, main
-from scenkit.core import prefix
+from scenkit.core import Trajectory, prefix
 from scenkit.fixtures import (
     stop_at_origin_trajectory,
     straight_drive_trajectory,
@@ -108,6 +108,36 @@ def test_monitor_prefix_exit_codes(tmp_path, capsys):
     code, payload = run(capsys, "monitor", DRIVE, "--scenario", "reach", "--trace", str(trace2))
     assert code == 1
     assert payload["verdict"] == "false"
+
+
+def test_monitor_one_row_trace_is_unknown(tmp_path, capsys):
+    # A one-row CSV has no step of its own to check against the instance.
+    trace = tmp_path / "one.csv"
+    traceio.write_trace(prefix(straight_drive_trajectory(), 0.0), trace)
+    code, payload = run(capsys, "monitor", DRIVE, "--scenario", "reach", "--trace", str(trace))
+    assert code == 2
+    assert payload == {"verdict": "unknown", "fed": 1, "full_length": 201}
+
+
+def test_monitor_late_prefixes_of_an_accepted_drive_are_unknown(tmp_path, capsys):
+    drive = straight_drive_trajectory()
+    for k in (199, 200):
+        trace = tmp_path / f"prefix-{k}.csv"
+        traceio.write_trace(prefix(drive, drive.grid.t(k - 1)), trace)
+        code, payload = run(capsys, "monitor", DRIVE, "--scenario", "reach", "--trace", str(trace))
+        assert code == 2
+        assert payload == {"verdict": "unknown", "fed": k, "full_length": 201}
+
+
+def test_monitor_reports_when_a_held_start_fails(tmp_path, capsys):
+    drive = straight_drive_trajectory()
+    held = Trajectory(drive.schema, drive.grid, drive.samples[:1] * drive.grid.count)
+    trace = tmp_path / "held.csv"
+    traceio.write_trace(held, trace)
+    code, payload = run(capsys, "monitor", DRIVE, "--scenario", "reach", "--trace", str(trace))
+    assert code == 1
+    assert payload["verdict"] == "rejected"
+    assert payload["first_violation_time"] == 20.0
 
 
 def test_sample_logical_writes_manifest_and_traces(tmp_path, capsys):

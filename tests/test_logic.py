@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -536,3 +537,21 @@ def test_expand_matches_brute_force_in_order(A, data):
     c = Trajectory(inst.schema, inst.grid(len(prefix)), prefix)
     paths = [p for p in _all_extensions(inst, prefix, steps) if _survives(A, p, len(prefix))]
     assert _keys_of(expand(A, c, steps)) == _reference_order(inst, paths)
+
+
+def test_default_admission_matches_successors_up_to_scene_tol():
+    schema = schema_of(("d", "dimensionless"))
+    base = delta_step_instance(schema, [(1.0,), (-1.0,)], 1.0, 3, [Scene(schema, (0.0,))])
+    inst = dataclasses.replace(base, scene_tol=1e-6)
+    start = (Scene(schema, (0.0,)),)
+    assert inst.allows_step(start, Scene(schema, (1.0,)))
+    assert inst.allows_step(start, Scene(schema, (1.0 + 1e-7,)))
+    assert not inst.allows_step(start, Scene(schema, (1.0 + 1e-5,)))
+    assert not base.allows_step(start, Scene(schema, (1.0 + 1e-7,)))
+
+    def word(*values):
+        return Trajectory(schema, TimeGrid(1.0, 4), tuple(Scene(schema, (v,)) for v in values))
+
+    A = AbstractScenario(TrueFormula(), (), inst)
+    assert monitor_word(word(0.0, 1.0 + 1e-7, 2.0, 1.0), A) is Verdict.ACCEPTED
+    assert monitor_word(word(0.0, 1.0 + 1e-5, 2.0, 1.0), A) is Verdict.REJECTED

@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from scenkit import dsl
 from scenkit.core import Scene, Trajectory, prefix
 from scenkit.errors import HorizonError, LengthError
 from scenkit.formulas import (
@@ -11,6 +13,7 @@ from scenkit.formulas import (
     ScenePredicate,
     TrueFormula,
     Verdict3,
+    evaluate3,
 )
 from scenkit.fixtures import (
     reach_or_stop_scenario,
@@ -267,3 +270,104 @@ def test_stream_horizon_guard():
     mon.step(zero)
     with pytest.raises(HorizonError):
         mon.step(zero)
+
+
+# --- worlds the successors do not cover, and first violations -----------------------
+
+
+ASSETS = Path(__file__).resolve().parents[1] / "src" / "scenkit" / "assets"
+
+
+def dsl_reach():
+    spec = dsl.load((ASSETS / "straight_drive.scn").read_text(encoding="utf-8"))
+    return spec.abstracts["reach"]
+
+
+def test_dsl_reach_prefixes_of_an_accepted_drive_are_never_false():
+    # The DSL box world admits steps its {-b, 0, +b} successors never
+    # offer, so no prefix of an accepted trace may be declared FALSE.
+    A = dsl_reach()
+    drive = straight_drive_trajectory()
+    for k in range(1, drive.grid.count):
+        verdict = monitor_prefix(bit_prefix_like(A.instance, drive.samples[:k]), A)
+        assert verdict is not Verdict3.FALSE, k
+    for k in (199, 200):
+        assert monitor_prefix(bit_prefix_like(A.instance, drive.samples[:k]), A) is Verdict3.UNKNOWN
+    assert monitor_word(drive, A) is Verdict.ACCEPTED
+
+
+def linear_first_false(A, samples):
+    """Reference: scan prefixes in order for the first FALSE formula verdict."""
+    inst = A.instance
+    conj = A.conjoined()
+    for i in range(len(samples)):
+        if evaluate3(conj, samples[: i + 1], inst.horizon, scene_tol=inst.scene_tol) is Verdict3.FALSE:
+            return i
+    return None
+
+
+def test_violation_index_is_the_first_false_prefix_on_binary_words():
+    rng = random.Random(5)
+    checks = 0
+    for n in range(1, 9):
+        inst = binary_branching(n)
+        for formula in agreement_formulas(inst.schema):
+            A = AbstractScenario(formula, (), inst)
+            for _ in range(6):
+                word = bit_prefix(inst, [rng.randint(0, 1) for _ in range(n)])
+                report = monitor_word_report(word, A)
+                if report.verdict is Verdict.ACCEPTED:
+                    assert report.violation_index is None
+                else:
+                    assert report.violation_index == linear_first_false(A, word.samples)
+                    checks += 1
+    assert checks >= 50
+
+
+def test_violation_index_is_the_first_false_prefix_on_step_words():
+    rng = random.Random(6)
+    checks = 0
+    for seed in range(60):
+        A = random_step_scenario(seed)
+        inst = A.instance
+        for _ in range(4):
+            path = (inst.initial_scenes[rng.randrange(len(inst.initial_scenes))],)
+            while len(path) < inst.full_length():
+                cands = tuple(inst.successors(path))
+                path = path + (cands[rng.randrange(len(cands))],)
+            report = monitor_word_report(bit_prefix_like(inst, path), A)
+            if report.verdict is Verdict.REJECTED:
+                assert report.violation_index == linear_first_false(A, path)
+                checks += 1
+    assert checks >= 20
+
+
+def stream_first_false(A, samples):
+    """Reference: replay a stream monitor until its verdict turns FALSE."""
+    mon = StreamMonitor(A)
+    for i, scene in enumerate(samples):
+        if mon.step(scene) is Verdict3.FALSE:
+            return i
+    return None
+
+
+def test_dsl_violation_index_matches_a_stream_replay():
+    A = dsl_reach()
+    drive = straight_drive_trajectory()
+    start = drive.samples[0]
+    words = [wrong_start_trajectory(), stop_at_origin_trajectory(), drive]
+    words.append(Trajectory(drive.schema, drive.grid, (start,) * drive.grid.count))
+    # Moves of 1e-3 and 0.5 stay inside the step box (x may move by 3),
+    # moves of 5 leave it.
+    for i, dx in [(0, 1e-3), (0, 5.0), (1, 5.0), (100, 0.5), (100, 5.0), (200, 1e-3), (200, 5.0)]:
+        samples = list(drive.samples)
+        samples[i] = samples[i].replace(x=samples[i]["x"] + dx)
+        words.append(Trajectory(drive.schema, drive.grid, tuple(samples)))
+    rejected = 0
+    for word in words:
+        report = monitor_word_report(word, A)
+        assert report.violation_index == stream_first_false(A, word.samples)
+        rejected += report.verdict is Verdict.REJECTED
+    assert rejected == 8
+    hold = monitor_word_report(words[3], A)
+    assert hold.violation_index == drive.grid.count - 1

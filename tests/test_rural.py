@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from scenkit.core import TimeGrid, trajectory_distance
+from scenkit.core import TimeGrid, Trajectory, trajectory_distance
 from scenkit.dynamics import combine, evaluate, waypoint_follower, AttributeLevelScenario
 from scenkit.errors import ComplexityError, RangeError, ScheduleError
-from scenkit.monitoring import Verdict, monitor_word
+from scenkit.formulas import Verdict3
+from scenkit.monitoring import Verdict, monitor_prefix, monitor_word
 from scenkit.rural import (
     ManeuverChoice,
     RuralConfig,
@@ -228,3 +229,16 @@ def test_speeding_tractor_rejected_by_world_model():
     grid = suggested_grid(cfg)
     traj = convoy_trajectory(cfg, grid, tractor_speed=kmh_to_ms(50.0))
     assert monitor_word(traj, rural_formula(cfg, grid)) is Verdict.REJECTED
+
+
+def test_prefixes_of_an_accepted_synthesis_are_unknown():
+    # The rural box world admits steps its hold-course successor never
+    # offers: a prefix the formula leaves open must stay UNKNOWN.
+    cfg = RuralConfig(n=3, m=2)
+    grid = suggested_grid(cfg)
+    scenario = rural_formula(cfg, grid)
+    traj = synthesize(enumerate_choices(3, 2)[0], cfg, grid)
+    assert monitor_word(traj, scenario) is Verdict.ACCEPTED
+    for k in (2, 50, 150, 250):
+        part = Trajectory(traj.schema, TimeGrid(grid.step, k), traj.samples[:k])
+        assert monitor_prefix(part, scenario) is Verdict3.UNKNOWN, k
