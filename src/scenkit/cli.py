@@ -9,16 +9,23 @@ verdict, 64 usage errors, 65 spec diagnostics, 66 unreadable input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import dsl, rural, traceio
 from .errors import ScenarioError
-from .formulas import Verdict3
-from .logic import encode_logical, enumerate_scenarios, sample_abstract, binary_scenarios
+from .formulas import TrueFormula, Verdict3
+from .logic import (
+    AbstractScenario,
+    binary_scenarios,
+    encode_logical,
+    enumerate_scenarios,
+    sample_abstract,
+)
 from .logical import invert, realize, sample, Found
-from .monitoring import Verdict, monitor_prefix, monitor_word_report
+from .monitoring import Verdict, monitor_prefix, monitor_word, monitor_word_report
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -45,31 +52,12 @@ def _load_spec(path: str) -> dsl.ResolvedSpec:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileNotFoundError(str(exc)) from exc
-    result = dsl.parse(text)
-    if not result.ok:
-        raise dsl.ResolutionError(result.diagnostics)
-    return dsl.resolve(result.document)
+    return dsl.load(text)
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = Path(args.spec).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(EX_NOINPUT, "io", detail=str(exc))
-    result = dsl.parse(text)
-    if not result.ok:
-        _emit(
-            {
-                "ok": False,
-                "diagnostics": [d.render() for d in result.diagnostics],
-            }
-        )
-        return EX_DATAERR
-    try:
-        spec = dsl.resolve(result.document)
-    except dsl.ResolutionError as exc:
-        _emit({"ok": False, "diagnostics": [d.render() for d in exc.diagnostics]})
-        return EX_DATAERR
+    # Unreadable files and diagnostics are reported by main's handlers.
+    spec = _load_spec(args.spec)
     _emit(
         {
             "ok": True,
@@ -219,12 +207,7 @@ def _cmd_encode_logical(args) -> int:
         return _fail(1, "UnknownScenario", scenario=args.scenario)
     scenario = spec.logicals[args.scenario]
     instance = encode_logical(scenario)
-    from .formulas import TrueFormula
-    from .logic import AbstractScenario
-
     leaves = enumerate_scenarios(AbstractScenario(TrueFormula(), (), instance))
-    import itertools
-
     xs = sorted(itertools.product(*(a.values for a in scenario.space.axes)))
     realized = sorted(realize(scenario, x).sort_key() for x in xs)
     match = realized == sorted(t.sort_key() for t in leaves)
@@ -256,8 +239,6 @@ def _cmd_synth_rural(args) -> int:
         choices = choices[: args.limit]
     out = _out_dir(args)
     scenario = rural.rural_formula(cfg, grid)
-    from .monitoring import monitor_word
-
     names = []
     accepted = 0
     for i, choice in enumerate(choices):

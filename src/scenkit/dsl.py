@@ -1038,10 +1038,10 @@ def _resolve_formula(
 def _bounded_step_instance(
     decl: AbstractDecl, schema: SceneSchema, diags: list[Diagnostic]
 ) -> ScenarioLogicInstance:
-    """Per-dimension step-bound world: the quantized successor offers
-    -bound, 0, +bound per bounded dimension; monitoring admits anything
-    inside the box, so it decides prefixes by the formula alone;
-    unbounded dimensions are frozen."""
+    """Per-dimension step-bound world: any scene starts; the quantized
+    successor offers -bound, 0, +bound per bounded dimension; monitoring
+    admits anything inside the box, so it decides prefixes by the formula
+    alone; unbounded dimensions are frozen."""
     bound_by_dim = dict(decl.bounds)
     for dim in bound_by_dim:
         if not schema.has(dim):
@@ -1066,9 +1066,7 @@ def _bounded_step_instance(
         initial_scenes=None,
         successors=successors,
         allows=box_step((-r, r) for r in reach),
-        initial_allows=lambda scene: True,
         scene_tol=1e-6,
-        probe_scenes=(Scene(schema, (0.0,) * schema.k),),
     )
 
 

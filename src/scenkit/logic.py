@@ -1,7 +1,7 @@
 """Branching scenario-logic engine.
 
 A logic instance fixes a schema, a grid step, a finite horizon, a set of
-admissible starting scenes and a finitely-branching successor relation.
+starting scenes and a finitely-branching successor relation.
 An abstract scenario pairs constraint and world-model formulas with an
 instance; its semantics is the tree grown by expanding prefixes through
 the successor relation while pruning branches whose formula verdict is
@@ -46,6 +46,7 @@ from .formulas import (
     conjoin,
     evaluate3,
 )
+from .logical import DiscreteAxis, derive_seed, realize
 
 Path = tuple[Scene, ...]
 
@@ -57,13 +58,15 @@ ENUMERATION_GUARD = 10_000_000
 class ScenarioLogicInstance:
     """One finitely-branching executable member of the scenario-logic class.
 
+    The world is what can start and what can follow. ``initial_scenes``
+    is the start set, a finite tuple or None for any scene; a start is
+    admissible when it matches one of them up to ``scene_tol``.
     ``successors`` maps a prefix (tuple of scenes) to the finite set of
-    candidate next scenes and defines the admissible steps, matched up
-    to ``scene_tol``; only worlds the successors do not cover (see
-    ``box_step``) set ``allows``, and monitoring does not explore them.
-    ``accepts`` is an extra instance-level acceptance condition on
-    full-length paths (defaults to true). Full-length paths have
-    horizon+1 samples.
+    candidate next scenes and defines the admissible steps, matched the
+    same way; only worlds the successors do not cover (see ``box_step``)
+    set ``allows``, and monitoring does not explore them. The formula is
+    the only acceptance condition. Full-length paths have horizon+1
+    samples.
     """
 
     id: str
@@ -73,10 +76,7 @@ class ScenarioLogicInstance:
     initial_scenes: tuple[Scene, ...] | None
     successors: Callable[[Path], Sequence[Scene]]
     allows: Callable[[Path, Scene], bool] | None = None
-    initial_allows: Callable[[Scene], bool] | None = None
-    accepts: Callable[[Path], bool] | None = None
     scene_tol: float = 0.0
-    probe_scenes: tuple[Scene, ...] | None = None
     one_step_override: Callable[["AbstractScenario", Path], Sequence[Path]] | None = None
 
     def __post_init__(self):
@@ -90,20 +90,16 @@ class ScenarioLogicInstance:
         return self.horizon + 1
 
     def allows_initial(self, scene: Scene) -> bool:
-        if self.initial_allows is not None:
-            return self.initial_allows(scene)
         if self.initial_scenes is None:
             return True
-        return any(scene.values == s.values for s in self.initial_scenes)
+        tol = self.scene_tol
+        return any(_scene_matches(scene, s, tol) for s in self.initial_scenes)
 
     def allows_step(self, prefix: Path, nxt: Scene) -> bool:
         if self.allows is not None:
             return self.allows(prefix, nxt)
         tol = self.scene_tol
         return any(_scene_matches(nxt, s, tol) for s in self.successors(prefix))
-
-    def accepts_path(self, path: Path) -> bool:
-        return True if self.accepts is None else self.accepts(path)
 
 
 @dataclass(frozen=True)
@@ -129,16 +125,9 @@ def _check_conforms(scenario: AbstractScenario, c: Trajectory) -> None:
         )
 
 
-def _prefix_ok(scenario: AbstractScenario, samples: Path, conj: Formula) -> bool:
-    return (
-        evaluate3(
-            conj,
-            samples,
-            scenario.instance.horizon,
-            scene_tol=scenario.instance.scene_tol,
-        )
-        is not Verdict3.FALSE
-    )
+def _verdict(inst: ScenarioLogicInstance, conj: Formula, samples: Path) -> Verdict3:
+    """The formula's verdict on a prefix of one of the instance's paths."""
+    return evaluate3(conj, samples, inst.horizon, scene_tol=inst.scene_tol)
 
 
 def _sorted_unique(paths: list[Path]) -> list[Path]:
@@ -150,12 +139,43 @@ def _sorted_unique(paths: list[Path]) -> list[Path]:
 
 def _children(scenario: AbstractScenario, samples: Path, conj: Formula) -> list[Path]:
     """Filtered one-step extensions of a prefix, ordered by their last scene."""
+    inst = scenario.instance
     out = {}
-    for cand in scenario.instance.successors(samples):
+    for cand in inst.successors(samples):
         nxt = samples + (cand,)
-        if _prefix_ok(scenario, nxt, conj):
+        if _verdict(inst, conj, nxt) is not Verdict3.FALSE:
             out[cand.values] = nxt
     return [out[k] for k in sorted(out)]
+
+
+def _roots(scenario: AbstractScenario, conj: Formula) -> list[Path]:
+    """Filtered one-scene paths from the finite start set, sorted and distinct."""
+    inst = scenario.instance
+    starts = ((s,) for s in inst.initial_scenes)
+    return _sorted_unique([p for p in starts if _verdict(inst, conj, p) is not Verdict3.FALSE])
+
+
+def _grow(
+    scenario: AbstractScenario,
+    frontier: list[Path],
+    steps: int,
+    conj: Formula,
+    guard: int | None = None,
+) -> list[Path]:
+    """Grow a sorted frontier of distinct, equal-length prefixes by steps
+    levels of filtered children; ComplexityError past ``guard`` paths."""
+    for _ in range(steps):
+        nxt: list[Path] = []
+        for p in frontier:
+            nxt.extend(_children(scenario, p, conj))
+            if guard is not None and len(nxt) > guard:
+                raise ComplexityError(
+                    f"enumeration frontier exceeded the guard of {guard}"
+                )
+        # Distinct, sorted, equal-length parents: their sorted children in
+        # parent order are already the sorted, unique frontier.
+        frontier = nxt
+    return frontier
 
 
 def _to_trajectory(inst: ScenarioLogicInstance, samples: Path) -> Trajectory:
@@ -188,19 +208,8 @@ def expand(
                 nxt.extend(tuple(q) for q in inst.one_step_override(scenario, p))
             frontier = _sorted_unique(nxt)
     else:
-        conj = scenario.conjoined()
-        for _ in range(steps):
-            nxt = []
-            for p in frontier:
-                nxt.extend(_children(scenario, p, conj))
-            frontier = nxt  # already sorted and unique, as in enumerate_scenarios
+        frontier = _grow(scenario, frontier, steps, scenario.conjoined())
     return tuple(_to_trajectory(inst, p) for p in frontier)
-
-
-def _full_eval_ok(scenario: AbstractScenario, samples: Path, conj: Formula) -> bool:
-    inst = scenario.instance
-    verdict = evaluate3(conj, samples, inst.horizon, scene_tol=inst.scene_tol)
-    return verdict is Verdict3.TRUE and inst.accepts_path(samples)
 
 
 def box_step(bounds: Iterable[tuple[float, float]]) -> Callable[[Path, Scene], bool]:
@@ -226,25 +235,10 @@ def enumerate_scenarios(
             f"instance {inst.id!r} declares no finite initial scene set"
         )
     conj = scenario.conjoined()
-    frontier = _sorted_unique(
-        [(s,) for s in inst.initial_scenes if _prefix_ok(scenario, (s,), conj)]
-    )
-    for _ in range(inst.horizon):
-        nxt: list[Path] = []
-        for p in frontier:
-            nxt.extend(_children(scenario, p, conj))
-            if not force and len(nxt) > guard:
-                raise ComplexityError(
-                    f"enumeration frontier exceeded the guard of {guard}"
-                )
-        # Distinct, sorted, equal-length parents: their sorted children in
-        # parent order are already the sorted, unique frontier.
-        frontier = nxt
+    leaves = _grow(scenario, _roots(scenario, conj), inst.horizon, conj, None if force else guard)
     grid = inst.grid(inst.full_length())
-    # _children kept only paths whose verdict is not FALSE, and at full
-    # length the verdict is two-valued, so every leaf already satisfies
-    # the formula.
-    leaves = [p for p in frontier if inst.accepts_path(p)]
+    # _grow kept only paths whose verdict is not FALSE, and at full length
+    # the verdict is two-valued, so every leaf satisfies the formula.
     return tuple(Trajectory(inst.schema, grid, p) for p in leaves)
 
 
@@ -279,15 +273,13 @@ def sample_abstract(
     which cannot be guaranteed to succeed (surfaced as a budget error
     carrying the acceptance rate so far).
     """
-    from .logical import derive_seed
-
     if count < 1:
         raise RangeError("count must be >= 1")
     if strategy not in ("uniform-leaf", "uniform-branch", "rejection"):
         raise RangeError(f"unknown strategy {strategy!r}")
     inst = scenario.instance
     conj = scenario.conjoined()
-    if evaluate3(conj, (), inst.horizon, scene_tol=inst.scene_tol) is Verdict3.FALSE:
+    if _verdict(inst, conj, ()) is Verdict3.FALSE:
         raise UnsatisfiableError("the constraint formula is unsatisfiable")
     if inst.initial_scenes is None:
         raise ComplexityError("sampling needs a finite initial scene set")
@@ -302,9 +294,7 @@ def sample_abstract(
         ]
 
     guide = conj if strategy == "uniform-branch" else conjoin(scenario.world)
-    roots = _sorted_unique(
-        [(s,) for s in inst.initial_scenes if _prefix_ok(scenario, (s,), guide)]
-    )
+    roots = _roots(scenario, guide)
     if not roots:
         raise UnsatisfiableError("no admissible starting scene")
 
@@ -328,7 +318,7 @@ def sample_abstract(
                 dead = True
                 break
             path = kids[rng.randrange(len(kids))]
-        if dead or not _full_eval_ok(scenario, path, conj):
+        if dead or _verdict(inst, conj, path) is not Verdict3.TRUE:
             continue
         accepted += 1
         out.append(_to_trajectory(inst, path))
@@ -352,7 +342,7 @@ class AxiomReport:
 def _random_prefix(
     inst: ScenarioLogicInstance, rng: random.Random, max_depth: int
 ) -> Path:
-    starts = inst.probe_scenes or inst.initial_scenes
+    starts = inst.initial_scenes
     if not starts:
         raise RangeError(f"instance {inst.id!r} offers no scenes to probe from")
     path: Path = (starts[rng.randrange(len(starts))],)
@@ -498,8 +488,6 @@ def encode_logical(scenario) -> ScenarioLogicInstance:
     realized trajectories it still matches exactly. Enumerating the
     encoding recovers exactly the image of the logical scenario.
     """
-    from .logical import DiscreteAxis, realize
-
     axes = scenario.space.axes
     if not all(isinstance(a, DiscreteAxis) for a in axes):
         raise ComplexityError(
@@ -507,7 +495,6 @@ def encode_logical(scenario) -> ScenarioLogicInstance:
         )
     xs = sorted(itertools.product(*(a.values for a in axes)))
     trajectories = [realize(scenario, x) for x in xs]
-    full_keys = {t.sort_key() for t in trajectories}
     horizon = trajectories[0].grid.count - 1
     initials = _sorted_unique([(t.samples[0],) for t in trajectories])
 
@@ -528,7 +515,6 @@ def encode_logical(scenario) -> ScenarioLogicInstance:
         horizon=horizon,
         initial_scenes=tuple(p[0] for p in initials),
         successors=successors,
-        accepts=lambda samples: tuple(s.values for s in samples) in full_keys,
     )
 
 
@@ -580,11 +566,10 @@ def quantized_motion_instance(
 ) -> ScenarioLogicInstance:
     """Planar kinematics with a finite acceleration grid per step.
 
-    Successors advance position by the current velocity and velocity by
-    one of the quantized accelerations. Path-following matches a
-    candidate within snap_tol, so trajectories produced by exact closed
-    forms still monitor cleanly despite float drift. Any finite scene is
-    an admissible start; the world is constrained by formulas.
+    ``probe_scenes`` is the start set. Successors advance position by the
+    current velocity and velocity by one of the quantized accelerations.
+    Starts and steps match within snap_tol, so trajectories produced by
+    exact closed forms still monitor cleanly despite float drift.
     """
     ix, iy = schema.index(x), schema.index(y)
     ivx, ivy = schema.index(vx), schema.index(vy)
@@ -609,6 +594,5 @@ def quantized_motion_instance(
         horizon=horizon,
         initial_scenes=tuple(probe_scenes),
         successors=successors,
-        initial_allows=lambda scene: True,
         scene_tol=snap_tol,
     )

@@ -218,18 +218,8 @@ def sample(
     """Draw count i.i.d. parameter vectors and realize each one."""
     if count < 1:
         raise RangeError("count must be >= 1")
-    if dist is None:
-        dist = ParameterDistribution.uniform_for(scenario.space)
-    dist.validate_against(scenario.space)
-    out = []
-    for i in range(count):
-        rng = random.Random(derive_seed(rng_seed, i))
-        x = tuple(
-            _draw_axis(axis, marginal, rng)
-            for axis, marginal in zip(scenario.space.axes, dist.marginals)
-        )
-        out.append((x, realize(scenario, x)))
-    return out
+    xs = draw_parameters(scenario.space, dist, count, rng_seed)
+    return [(x, realize(scenario, x)) for x in xs]
 
 
 def draw_parameters(
@@ -238,17 +228,24 @@ def draw_parameters(
     count: int,
     rng_seed: int,
 ) -> list[tuple[float, ...]]:
-    """Parameter draws without realization (for statistics on the space)."""
+    """Parameter draws without realization (for statistics on the space).
+
+    Draw i takes its axes in order from one generator seeded by
+    ``derive_seed(rng_seed, i)``.
+    """
     if dist is None:
         dist = ParameterDistribution.uniform_for(space)
     dist.validate_against(space)
-    return [
-        tuple(
-            _draw_axis(axis, marginal, random.Random(derive_seed(rng_seed, i)))
-            for axis, marginal in zip(space.axes, dist.marginals)
+    out = []
+    for i in range(count):
+        rng = random.Random(derive_seed(rng_seed, i))
+        out.append(
+            tuple(
+                _draw_axis(axis, marginal, rng)
+                for axis, marginal in zip(space.axes, dist.marginals)
+            )
         )
-        for i in range(count)
-    ]
+    return out
 
 
 # --- inverse image analysis ------------------------------------------------

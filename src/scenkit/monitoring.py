@@ -1,19 +1,19 @@
 """Decision procedures for membership of concrete in abstract scenarios.
 
 The word problem follows the given trajectory through the instance's
-successor relation instead of enumerating the scenario set, checks the
-conjoined formula on the full trace, and applies the instance acceptance
-condition. A rejected word's violation index is the last index of its
-shortest prefix that holds an inadmissible scene or on which the formula
-is FALSE (None when only the instance acceptance fails); the CLI prints
-it, times the grid step, as ``first_violation_time``.
+start set and successor relation instead of enumerating the scenario
+set, and checks the conjoined formula, the only acceptance condition, on
+the full trace. A rejected word's violation index is the last index of
+its shortest prefix that holds an inadmissible scene or on which the
+formula is FALSE; the CLI prints it, times the grid step, as
+``first_violation_time``.
 
 The prefix problem quantifies over all instance-valid horizon-length
 completions of the prefix, with the formula as the acceptance condition,
 which makes its TRUE and FALSE verdicts irrevocable under any
 continuation the world permits. Exploration decides only worlds the
-successors cover: no explicit ``allows`` and, for the empty prefix, an
-enumerable start set. Elsewhere, as in the box worlds of the DSL and the
+successors cover: no explicit ``allows`` and, for the empty prefix, a
+finite start set. Elsewhere, as in the box worlds of the DSL and the
 rural study, the verdict is the formula's own, UNKNOWN while it is
 undecided. The stream monitor latches accordingly.
 """
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from .core import Scene, Trajectory
 from .errors import HorizonError, LengthError
-from .formulas import Verdict3, evaluate3
-from .logic import AbstractScenario, Path, _check_conforms, _full_eval_ok
+from .formulas import Formula, Verdict3
+from .logic import AbstractScenario, Path, ScenarioLogicInstance, _check_conforms, _verdict
 
 #: Node budget for prefix-tree exploration; exhaustion yields UNKNOWN.
 DEFAULT_EXPLORE_BUDGET = 100_000
@@ -56,13 +56,13 @@ def _first_inadmissible(samples: Path, scenario: AbstractScenario) -> int | None
     return None
 
 
-def _first_false(conj, samples: Path, horizon: int, scene_tol: float) -> int:
+def _first_false(inst: ScenarioLogicInstance, conj: Formula, samples: Path) -> int:
     """Last index of the shortest FALSE prefix of a FALSE ``samples``,
     found by bisection: the verdict is monotone in the prefix."""
     lo, hi = 1, len(samples)
     while lo < hi:
         mid = (lo + hi) // 2
-        if evaluate3(conj, samples[:mid], horizon, scene_tol=scene_tol) is Verdict3.FALSE:
+        if _verdict(inst, conj, samples[:mid]) is Verdict3.FALSE:
             hi = mid
         else:
             lo = mid + 1
@@ -83,15 +83,12 @@ def _word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
     # admissible that is the full trace, whose verdict is two-valued.
     seen = samples if bad is None else samples[:bad]
     conj = scenario.conjoined()
-    verdict = evaluate3(conj, seen, inst.horizon, scene_tol=inst.scene_tol)
-    if verdict is Verdict3.FALSE:
-        first = _first_false(conj, seen, inst.horizon, inst.scene_tol)
+    if _verdict(inst, conj, seen) is Verdict3.FALSE:
+        first = _first_false(inst, conj, seen)
         return WordReport(Verdict.REJECTED, first, "constraint formula not satisfied")
     if bad is not None:
         what = f"transition at step {bad}" if bad else "starting scene"
         return WordReport(Verdict.REJECTED, bad, f"{what} not admissible")
-    if not inst.accepts_path(samples):
-        return WordReport(Verdict.REJECTED, None, "instance acceptance failed")
     return WordReport(Verdict.ACCEPTED, None, "accepted")
 
 
@@ -136,7 +133,7 @@ def _explore(
             return Verdict3.UNKNOWN
         p = stack.pop()
         if len(p) == inst.full_length():
-            if _full_eval_ok(scenario, p, conj):
+            if _verdict(inst, conj, p) is Verdict3.TRUE:
                 found_accept = True
             else:
                 found_reject = True
@@ -149,15 +146,10 @@ def _explore(
                 # monotone formula status: FALSE subtrees only reject.
                 for cand in kids:
                     nxt = p + (cand,)
-                    status = evaluate3(
-                        conj, nxt, inst.horizon, scene_tol=inst.scene_tol
-                    )
+                    status = _verdict(inst, conj, nxt)
                     if status is Verdict3.FALSE:
                         found_reject = True
-                    elif (
-                        status is Verdict3.TRUE
-                        and inst.accepts is None
-                    ):
+                    elif status is Verdict3.TRUE:
                         found_accept = True
                     else:
                         stack.append(nxt)
@@ -196,22 +188,16 @@ def monitor_prefix(
     if _first_inadmissible(samples, scenario) is not None:
         return Verdict3.FALSE
     conj = scenario.conjoined()
-    status = evaluate3(conj, samples, inst.horizon, scene_tol=inst.scene_tol)
+    status = _verdict(inst, conj, samples)
     if status is Verdict3.FALSE:
         return Verdict3.FALSE
-    if len(samples) == inst.full_length():
-        ok = status is Verdict3.TRUE and inst.accepts_path(samples)
-        return Verdict3.TRUE if ok else Verdict3.FALSE
-    if status is Verdict3.TRUE and inst.accepts is None:
-        # Monotone TRUE cannot flip, and with trivial acceptance every
-        # completion (successor sets are nonempty below the horizon) is
-        # accepted. The empty prefix additionally needs some admissible
-        # start to exist.
-        if samples or inst.initial_scenes is None or len(inst.initial_scenes) > 0:
-            return Verdict3.TRUE
-    if inst.allows is not None or (
-        not samples and (inst.initial_scenes is None or inst.initial_allows is not None)
-    ):
+    if status is Verdict3.TRUE and (samples or inst.initial_scenes != ()):
+        # Monotone TRUE cannot flip, so every completion (successor sets
+        # are nonempty below the horizon) is accepted. This also decides
+        # full-length prefixes, whose verdict is two-valued. The empty
+        # prefix additionally needs some admissible start to exist.
+        return Verdict3.TRUE
+    if inst.allows is not None or (not samples and inst.initial_scenes is None):
         # The successors do not cover the admissible steps or starts, so
         # exploring them could claim a verdict a continuation revokes.
         return Verdict3.UNKNOWN

@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import Iterator
 
 from .core import Scene, SceneSchema, TimeGrid, Trajectory
-from .dynamics import combine, evaluate, waypoint_follower
+from .dynamics import AttributeLevelScenario, combine, evaluate, waypoint_follower
 from .errors import ComplexityError, RangeError, ScheduleError
 from .formulas import Always, And, Atom, Eventually, ScenePredicate
 from .logic import AbstractScenario, Path, ScenarioLogicInstance, box_step
@@ -294,8 +294,6 @@ def synthesize(
     family = combine(members, epsilon=grid.step, shared=("clock",))
     seed = Scene(schema, (0.0,) * schema.k)
     start = family.evolve(0.0, seed)
-    from .dynamics import AttributeLevelScenario
-
     result = evaluate(AttributeLevelScenario(start, family, grid))
     assert isinstance(result, Trajectory)
     return result
@@ -344,7 +342,7 @@ def _speed_caps(cfg: RuralConfig) -> ScenePredicate:
 
 
 def _rural_instance(cfg: RuralConfig, grid: TimeGrid) -> ScenarioLogicInstance:
-    """Permissive step world: per-dimension reachability boxes.
+    """Permissive world: any scene starts, steps stay in per-dimension boxes.
 
     The quantized successor used for expansion just holds every actor's
     course; monitoring admits any transition inside the boxes, leaving
@@ -379,16 +377,14 @@ def _rural_instance(cfg: RuralConfig, grid: TimeGrid) -> ScenarioLogicInstance:
                 vals[i] += end.values[schema.index(name[:-2] + "_vy")] * step
         return (Scene(schema, tuple(vals)),)
 
-    seed = Scene(schema, (0.0,) * schema.k)
     return ScenarioLogicInstance(
         id=f"rural-{cfg.n}-{cfg.m}",
         schema=schema,
         step=step,
         horizon=grid.count - 1,
-        initial_scenes=(seed,),
+        initial_scenes=None,
         successors=hold_course,
         allows=box_step(box),
-        initial_allows=lambda scene: True,
         scene_tol=1e-9,
     )
 

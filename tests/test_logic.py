@@ -1,10 +1,13 @@
 import dataclasses
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenkit import dsl
 from scenkit.core import Scene, TimeGrid, Trajectory, schema_of, is_prefix
 from scenkit.dynamics import drift, family_of
 from scenkit.errors import (
@@ -44,9 +47,12 @@ from scenkit.logic import (
     trace_formula,
 )
 from scenkit.logical import DiscreteAxis, LogicalScenario, ParameterSpace, realize
-from scenkit.monitoring import Verdict, monitor_word
+from scenkit.monitoring import Verdict, WordReport, monitor_word, monitor_word_report
+from scenkit.rural import RuralConfig, rural_formula
 
 from conftest import random_step_scenario
+
+ASSETS = Path(__file__).resolve().parents[1] / "src" / "scenkit" / "assets"
 
 
 def bit_trajectory(bits, instance):
@@ -473,8 +479,7 @@ def _keys_of(trajs):
     return [(t.grid, t.sort_key()) for t in trajs]
 
 
-def _formulas(k):
-    dims = [f"d{i}" for i in range(k)]
+def _formulas(dims):
     atoms = st.builds(
         lambda name, lo, width: Atom(ScenePredicate(((name, float(lo), float(lo + width)),))),
         st.sampled_from(dims),
@@ -508,7 +513,7 @@ def small_step_scenarios(draw):
         deltas = draw(st.permutations(deltas))
     starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=3))]
     inst = delta_step_instance(schema, deltas, 1.0, draw(st.integers(0, 4)), starts)
-    return AbstractScenario(draw(_formulas(k)), (), inst)
+    return AbstractScenario(draw(_formulas(schema.names)), (), inst)
 
 
 @given(small_step_scenarios())
@@ -521,7 +526,6 @@ def test_enumeration_matches_brute_force_in_order(A):
         for p in _all_extensions(inst, (s,), inst.horizon)
         if _survives(A, p, 0)
         and evaluate3(A.conjoined(), p, inst.horizon) is Verdict3.TRUE
-        and inst.accepts_path(p)
     ]
     assert _keys_of(enumerate_scenarios(A)) == _reference_order(inst, paths)
 
@@ -555,3 +559,67 @@ def test_default_admission_matches_successors_up_to_scene_tol():
     A = AbstractScenario(TrueFormula(), (), inst)
     assert monitor_word(word(0.0, 1.0 + 1e-7, 2.0, 1.0), A) is Verdict.ACCEPTED
     assert monitor_word(word(0.0, 1.0 + 1e-5, 2.0, 1.0), A) is Verdict.REJECTED
+
+# --- one start set: the word problem agrees with enumeration ------------------------
+
+
+PLANE = schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
+
+
+@st.composite
+def small_worlds_and_words(draw):
+    """A small quantized-motion or delta-step instance, a formula, and a
+    full-length word that may start off the start set or leave the
+    successors at any step."""
+    horizon = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        schema = PLANE
+        vec = st.tuples(*[st.integers(-1, 1).map(float)] * 4)
+        accels = draw(st.lists(st.integers(-1, 1).map(float), min_size=1, max_size=2, unique=True))
+        starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=2))]
+        inst = quantized_motion_instance(schema, accels, 1.0, horizon, starts)
+    else:
+        k = draw(st.integers(1, 2))
+        schema = schema_of(*[(f"d{i}", "dimensionless") for i in range(k)])
+        vec = st.tuples(*[st.integers(-2, 2).map(float)] * k)
+        deltas = draw(st.lists(vec, min_size=1, max_size=3))
+        starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=2))]
+        inst = delta_step_instance(schema, deltas, 1.0, horizon, starts)
+    anywhere = vec.map(lambda v: Scene(schema, v))
+    path = (draw(st.one_of(st.sampled_from(inst.initial_scenes), anywhere)),)
+    for _ in range(horizon):
+        on_track = st.sampled_from(inst.successors(path))
+        path += (draw(st.one_of(on_track, on_track, anywhere)),)
+    A = AbstractScenario(draw(_formulas(schema.names)), (), inst)
+    return A, Trajectory(schema, inst.grid(len(path)), path)
+
+
+@given(small_worlds_and_words())
+@settings(max_examples=300, deadline=None)
+def test_word_problem_accepts_exactly_the_enumerated_scenarios(case):
+    A, word = case
+    members = {t.sort_key() for t in enumerate_scenarios(A)}
+    assert (monitor_word(word, A) is Verdict.ACCEPTED) == (word.sort_key() in members)
+
+
+def test_quantized_word_off_the_start_set_is_rejected():
+    origin = Scene(PLANE, (0.0, 0.0, 0.0, 0.0))
+    inst = quantized_motion_instance(PLANE, (0.0,), 1.0, 2, probe_scenes=(origin,))
+    A = AbstractScenario(TrueFormula(), (), inst)
+    held = Trajectory(PLANE, inst.grid(3), (Scene(PLANE, (1.0, 0.0, 0.0, 0.0)),) * 3)
+    report = monitor_word_report(held, A)
+    assert report == WordReport(Verdict.REJECTED, 0, "starting scene not admissible")
+    assert [t.samples for t in enumerate_scenarios(A)] == [(origin,) * 3]
+    # Starts match up to the instance's scene_tol, as steps do.
+    assert inst.allows_initial(Scene(PLANE, (1e-7, 0.0, 0.0, 0.0)))
+    assert not inst.allows_initial(Scene(PLANE, (1e-5, 0.0, 0.0, 0.0)))
+
+
+def test_check_axioms_needs_a_finite_start_set():
+    text = (ASSETS / "straight_drive.scn").read_text(encoding="utf-8")
+    dsl_inst = dsl.load(text).abstracts["reach"].instance
+    rural_inst = rural_formula(RuralConfig(n=1, m=1)).instance
+    for inst in (dsl_inst, rural_inst):
+        assert inst.initial_scenes is None
+        with pytest.raises(RangeError, match=re.escape(repr(inst.id))):
+            check_axioms(inst, [TrueFormula()], probes=1)

@@ -18,6 +18,7 @@ from scenkit.logical import (
     ParameterDistribution,
     ParameterSpace,
     TruncatedNormal,
+    derive_seed,
     draw_parameters,
     invert,
     invert_over_binders,
@@ -129,6 +130,23 @@ def test_sampling_is_reproducible():
     assert all(ta == tb for (_, ta), (_, tb) in zip(a, b))
     c = sample(L, None, 20, rng_seed=100)
     assert [x for x, _ in a] != [x for x, _ in c]
+
+
+def test_two_axis_draws_match_sample_and_differ_per_axis():
+    # One generator per draw serves every axis in turn, in draw_parameters
+    # as in sample; a fresh generator per axis would repeat one value.
+    line = schema_of(("pos", "m"))
+    space = ParameterSpace((ContinuousAxis("p0", 0.0, 1.0), ContinuousAxis("v", 0.0, 1.0)))
+    L = LogicalScenario(
+        space,
+        lambda x: (Scene(line, (x[0],)), family_of(drift(line, {"pos": x[1]}))),
+        TimeGrid(0.5, 3),
+    )
+    xs = draw_parameters(space, None, 20, rng_seed=5)
+    assert xs == [x for x, _ in sample(L, None, 20, rng_seed=5)]
+    assert all(a != b for a, b in xs)
+    first = random.Random(derive_seed(5, 0))
+    assert xs[0] == (first.random(), first.random())
 
 
 @given(

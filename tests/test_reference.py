@@ -1,8 +1,9 @@
 """Differential checks against values saved from the reference implementation.
 
 Scene validation, family evaluation and the enumeration walk have fast
-paths; these tests pin what the straightforward code produced, so a fast
-path that changes a sample value, an order or an error message fails here.
+paths, and monitoring has been simplified; these tests pin what the
+straightforward code produced, so a change that moves a sample value, an
+order, a verdict or an error message fails here.
 """
 
 import hashlib
@@ -13,17 +14,19 @@ from pathlib import Path
 import pytest
 
 from scenkit import dsl
-from scenkit.core import Scene, schema_of
+from scenkit.core import Scene, Trajectory, schema_of
 from scenkit.errors import ScenarioError, SchemaError
-from scenkit.formulas import Always, And, Eventually, pred
+from scenkit.formulas import Always, And, Eventually, TrueFormula, pred
 from scenkit.logic import (
     AbstractScenario,
     binary_scenarios,
     delta_step_instance,
+    encode_logical,
     enumerate_scenarios,
     sample_abstract,
 )
 from scenkit.logical import sample
+from scenkit.monitoring import monitor_prefix, monitor_word_report
 from scenkit.rural import RuralConfig, enumerate_choices, synthesize
 
 from conftest import random_step_scenario
@@ -144,4 +147,49 @@ def test_walk_enumeration_matches_reference_digest():
     assert len(leaves) == 2057
     assert _digest(leaves) == (
         "917ad51fd6929b369f080dfa91afaaf2eab57cade07d7e1904d5971f756285c4"
+    )
+
+
+def _speed_choice_words(leaves):
+    """The leaves, copies with x moved by 1e-3 at one sample, and splices
+    that switch from one leaf to another after k samples."""
+    schema = leaves[0][0].schema
+    words = list(leaves)
+    for leaf in leaves:
+        for i, s in enumerate(leaf):
+            moved = Scene(schema, (s.values[0] + 1e-3,) + s.values[1:])
+            words.append(leaf[:i] + (moved,) + leaf[i + 1:])
+    for a in leaves:
+        for b in leaves:
+            if a is not b:
+                words.extend(a[:k] + b[k:] for k in range(1, len(a)))
+    return words
+
+
+def test_encoded_logical_monitoring_matches_reference_digest():
+    # monitor_prefix on every prefix and monitor_word_report on every word
+    # of the speed_choices encoding, under formulas that settle early,
+    # late or never.
+    spec = dsl.load((ASSETS / "straight_drive.scn").read_text(encoding="utf-8"))
+    inst = encode_logical(spec.logicals["speed_choices"])
+    leaves = [t.samples for t in enumerate_scenarios(AbstractScenario(TrueFormula(), (), inst))]
+    words = _speed_choice_words(leaves)
+    assert len(words) == 42
+    reach = Eventually(pred(x=(15.0, 100.0)))
+    slow = Always(pred(vx=(0.0, 12.0)))
+    formulas = [TrueFormula(), reach, slow, And(reach, slow), Always(pred(x=(-1.0, 3.0)))]
+    rows = []
+    for f in formulas:
+        A = AbstractScenario(f, (), inst)
+        rows.append("empty " + monitor_prefix(None, A).value)
+        for w in words:
+            rows.append("".join(
+                monitor_prefix(Trajectory(inst.schema, inst.grid(k), w[:k]), A).value[0]
+                for k in range(1, len(w) + 1)
+            ))
+            r = monitor_word_report(Trajectory(inst.schema, inst.grid(len(w)), w), A)
+            rows.append(f"{r.verdict.value} {r.violation_index} {r.reason}")
+    assert sum(r.startswith("accepted") for r in rows) == 30
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "8564e9d95e6bcc8dc4a51925e466b91f3c61f7160ad155c6c2e679158307f8f8"
     )
