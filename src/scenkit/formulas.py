@@ -4,11 +4,21 @@ Formulas constrain trajectories position-wise on the grid. Evaluation
 over a prefix is three-valued and monotone: a TRUE or FALSE verdict on a
 prefix never flips on any extension, which is what makes prefix-based
 filtering and monitoring sound.
+
+Two procedures give the same verdicts. ``evaluate3`` walks a whole
+prefix in one pass. ``progress`` consumes one scene and returns the
+residual formula for the rest of the trace, which has folded to
+TrueFormula or FalseFormula exactly when ``evaluate3`` decides the
+prefix. The tree walks of ``logic`` and ``monitoring`` carry residuals,
+so a child costs one scene instead of a re-walk of its prefix. A check
+of one given trace is a single pass either way and stays on
+``evaluate3``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,17 +33,24 @@ class Verdict3(enum.Enum):
 
 
 class Formula:
-    pass
+    """A formula node. ``_span`` is its verdict before any scene is seen:
+    at a position d steps before the horizon, with nothing observed from
+    there on, the verdict is FALSE for d < u, TRUE for d >= t and UNKNOWN
+    in between, for ``(u, t) = _span``. Each node computes it from its
+    children's when built, in O(1), and keeps it outside its fields, so
+    equality and hashing ignore it; see ``settle``."""
+
+    _span = (0, math.inf)
 
 
 @dataclass(frozen=True)
 class TrueFormula(Formula):
-    pass
+    _span = (0, 0)
 
 
 @dataclass(frozen=True)
 class FalseFormula(Formula):
-    pass
+    _span = (math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -88,16 +105,28 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        (ua, ta), (ub, tb) = self.left._span, self.right._span
+        self.__dict__["_span"] = (ua if ua > ub else ub, ta if ta > tb else tb)
+
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        (ua, ta), (ub, tb) = self.left._span, self.right._span
+        self.__dict__["_span"] = (ua if ua < ub else ub, ta if ta < tb else tb)
+
 
 @dataclass(frozen=True)
 class Next(Formula):
     sub: Formula
+
+    def __post_init__(self):
+        u, t = self.sub._span
+        self.__dict__["_span"] = (u + 1, t + 1)
 
 
 @dataclass(frozen=True)
@@ -108,6 +137,9 @@ class Eventually(Formula):
     def __post_init__(self):
         if self.within is not None and self.within < 1:
             raise RangeError("within must be >= 1 when given")
+        # Verdicts only improve with the distance to the horizon, so the
+        # window's best position is its first.
+        self.__dict__["_span"] = self.sub._span
 
 
 @dataclass(frozen=True)
@@ -118,6 +150,11 @@ class Always(Formula):
     def __post_init__(self):
         if self.within is not None and self.within < 1:
             raise RangeError("within must be >= 1 when given")
+        # The window's worst position is its last, ``within`` steps on
+        # (or the horizon).
+        w = math.inf if self.within is None else self.within
+        u, t = self.sub._span
+        self.__dict__["_span"] = (0 if u == 0 else u + w, 0 if t == 0 else t + w)
 
 
 def conjoin(formulas: Sequence[Formula]) -> Formula:
@@ -125,26 +162,6 @@ def conjoin(formulas: Sequence[Formula]) -> Formula:
     for f in formulas:
         out = f if out is None else And(out, f)
     return out if out is not None else TrueFormula()
-
-
-def _not(v: Verdict3) -> Verdict3:
-    if v is Verdict3.TRUE:
-        return Verdict3.FALSE
-    if v is Verdict3.FALSE:
-        return Verdict3.TRUE
-    return Verdict3.UNKNOWN
-
-
-def _and3(a: Verdict3, b: Verdict3) -> Verdict3:
-    if a is Verdict3.FALSE or b is Verdict3.FALSE:
-        return Verdict3.FALSE
-    if a is Verdict3.TRUE and b is Verdict3.TRUE:
-        return Verdict3.TRUE
-    return Verdict3.UNKNOWN
-
-
-def _or3(a: Verdict3, b: Verdict3) -> Verdict3:
-    return _not(_and3(_not(a), _not(b)))
 
 
 def _scene_matches(scene: Scene, target: Scene, tol: float) -> bool:
@@ -180,30 +197,36 @@ def evaluate3(
             return Verdict3.UNKNOWN
         ok = _scene_matches(samples[position], formula.target, scene_tol)
         return Verdict3.TRUE if ok else Verdict3.FALSE
-    if isinstance(formula, And):
-        # Walk the right-nested And/Next spine in a loop: trace formulas
-        # nest one level per sample, too deep for one call per level.
-        out = evaluate3(formula.left, samples, horizon, position, scene_tol)
-        formula = formula.right
-        while isinstance(formula, (And, Next)):
-            if isinstance(formula, And):
-                out = _and3(out, evaluate3(formula.left, samples, horizon, position, scene_tol))
-                formula = formula.right
-            elif position + 1 > horizon:
-                return Verdict3.FALSE
+    if isinstance(formula, (And, Or)):
+        # Walk the whole chain of this connective, nested on either side
+        # and through Next, in a loop: trace formulas nest one And per
+        # sample and conjoin nests to the left, too deep for one call
+        # per level.
+        op = And if isinstance(formula, And) else Or
+        stop = Verdict3.FALSE if op is And else Verdict3.TRUE
+        out = Verdict3.TRUE if op is And else Verdict3.FALSE
+        todo = [(formula, position)]
+        while todo:
+            f, pos = todo.pop()
+            if isinstance(f, op):
+                todo.append((f.right, pos))
+                todo.append((f.left, pos))
+            elif isinstance(f, Next) and pos < horizon:
+                todo.append((f.sub, pos + 1))
             else:
-                position += 1
-                formula = formula.sub
-        return _and3(out, evaluate3(formula, samples, horizon, position, scene_tol))
-    if isinstance(formula, Or):
-        return _or3(
-            evaluate3(formula.left, samples, horizon, position, scene_tol),
-            evaluate3(formula.right, samples, horizon, position, scene_tol),
-        )
+                v = evaluate3(f, samples, horizon, pos, scene_tol)
+                if v is stop:
+                    return v
+                if v is Verdict3.UNKNOWN:
+                    out = v
+        return out
     if isinstance(formula, Next):
-        if position + 1 > horizon:
-            return Verdict3.FALSE
-        return evaluate3(formula.sub, samples, horizon, position + 1, scene_tol)
+        while isinstance(formula, Next):
+            if position + 1 > horizon:
+                return Verdict3.FALSE
+            position += 1
+            formula = formula.sub
+        return evaluate3(formula, samples, horizon, position, scene_tol)
     if isinstance(formula, Eventually):
         last = horizon if formula.within is None else min(position + formula.within, horizon)
         out = Verdict3.FALSE
@@ -225,3 +248,120 @@ def evaluate3(
                 out = Verdict3.UNKNOWN
         return out
     raise TypeError(f"unknown formula node {formula!r}")
+
+
+# --- progression ------------------------------------------------------------
+
+_TRUE = TrueFormula()
+_FALSE = FalseFormula()
+
+
+def settle(formula: Formula, horizon: int) -> Formula:
+    """A formula as the residual at a position ``horizon`` steps before
+    the horizon, before the scene there is seen: TrueFormula or
+    FalseFormula when ``evaluate3`` decides it from positions alone
+    (``Always(true)``, a ``Next`` past the horizon), the formula itself
+    otherwise. A walk starts ``progress`` from ``settle(formula,
+    horizon)``."""
+    u, t = formula._span
+    if horizon >= t:
+        return _TRUE
+    if horizon < u:
+        return _FALSE
+    return formula
+
+
+def _join(kept: list[Formula], stop: Formula) -> Formula:
+    """The residual of a frame: its undecided operands joined by And
+    (``stop`` FALSE) or Or, or its unit if none is left."""
+    op = And if stop is _FALSE else Or
+    if not kept:
+        return _TRUE if op is And else _FALSE
+    out = kept[-1]
+    for i in range(len(kept) - 2, -1, -1):
+        out = op(kept[i], out)
+    return out
+
+
+def progress(
+    formula: Formula,
+    scene: Scene,
+    position: int,
+    horizon: int,
+    scene_tol: float = 0.0,
+) -> Formula:
+    """The residual at position + 1 of a formula at ``position``, given
+    the scene there (0 <= position <= horizon).
+
+    This is the progression of Bacchus & Kabanza (AIJ 116, 2000), read
+    in the three-valued sense of Bauer, Leucker & Schallhart (TOSEM
+    20(4), 2011), with positions clipped at ``horizon`` as ``evaluate3``
+    clips them. Residuals are simplified only by folding TrueFormula and
+    FalseFormula, so a residual has folded exactly when ``evaluate3``
+    decides the prefix seen so far, and after the scene at the horizon
+    it always has. Starting from ``settle(formula, horizon)`` and
+    progressing scene by scene costs O(|formula|) per scene instead of
+    a re-walk of the prefix.
+
+    The walk is a loop: And and Or chains are flattened on either side,
+    and Next, Eventually and Always hand over the rest of the formula as
+    an unchanged node, so a trace formula's residual is its own tail and
+    no chain is walked again. Residuals of long trace formulas are deep;
+    do not hash them or compare them with ``==``.
+    """
+    nxt = position + 1
+    d = horizon - nxt
+    # One frame per flattened And or Or: the constant that decides it
+    # (FALSE for And, TRUE for Or), the operands still to progress
+    # (leftmost last) and the undecided residuals.
+    frames: list[tuple[Formula, list[Formula], list[Formula]]] = []
+    stop, todo, kept = _FALSE, [formula], []
+    while True:
+        if todo:
+            f = todo.pop()
+            t = type(f)
+            if t is Atom:
+                r = _TRUE if f.predicate.holds(scene) else _FALSE
+            elif t is And or t is Or:
+                fstop = _FALSE if t is And else _TRUE
+                if fstop is not stop:
+                    frames.append((stop, todo, kept))
+                    stop, todo, kept = fstop, [], []
+                todo.append(f.right)
+                todo.append(f.left)
+                continue
+            elif t is SceneConst:
+                r = _TRUE if _scene_matches(scene, f.target, scene_tol) else _FALSE
+            elif t is Next:
+                r = settle(f.sub, d) if nxt <= horizon else _FALSE
+            elif t is Eventually or t is Always:
+                # The sub now, or (Eventually) and (Always) the rest of
+                # the window from the next position on, if there is one.
+                fstop = _FALSE if t is Always else _TRUE
+                if fstop is not stop:
+                    frames.append((stop, todo, kept))
+                    stop, todo, kept = fstop, [], []
+                todo.append(f.sub)
+                if nxt > horizon:
+                    continue
+                w = f.within
+                r = settle(f if w is None else f.sub if w == 1 else t(f.sub, w - 1), d)
+            elif t is TrueFormula:
+                r = _TRUE
+            elif t is FalseFormula:
+                r = _FALSE
+            else:
+                raise TypeError(f"unknown formula node {f!r}")
+        else:
+            r = kept[0] if len(kept) == 1 else _join(kept, stop)
+            if not frames:
+                return r
+            stop, todo, kept = frames.pop()
+        # Hand r to its frame; an operand that decides the frame is the
+        # frame's residual, handed on to the frame below.
+        while r is stop:
+            if not frames:
+                return r
+            stop, todo, kept = frames.pop()
+        if r is not _TRUE and r is not _FALSE:
+            kept.append(r)

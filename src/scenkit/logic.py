@@ -8,6 +8,12 @@ the successor relation while pruning branches whose formula verdict is
 already FALSE. Expansion satisfies the identity, composition, prefix and
 conjunction-as-intersection axioms by construction; check_axioms probes
 them anyway so externally supplied semantics can be validated too.
+
+Every walk (expansion, enumeration, sampling, the axiom and determinism
+probes) carries each node's residual formula (see ``formulas.progress``)
+and progresses it by the one new scene, so a child costs one scene, not
+a re-walk of its prefix. A child is pruned when its residual is
+FalseFormula; a full-length residual is TrueFormula or FalseFormula.
 """
 
 from __future__ import annotations
@@ -37,14 +43,15 @@ from .errors import (
 )
 from .formulas import (
     And,
+    FalseFormula,
     Formula,
     Next,
     SceneConst,
     TrueFormula,
-    Verdict3,
     _scene_matches,
     conjoin,
-    evaluate3,
+    progress,
+    settle,
 )
 from .logical import DiscreteAxis, derive_seed, realize
 
@@ -125,9 +132,16 @@ def _check_conforms(scenario: AbstractScenario, c: Trajectory) -> None:
         )
 
 
-def _verdict(inst: ScenarioLogicInstance, conj: Formula, samples: Path) -> Verdict3:
-    """The formula's verdict on a prefix of one of the instance's paths."""
-    return evaluate3(conj, samples, inst.horizon, scene_tol=inst.scene_tol)
+def _residual(inst: ScenarioLogicInstance, conj: Formula, samples: Path) -> Formula:
+    """The formula's residual after a prefix, progressed scene by scene."""
+    r = settle(conj, inst.horizon)
+    for i, scene in enumerate(samples):
+        r = progress(r, scene, i, inst.horizon, inst.scene_tol)
+    return r
+
+
+#: A tree node of the walks: a path and its formula's residual after it.
+Node = tuple[Path, Formula]
 
 
 def _sorted_unique(paths: list[Path]) -> list[Path]:
@@ -137,37 +151,41 @@ def _sorted_unique(paths: list[Path]) -> list[Path]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _children(scenario: AbstractScenario, samples: Path, conj: Formula) -> list[Path]:
-    """Filtered one-step extensions of a prefix, ordered by their last scene."""
-    inst = scenario.instance
+def _extend(inst: ScenarioLogicInstance, node: Node, cands: Iterable[Scene]) -> list[Node]:
+    """The node extended by each candidate whose residual is not FALSE,
+    distinct and ordered by the candidate."""
+    samples, residual = node
+    position = len(samples)
     out = {}
-    for cand in inst.successors(samples):
-        nxt = samples + (cand,)
-        if _verdict(inst, conj, nxt) is not Verdict3.FALSE:
-            out[cand.values] = nxt
+    for cand in cands:
+        r = progress(residual, cand, position, inst.horizon, inst.scene_tol)
+        if not isinstance(r, FalseFormula):
+            out[cand.values] = (samples + (cand,), r)
     return [out[k] for k in sorted(out)]
 
 
-def _roots(scenario: AbstractScenario, conj: Formula) -> list[Path]:
-    """Filtered one-scene paths from the finite start set, sorted and distinct."""
-    inst = scenario.instance
-    starts = ((s,) for s in inst.initial_scenes)
-    return _sorted_unique([p for p in starts if _verdict(inst, conj, p) is not Verdict3.FALSE])
+def _children(inst: ScenarioLogicInstance, node: Node) -> list[Node]:
+    """Filtered one-step extensions of a node, ordered by their last scene."""
+    return _extend(inst, node, inst.successors(node[0]))
+
+
+def _roots(inst: ScenarioLogicInstance, conj: Formula) -> list[Node]:
+    """Filtered one-scene nodes from the finite start set, sorted and distinct."""
+    return _extend(inst, ((), settle(conj, inst.horizon)), inst.initial_scenes)
 
 
 def _grow(
-    scenario: AbstractScenario,
-    frontier: list[Path],
+    inst: ScenarioLogicInstance,
+    frontier: list[Node],
     steps: int,
-    conj: Formula,
     guard: int | None = None,
-) -> list[Path]:
-    """Grow a sorted frontier of distinct, equal-length prefixes by steps
-    levels of filtered children; ComplexityError past ``guard`` paths."""
+) -> list[Node]:
+    """Grow a sorted frontier of distinct, equal-length nodes by steps
+    levels of children; ComplexityError past ``guard`` nodes."""
     for _ in range(steps):
-        nxt: list[Path] = []
-        for p in frontier:
-            nxt.extend(_children(scenario, p, conj))
+        nxt: list[Node] = []
+        for node in frontier:
+            nxt.extend(_children(inst, node))
             if guard is not None and len(nxt) > guard:
                 raise ComplexityError(
                     f"enumeration frontier exceeded the guard of {guard}"
@@ -200,15 +218,16 @@ def expand(
         )
     if steps == 0:
         return (c,)
-    frontier = [c.samples]
     if inst.one_step_override is not None:
+        frontier = [c.samples]
         for _ in range(steps):
             nxt: list[Path] = []
             for p in frontier:
                 nxt.extend(tuple(q) for q in inst.one_step_override(scenario, p))
             frontier = _sorted_unique(nxt)
     else:
-        frontier = _grow(scenario, frontier, steps, scenario.conjoined())
+        root = (c.samples, _residual(inst, scenario.conjoined(), c.samples))
+        frontier = [p for p, _ in _grow(inst, [root], steps)]
     return tuple(_to_trajectory(inst, p) for p in frontier)
 
 
@@ -234,12 +253,12 @@ def enumerate_scenarios(
         raise ComplexityError(
             f"instance {inst.id!r} declares no finite initial scene set"
         )
-    conj = scenario.conjoined()
-    leaves = _grow(scenario, _roots(scenario, conj), inst.horizon, conj, None if force else guard)
+    roots = _roots(inst, scenario.conjoined())
+    leaves = _grow(inst, roots, inst.horizon, None if force else guard)
     grid = inst.grid(inst.full_length())
-    # _grow kept only paths whose verdict is not FALSE, and at full length
-    # the verdict is two-valued, so every leaf satisfies the formula.
-    return tuple(Trajectory(inst.schema, grid, p) for p in leaves)
+    # _grow kept only paths whose residual is not FALSE, and at full length
+    # a residual has folded, so every leaf satisfies the formula.
+    return tuple(Trajectory(inst.schema, grid, p) for p, _ in leaves)
 
 
 def trace_formula(c: Trajectory) -> Formula:
@@ -279,7 +298,7 @@ def sample_abstract(
         raise RangeError(f"unknown strategy {strategy!r}")
     inst = scenario.instance
     conj = scenario.conjoined()
-    if _verdict(inst, conj, ()) is Verdict3.FALSE:
+    if isinstance(settle(conj, inst.horizon), FalseFormula):
         raise UnsatisfiableError("the constraint formula is unsatisfiable")
     if inst.initial_scenes is None:
         raise ComplexityError("sampling needs a finite initial scene set")
@@ -294,7 +313,7 @@ def sample_abstract(
         ]
 
     guide = conj if strategy == "uniform-branch" else conjoin(scenario.world)
-    roots = _roots(scenario, guide)
+    roots = _roots(inst, guide)
     if not roots:
         raise UnsatisfiableError("no admissible starting scene")
 
@@ -310,15 +329,21 @@ def sample_abstract(
             )
         rng = random.Random(derive_seed(rng_seed, attempts))
         attempts += 1
-        path = roots[rng.randrange(len(roots))]
+        path, r = roots[rng.randrange(len(roots))]
         dead = False
         for _ in range(inst.horizon):
-            kids = _children(scenario, path, guide)
+            kids = _children(inst, (path, r))
             if not kids:
                 dead = True
                 break
-            path = kids[rng.randrange(len(kids))]
-        if dead or _verdict(inst, conj, path) is not Verdict3.TRUE:
+            path, r = kids[rng.randrange(len(kids))]
+        if dead:
+            continue
+        if strategy == "rejection":
+            # The walk followed the world's residual; the leaf still has
+            # to satisfy the whole formula. At full length it has folded.
+            r = _residual(inst, conj, path)
+        if not isinstance(r, TrueFormula):
             continue
         accepted += 1
         out.append(_to_trajectory(inst, path))
@@ -422,9 +447,10 @@ def prefix_breaking_mutant(instance: ScenarioLogicInstance) -> ScenarioLogicInst
     """
 
     def broken(scenario: AbstractScenario, samples: Path) -> list[Path]:
-        kids = _children(scenario, samples, scenario.conjoined())
+        inst = scenario.instance
+        root = (samples, _residual(inst, scenario.conjoined(), samples))
         out = []
-        for kid in kids:
+        for kid, _ in _children(inst, root):
             first = kid[0]
             shifted = Scene(first.schema, (first.values[0] + 1.0,) + first.values[1:])
             out.append((shifted,) + kid[1:])
@@ -440,12 +466,13 @@ def is_deterministic(
 ) -> bool:
     """Query whether every probed prefix has at most one admissible child."""
     rng = random.Random(rng_seed)
+    inst = scenario.instance
     conj = scenario.conjoined()
     for _ in range(probes):
-        p = _random_prefix(scenario.instance, rng, max_depth=3)
-        if len(p) - 1 >= scenario.instance.horizon:
+        p = _random_prefix(inst, rng, max_depth=3)
+        if len(p) - 1 >= inst.horizon:
             continue
-        if len(_children(scenario, p, conj)) > 1:
+        if len(_children(inst, (p, _residual(inst, conj, p)))) > 1:
             return False
     return True
 

@@ -15,7 +15,17 @@ continuation the world permits. Exploration decides only worlds the
 successors cover: no explicit ``allows`` and, for the empty prefix, a
 finite start set. Elsewhere, as in the box worlds of the DSL and the
 rural study, the verdict is the formula's own, UNKNOWN while it is
-undecided. The stream monitor latches accordingly.
+undecided. A TRUE verdict in explored worlds also needs one full-length
+completion to exist, since a successor set may be empty. The stream
+monitor latches accordingly.
+
+Formula verdicts on a given trace come from one ``evaluate3`` pass: the
+word problem's check of the full trace, the prefix problem's verdict on
+the prefix, and each stream step, which decides the prefix fed so far.
+Exploration below a prefix progresses the prefix once and carries the
+residual formula in every tree node (see ``formulas.progress``), so a
+node costs one scene. The stream monitor does not keep a residual
+between steps yet: a step still costs a pass over the prefix.
 """
 
 from __future__ import annotations
@@ -26,8 +36,15 @@ from dataclasses import dataclass
 
 from .core import Scene, Trajectory
 from .errors import HorizonError, LengthError
-from .formulas import Formula, Verdict3
-from .logic import AbstractScenario, Path, ScenarioLogicInstance, _check_conforms, _verdict
+from .formulas import FalseFormula, Formula, TrueFormula, Verdict3, evaluate3, progress
+from .logic import (
+    AbstractScenario,
+    Node,
+    Path,
+    ScenarioLogicInstance,
+    _check_conforms,
+    _residual,
+)
 
 #: Node budget for prefix-tree exploration; exhaustion yields UNKNOWN.
 DEFAULT_EXPLORE_BUDGET = 100_000
@@ -43,6 +60,12 @@ class WordReport:
     verdict: Verdict
     violation_index: int | None
     reason: str
+
+
+def _verdict(inst: ScenarioLogicInstance, conj: Formula, samples: Path) -> Verdict3:
+    """The formula's verdict on a prefix of one of the instance's paths,
+    in one evaluate3 pass."""
+    return evaluate3(conj, samples, inst.horizon, scene_tol=inst.scene_tol)
 
 
 def _first_inadmissible(samples: Path, scenario: AbstractScenario) -> int | None:
@@ -105,7 +128,7 @@ def monitor_word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport
 def _explore(
     scenario: AbstractScenario,
     samples: Path,
-    conj,
+    conj: Formula,
     budget: int,
 ) -> Verdict3:
     """Bounded DFS over the instance tree under a prefix.
@@ -113,10 +136,12 @@ def _explore(
     The tree grows through the raw successor relation; the conjoined
     formula acts as the acceptance condition on full-length leaves, so a
     TRUE verdict means every instance-valid continuation is accepted and
-    cannot be revoked by feeding more scenes. Returns UNKNOWN as soon as
-    both an accepted and a rejected completion are witnessed or the node
-    budget runs out (inconclusive); obviously oversized trees are
-    declared inconclusive up front instead of crawling the budget.
+    cannot be revoked by feeding more scenes. The prefix is progressed
+    once, and every stack entry carries its residual, so a child costs
+    one scene. Returns UNKNOWN as soon as both an accepted and a
+    rejected completion are witnessed or the node budget runs out
+    (inconclusive); obviously oversized trees are declared inconclusive
+    up front instead of crawling the budget.
     """
     inst = scenario.instance
     remaining = inst.full_length() - len(samples)
@@ -126,14 +151,14 @@ def _explore(
     found_accept = False
     found_reject = False
     nodes = 0
-    stack: list[Path] = [samples]
+    stack: list[Node] = [(samples, _residual(inst, conj, samples))]
     while stack:
         nodes += 1
         if nodes > budget:
             return Verdict3.UNKNOWN
-        p = stack.pop()
+        p, residual = stack.pop()
         if len(p) == inst.full_length():
-            if _verdict(inst, conj, p) is Verdict3.TRUE:
+            if isinstance(residual, TrueFormula):
                 found_accept = True
             else:
                 found_reject = True
@@ -144,19 +169,40 @@ def _explore(
             else:
                 # Prune subtrees whose verdict is already settled by the
                 # monotone formula status: FALSE subtrees only reject.
+                position = len(p)
                 for cand in kids:
-                    nxt = p + (cand,)
-                    status = _verdict(inst, conj, nxt)
-                    if status is Verdict3.FALSE:
+                    r = progress(residual, cand, position, inst.horizon, inst.scene_tol)
+                    if isinstance(r, FalseFormula):
                         found_reject = True
-                    elif status is Verdict3.TRUE:
+                    elif isinstance(r, TrueFormula):
                         found_accept = True
                     else:
-                        stack.append(nxt)
+                        stack.append((p + (cand,), r))
         if found_accept and found_reject:
             return Verdict3.UNKNOWN
     if found_accept:
         return Verdict3.TRUE
+    return Verdict3.FALSE
+
+
+def _completes(inst: ScenarioLogicInstance, starts: list[Path], budget: int) -> Verdict3:
+    """TRUE if a full-length path through the successors extends one of
+    ``starts``, FALSE if none does, UNKNOWN past ``budget`` nodes. The
+    search is depth-first and stops at the first full-length path; it
+    keeps one lazy level of siblings per depth, not all of them."""
+    levels = [iter(starts)]
+    nodes = 0
+    while levels:
+        p = next(levels[-1], None)
+        if p is None:
+            levels.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            return Verdict3.UNKNOWN
+        if len(p) == inst.full_length():
+            return Verdict3.TRUE
+        levels.append(p + (cand,) for cand in inst.successors(p))
     return Verdict3.FALSE
 
 
@@ -167,11 +213,12 @@ def monitor_prefix(
 ) -> Verdict3:
     """Three-valued verdict for a partial trace.
 
-    TRUE iff every reachable horizon-length extension is accepted, FALSE
-    iff none is. The monotone formula verdict decides most prefixes
-    outright; otherwise a bounded tree exploration settles the rest and
-    reports UNKNOWN when its node budget runs out. Worlds the successors
-    do not cover are not explored (see the module docstring).
+    TRUE iff every reachable horizon-length extension is accepted and
+    one exists, FALSE iff none is accepted. The monotone formula verdict
+    on the prefix, one evaluate3 pass, decides most prefixes outright;
+    otherwise a bounded tree exploration settles the rest and reports
+    UNKNOWN when its node budget runs out. Worlds the successors do not
+    cover are not explored (see the module docstring).
 
     ``c=None`` stands for the empty prefix (nothing observed yet).
     """
@@ -191,25 +238,20 @@ def monitor_prefix(
     status = _verdict(inst, conj, samples)
     if status is Verdict3.FALSE:
         return Verdict3.FALSE
-    if status is Verdict3.TRUE and (samples or inst.initial_scenes != ()):
-        # Monotone TRUE cannot flip, so every completion (successor sets
-        # are nonempty below the horizon) is accepted. This also decides
-        # full-length prefixes, whose verdict is two-valued. The empty
-        # prefix additionally needs some admissible start to exist.
-        return Verdict3.TRUE
     if inst.allows is not None or (not samples and inst.initial_scenes is None):
         # The successors do not cover the admissible steps or starts, so
         # exploring them could claim a verdict a continuation revokes.
-        return Verdict3.UNKNOWN
-    if not samples:
-        verdicts = {
-            _explore(scenario, (s,), conj, explore_budget)
-            for s in inst.initial_scenes
-        }
-        if len(verdicts) == 1:
-            return verdicts.pop()
-        return Verdict3.UNKNOWN if verdicts else Verdict3.FALSE
-    return _explore(scenario, samples, conj, explore_budget)
+        # A monotone TRUE cannot flip; it stands unless no start exists.
+        return status if samples or inst.initial_scenes != () else Verdict3.UNKNOWN
+    starts = [samples] if samples else [(s,) for s in inst.initial_scenes]
+    if status is Verdict3.TRUE:
+        # Monotone TRUE cannot flip, so every completion is accepted; the
+        # verdict needs one to exist, as a successor set may be empty.
+        return _completes(inst, starts, explore_budget)
+    verdicts = {_explore(scenario, p, conj, explore_budget) for p in starts}
+    if len(verdicts) == 1:
+        return verdicts.pop()
+    return Verdict3.UNKNOWN if verdicts else Verdict3.FALSE
 
 
 class StreamMonitor:

@@ -23,6 +23,7 @@ from scenkit.fixtures import (
 )
 from scenkit.logic import (
     AbstractScenario,
+    ScenarioLogicInstance,
     binary_branching,
     binary_scenarios,
     enumerate_scenarios,
@@ -169,6 +170,21 @@ def test_prefix_all_extensions_rejected_is_false():
         Eventually(Atom(ScenePredicate((("bit", 2.0, 3.0),)))), (), inst
     )
     assert monitor_prefix(bit_prefix(inst, [0, 0]), A) is Verdict3.FALSE
+
+
+def test_dead_end_world_gets_no_true_verdict():
+    # One start and no successors: no full-length path exists, so no
+    # prefix can be TRUE, although the formula is.
+    schema = binary_branching(1).schema
+    start = Scene(schema, (0.0,))
+    inst = ScenarioLogicInstance(
+        id="dead-end", schema=schema, step=1.0, horizon=2,
+        initial_scenes=(start,), successors=lambda p: (),
+    )
+    A = AbstractScenario(TrueFormula(), (), inst)
+    assert enumerate_scenarios(A) == ()
+    assert monitor_prefix(None, A) is Verdict3.FALSE
+    assert monitor_prefix(bit_prefix(inst, [0]), A) is Verdict3.FALSE
 
 
 def test_prefix_of_invalid_path_is_false():

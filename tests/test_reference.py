@@ -14,8 +14,14 @@ from pathlib import Path
 import pytest
 
 from scenkit import dsl
-from scenkit.core import Scene, Trajectory, schema_of
+from scenkit.core import Scene, Trajectory, prefix, schema_of
 from scenkit.errors import ScenarioError, SchemaError
+from scenkit.fixtures import (
+    reach_or_stop_scenario,
+    stop_at_origin_trajectory,
+    straight_drive_trajectory,
+    wrong_start_trajectory,
+)
 from scenkit.formulas import Always, And, Eventually, TrueFormula, pred
 from scenkit.logic import (
     AbstractScenario,
@@ -193,3 +199,22 @@ def test_encoded_logical_monitoring_matches_reference_digest():
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
         "8564e9d95e6bcc8dc4a51925e466b91f3c61f7160ad155c6c2e679158307f8f8"
     )
+
+
+@pytest.mark.parametrize(
+    "trajectory, verdicts",
+    [
+        (straight_drive_trajectory, "u" * 21 + "t"),
+        (stop_at_origin_trajectory, "t" * 22),
+        (wrong_start_trajectory, "f" * 22),
+    ],
+)
+def test_reach_or_stop_prefix_verdicts_near_the_horizon_match_reference(trajectory, verdicts):
+    # Prefixes of 180 to 201 samples, where the exploration below the
+    # prefix is decisive (9 successors per scene, up to 21 steps left).
+    traj = trajectory()
+    A = reach_or_stop_scenario()
+    got = "".join(
+        monitor_prefix(prefix(traj, traj.grid.t(k - 1)), A).value[0] for k in range(180, 202)
+    )
+    assert got == verdicts
