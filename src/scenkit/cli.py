@@ -9,6 +9,7 @@ verdict, 64 usage errors, 65 spec diagnostics, 66 unreadable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -256,7 +257,10 @@ def _cmd_synth_rural(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and then shared by every
+    ``main`` call: a new one per call would be cyclic garbage."""
     parser = _Parser(prog="scenkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -331,8 +335,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -121,15 +121,10 @@ class Scene:
 
 @dataclass(frozen=True, slots=True)
 class TimeGrid:
-    """Uniform grid t_i = i * step for i in 0..count-1, starting at 0.
-
-    closed_end records whether the modeled time domain is [0, t_max] or
-    [0, t_sup); it does not change the grid points themselves.
-    """
+    """Uniform grid t_i = i * step for i in 0..count-1, starting at 0."""
 
     step: float
     count: int
-    closed_end: bool = True
 
     def __post_init__(self):
         if not (self.step > 0):
@@ -247,7 +242,7 @@ def prefix(c: Trajectory, upto: float) -> Trajectory:
     i = c.grid.index_of(upto)
     if i == c.grid.count - 1:
         return c
-    grid = TimeGrid(c.grid.step, i + 1, c.grid.closed_end)
+    grid = TimeGrid(c.grid.step, i + 1)
     return Trajectory(c.schema, grid, c.samples[: i + 1])
 
 
@@ -258,7 +253,7 @@ def extend(c: Trajectory, tail: Iterable[Scene]) -> Trajectory:
         return c
     for s in tail:
         _check_same_schema(s.schema, c.schema)
-    grid = TimeGrid(c.grid.step, c.grid.count + len(tail), c.grid.closed_end)
+    grid = TimeGrid(c.grid.step, c.grid.count + len(tail))
     return Trajectory(c.schema, grid, c.samples + tail)
 
 
@@ -276,8 +271,7 @@ def trajectory_from_values(
     schema: SceneSchema,
     step: float,
     rows: Sequence[Sequence[float]],
-    closed_end: bool = True,
 ) -> Trajectory:
     """Build a trajectory from raw value rows."""
     samples = tuple(Scene(schema, tuple(row)) for row in rows)
-    return Trajectory(schema, TimeGrid(step, len(samples), closed_end), samples)
+    return Trajectory(schema, TimeGrid(step, len(samples)), samples)

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from .core import Scene, SceneSchema, TimeGrid, schema_of
 from .dynamics import (
@@ -963,11 +963,59 @@ def _resolve_formula(
     schema: SceneSchema,
     fixtures: dict[str, FormulaNode],
     diags: list[Diagnostic],
-    depth: int = 0,
+    resolved: dict[str, Formula],
 ) -> Formula:
-    if depth > 32:
-        diags.append(Diagnostic("RES001", 0, 0, "fixture references nest too deeply"))
-        return TrueFormula()
+    """Resolve ``node`` with an explicit stack, so nesting costs no Python
+    frames. Each fixture is resolved once per abstract and kept in
+    ``resolved``, so a fixture referenced many times becomes one shared node;
+    a fixture met again while its own body is being resolved is a cycle,
+    reported once (RES001) and read as true."""
+    out: list[Formula] = []
+    active: set[str] = set()
+    # A task is a node to visit, a node whose children are on ``out`` to
+    # build, or the name of a fixture whose body is on top of ``out``.
+    stack: list[tuple[str, Any]] = [("visit", node)]
+    while stack:
+        task, n = stack.pop()
+        if task == "fixture":
+            active.discard(n)
+            resolved.setdefault(n, out[-1])
+        elif task == "build":
+            if isinstance(n, (FAnd, FOr)):
+                right = out.pop()
+                out.append((And if isinstance(n, FAnd) else Or)(out.pop(), right))
+            elif isinstance(n, FNext):
+                out.append(Next(out.pop()))
+            else:
+                op = Eventually if isinstance(n, FEventually) else Always
+                out.append(op(out.pop(), n.within))
+        elif isinstance(n, (FAnd, FOr)):
+            stack += [("build", n), ("visit", n.right), ("visit", n.left)]
+        elif isinstance(n, (FNext, FEventually, FAlways)):
+            stack += [("build", n), ("visit", n.sub)]
+        elif isinstance(n, FRef):
+            if n.name not in fixtures:
+                diags.append(
+                    Diagnostic("RES001", 0, 0, f"unresolved fixture {n.name!r}", n.name)
+                )
+                out.append(TrueFormula())
+            elif n.name in resolved:
+                out.append(resolved[n.name])
+            elif n.name in active:
+                diags.append(
+                    Diagnostic("RES001", 0, 0, f"fixture {n.name!r} refers to itself", n.name)
+                )
+                resolved[n.name] = TrueFormula()
+                out.append(resolved[n.name])
+            else:
+                active.add(n.name)
+                stack += [("fixture", n.name), ("visit", fixtures[n.name])]
+        else:
+            out.append(_resolve_atom(n, schema, diags))
+    return out[0]
+
+
+def _resolve_atom(node: FormulaNode, schema: SceneSchema, diags: list[Diagnostic]) -> Formula:
     if isinstance(node, FTrue):
         return TrueFormula()
     if isinstance(node, FFalse):
@@ -1005,33 +1053,6 @@ def _resolve_formula(
             else:
                 diffs.append((name, other, lo, hi))
         return Atom(ScenePredicate(tuple(bounds), tuple(diffs)))
-    if isinstance(node, FAnd):
-        return And(
-            _resolve_formula(node.left, schema, fixtures, diags, depth + 1),
-            _resolve_formula(node.right, schema, fixtures, diags, depth + 1),
-        )
-    if isinstance(node, FOr):
-        return Or(
-            _resolve_formula(node.left, schema, fixtures, diags, depth + 1),
-            _resolve_formula(node.right, schema, fixtures, diags, depth + 1),
-        )
-    if isinstance(node, FNext):
-        return Next(_resolve_formula(node.sub, schema, fixtures, diags, depth + 1))
-    if isinstance(node, FEventually):
-        return Eventually(
-            _resolve_formula(node.sub, schema, fixtures, diags, depth + 1), node.within
-        )
-    if isinstance(node, FAlways):
-        return Always(
-            _resolve_formula(node.sub, schema, fixtures, diags, depth + 1), node.within
-        )
-    if isinstance(node, FRef):
-        if node.name not in fixtures:
-            diags.append(
-                Diagnostic("RES001", 0, 0, f"unresolved fixture {node.name!r}", node.name)
-            )
-            return TrueFormula()
-        return _resolve_formula(fixtures[node.name], schema, fixtures, diags, depth + 1)
     raise TypeError(node)
 
 
@@ -1097,10 +1118,11 @@ def resolve(doc: SpecDocument) -> ResolvedSpec:
             if schema is None:
                 diags.append(Diagnostic("RES001", 0, 0, f"unknown schema {d.use!r}", d.use))
                 continue
+            resolved: dict[str, Formula] = {}
             world = tuple(
-                _resolve_formula(w, schema, spec.fixtures, diags) for w in d.world
+                _resolve_formula(w, schema, spec.fixtures, diags, resolved) for w in d.world
             )
-            constraint = _resolve_formula(d.constraint, schema, spec.fixtures, diags)
+            constraint = _resolve_formula(d.constraint, schema, spec.fixtures, diags, resolved)
             instance = _bounded_step_instance(d, schema, diags)
             spec.abstracts[d.name] = AbstractScenario(constraint, world, instance)
     if diags:
@@ -1154,7 +1176,7 @@ def _resolve_logical(
     dist = ParameterDistribution(tuple(marginals))
     param_names = [p.name for p in d.params]
     count = int(round(d.horizon / d.step)) + 1
-    grid = TimeGrid(d.step, count, closed_end=True)
+    grid = TimeGrid(d.step, count)
     start_items = tuple((dim, e) for _, dim, e in d.start)
     binds = d.binds
 

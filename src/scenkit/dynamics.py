@@ -209,7 +209,7 @@ def evaluate(
             keep = max(1, 1 + math.floor(keep_until / grid.step + 1e-9))
             keep = min(keep, len(samples))
             truncated = Trajectory(
-                schema, TimeGrid(grid.step, keep, grid.closed_end), tuple(samples[:keep])
+                schema, TimeGrid(grid.step, keep), tuple(samples[:keep])
             )
             result = TruncatedResult(truncated, t_c, t_sup=keep_until)
             if allow_truncation:

@@ -30,7 +30,7 @@ def straight_drive_scenario() -> AttributeLevelScenario:
     """Constant-velocity drive from (-50, 100) at (10, -5) over [0, 20]."""
     schema = planar_schema()
     model = constant_velocity(schema, vx=10.0, vy=-5.0)
-    grid = TimeGrid(PLANAR_STEP, PLANAR_HORIZON + 1, closed_end=True)
+    grid = TimeGrid(PLANAR_STEP, PLANAR_HORIZON + 1)
     return AttributeLevelScenario(drive_start(schema), family_of(model), grid)
 
 
@@ -83,7 +83,7 @@ def _planar_action_path(start: Scene, actions) -> Trajectory:
             (x + vx * PLANAR_STEP, y + vy * PLANAR_STEP, vx + ax * PLANAR_STEP, vy + ay * PLANAR_STEP),
         )
         samples.append(s)
-    grid = TimeGrid(PLANAR_STEP, len(samples), closed_end=True)
+    grid = TimeGrid(PLANAR_STEP, len(samples))
     return Trajectory(schema, grid, tuple(samples))
 
 
@@ -114,7 +114,7 @@ def wrong_start_trajectory() -> Trajectory:
 def slope_drive_scenario() -> LogicalScenario:
     """One continuous parameter: the position grows at rate x over [0, 10]."""
     schema = schema_of(("pos", "m"))
-    grid = TimeGrid(0.1, 101, closed_end=True)
+    grid = TimeGrid(0.1, 101)
 
     def binder(x):
         model = drift(schema, {"pos": x[0]}, id="slope")

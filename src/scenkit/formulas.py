@@ -5,14 +5,14 @@ over a prefix is three-valued and monotone: a TRUE or FALSE verdict on a
 prefix never flips on any extension, which is what makes prefix-based
 filtering and monitoring sound.
 
-Two procedures give the same verdicts. ``evaluate3`` walks a whole
-prefix in one pass. ``progress`` consumes one scene and returns the
-residual formula for the rest of the trace, which has folded to
-TrueFormula or FalseFormula exactly when ``evaluate3`` decides the
-prefix. The tree walks of ``logic`` and ``monitoring`` carry residuals,
-so a child costs one scene instead of a re-walk of its prefix. A check
-of one given trace is a single pass either way and stays on
-``evaluate3``.
+``evaluate3`` is the reference semantics: it walks a whole prefix and
+returns its verdict. The library decides by ``progress``, which
+consumes one scene and returns the residual formula for the rest of the
+trace; the residual has folded to TrueFormula or FalseFormula exactly
+when ``evaluate3`` decides the prefix. The tree walks of ``logic`` and
+``monitoring``, and monitoring's pass over a given trace, carry
+residuals, so a scene costs one progression instead of a re-walk of
+its prefix. The tests hold ``progress`` to ``evaluate3``.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ def evaluate3(
     position: int = 0,
     scene_tol: float = 0.0,
 ) -> Verdict3:
-    """Three-valued verdict of a formula at a grid position.
+    """Three-valued verdict of a formula at a grid position: the
+    reference semantics, which ``progress`` must match.
 
     ``samples`` is the known prefix, ``horizon`` the index of the final
     grid position of any full trace. Positions beyond the prefix are

@@ -19,13 +19,15 @@ undecided. A TRUE verdict in explored worlds also needs one full-length
 completion to exist, since a successor set may be empty. The stream
 monitor latches accordingly.
 
-Formula verdicts on a given trace come from one ``evaluate3`` pass: the
-word problem's check of the full trace, the prefix problem's verdict on
-the prefix, and each stream step, which decides the prefix fed so far.
-Exploration below a prefix progresses the prefix once and carries the
-residual formula in every tree node (see ``formulas.progress``), so a
-node costs one scene. The stream monitor does not keep a residual
-between steps yet: a step still costs a pass over the prefix.
+A given trace is decided in one forward pass: each scene is admitted
+(the start set for the first, the successors or ``allows`` after that)
+and the formula is progressed by it (see ``formulas.progress``). The
+pass stops at the first inadmissible scene or the first FALSE residual,
+which is the word problem's violation index, and otherwise hands its
+residual to the prefix problem. Exploration below the prefix starts
+from that residual and carries one in every tree node, so a node costs
+one scene. The stream monitor does not keep the pass's state between
+steps yet: a step still costs a pass over the prefix.
 """
 
 from __future__ import annotations
@@ -36,15 +38,8 @@ from dataclasses import dataclass
 
 from .core import Scene, Trajectory
 from .errors import HorizonError, LengthError
-from .formulas import FalseFormula, Formula, TrueFormula, Verdict3, evaluate3, progress
-from .logic import (
-    AbstractScenario,
-    Node,
-    Path,
-    ScenarioLogicInstance,
-    _check_conforms,
-    _residual,
-)
+from .formulas import FalseFormula, Formula, TrueFormula, Verdict3, progress, settle
+from .logic import AbstractScenario, Node, Path, ScenarioLogicInstance, _check_conforms
 
 #: Node budget for prefix-tree exploration; exhaustion yields UNKNOWN.
 DEFAULT_EXPLORE_BUDGET = 100_000
@@ -62,34 +57,25 @@ class WordReport:
     reason: str
 
 
-def _verdict(inst: ScenarioLogicInstance, conj: Formula, samples: Path) -> Verdict3:
-    """The formula's verdict on a prefix of one of the instance's paths,
-    in one evaluate3 pass."""
-    return evaluate3(conj, samples, inst.horizon, scene_tol=inst.scene_tol)
-
-
-def _first_inadmissible(samples: Path, scenario: AbstractScenario) -> int | None:
-    """Index of the first scene the instance does not admit, or None."""
+def _scan(scenario: AbstractScenario, samples: Path) -> tuple[int | None, str, Formula]:
+    """One forward pass over a prefix of a path: admit each scene and
+    progress the formula by it. Returns the index of the first scene
+    that is inadmissible or leaves a FALSE residual, with the reason, or
+    None and ``"accepted"``; and the residual after the scenes passed.
+    A scene both inadmissible and falsifying is reported inadmissible."""
     inst = scenario.instance
-    if samples and not inst.allows_initial(samples[0]):
-        return 0
-    for i in range(1, len(samples)):
-        if not inst.allows_step(samples[:i], samples[i]):
-            return i
-    return None
-
-
-def _first_false(inst: ScenarioLogicInstance, conj: Formula, samples: Path) -> int:
-    """Last index of the shortest FALSE prefix of a FALSE ``samples``,
-    found by bisection: the verdict is monotone in the prefix."""
-    lo, hi = 1, len(samples)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _verdict(inst, conj, samples[:mid]) is Verdict3.FALSE:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo - 1
+    r = settle(scenario.conjoined(), inst.horizon)
+    for i, scene in enumerate(samples):
+        # Only a formula FALSE before any scene is FALSE here: it rejects
+        # at the first scene, whatever that scene is.
+        if not isinstance(r, FalseFormula):
+            if not (inst.allows_step(samples[:i], scene) if i else inst.allows_initial(scene)):
+                what = f"transition at step {i}" if i else "starting scene"
+                return i, f"{what} not admissible", r
+            r = progress(r, scene, i, inst.horizon, inst.scene_tol)
+        if isinstance(r, FalseFormula):
+            return i, "constraint formula not satisfied", r
+    return None, "accepted", r
 
 
 def _word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
@@ -100,19 +86,11 @@ def _word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
             f"word problem needs the full horizon length {inst.full_length()}, "
             f"got {len(c.samples)}"
         )
-    samples = c.samples
-    bad = _first_inadmissible(samples, scenario)
-    # The formula may already reject the admissible part. With every step
-    # admissible that is the full trace, whose verdict is two-valued.
-    seen = samples if bad is None else samples[:bad]
-    conj = scenario.conjoined()
-    if _verdict(inst, conj, seen) is Verdict3.FALSE:
-        first = _first_false(inst, conj, seen)
-        return WordReport(Verdict.REJECTED, first, "constraint formula not satisfied")
-    if bad is not None:
-        what = f"transition at step {bad}" if bad else "starting scene"
-        return WordReport(Verdict.REJECTED, bad, f"{what} not admissible")
-    return WordReport(Verdict.ACCEPTED, None, "accepted")
+    # At full length the residual has folded, so a pass with no violation
+    # ends TRUE.
+    index, reason, _ = _scan(scenario, c.samples)
+    verdict = Verdict.ACCEPTED if index is None else Verdict.REJECTED
+    return WordReport(verdict, index, reason)
 
 
 def monitor_word(c: Trajectory, scenario: AbstractScenario) -> Verdict:
@@ -125,25 +103,20 @@ def monitor_word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport
     return _word_report(c, scenario)
 
 
-def _explore(
-    scenario: AbstractScenario,
-    samples: Path,
-    conj: Formula,
-    budget: int,
-) -> Verdict3:
-    """Bounded DFS over the instance tree under a prefix.
+def _explore(scenario: AbstractScenario, root: Node, budget: int) -> Verdict3:
+    """Bounded DFS over the instance tree under a prefix and its residual.
 
     The tree grows through the raw successor relation; the conjoined
     formula acts as the acceptance condition on full-length leaves, so a
     TRUE verdict means every instance-valid continuation is accepted and
-    cannot be revoked by feeding more scenes. The prefix is progressed
-    once, and every stack entry carries its residual, so a child costs
-    one scene. Returns UNKNOWN as soon as both an accepted and a
-    rejected completion are witnessed or the node budget runs out
-    (inconclusive); obviously oversized trees are declared inconclusive
-    up front instead of crawling the budget.
+    cannot be revoked by feeding more scenes. Every stack entry carries
+    its residual, so a child costs one scene. Returns UNKNOWN as soon as
+    both an accepted and a rejected completion are witnessed or the node
+    budget runs out (inconclusive); obviously oversized trees are
+    declared inconclusive up front instead of crawling the budget.
     """
     inst = scenario.instance
+    samples = root[0]
     remaining = inst.full_length() - len(samples)
     fanout = len(tuple(inst.successors(samples))) if remaining else 0
     if fanout > 1 and remaining * math.log(fanout) > math.log(max(budget, 2)):
@@ -151,7 +124,7 @@ def _explore(
     found_accept = False
     found_reject = False
     nodes = 0
-    stack: list[Node] = [(samples, _residual(inst, conj, samples))]
+    stack: list[Node] = [root]
     while stack:
         nodes += 1
         if nodes > budget:
@@ -214,10 +187,11 @@ def monitor_prefix(
     """Three-valued verdict for a partial trace.
 
     TRUE iff every reachable horizon-length extension is accepted and
-    one exists, FALSE iff none is accepted. The monotone formula verdict
-    on the prefix, one evaluate3 pass, decides most prefixes outright;
-    otherwise a bounded tree exploration settles the rest and reports
-    UNKNOWN when its node budget runs out. Worlds the successors do not
+    one exists, FALSE iff none is accepted. One forward pass admits the
+    prefix and progresses the formula over it; the residual's monotone
+    verdict decides most prefixes outright. Otherwise a bounded tree
+    exploration from that residual settles the rest and reports UNKNOWN
+    when its node budget runs out. Worlds the successors do not
     cover are not explored (see the module docstring).
 
     ``c=None`` stands for the empty prefix (nothing observed yet).
@@ -232,23 +206,27 @@ def monitor_prefix(
                 f"prefix longer than the horizon length {inst.full_length()}"
             )
         samples = c.samples
-    if _first_inadmissible(samples, scenario) is not None:
+    index, _, residual = _scan(scenario, samples)
+    if index is not None or isinstance(residual, FalseFormula):
         return Verdict3.FALSE
-    conj = scenario.conjoined()
-    status = _verdict(inst, conj, samples)
-    if status is Verdict3.FALSE:
-        return Verdict3.FALSE
+    status = Verdict3.TRUE if isinstance(residual, TrueFormula) else Verdict3.UNKNOWN
     if inst.allows is not None or (not samples and inst.initial_scenes is None):
         # The successors do not cover the admissible steps or starts, so
         # exploring them could claim a verdict a continuation revokes.
         # A monotone TRUE cannot flip; it stands unless no start exists.
         return status if samples or inst.initial_scenes != () else Verdict3.UNKNOWN
-    starts = [samples] if samples else [(s,) for s in inst.initial_scenes]
+    if samples:
+        roots = [(samples, residual)]
+    else:
+        roots = [
+            ((s,), progress(residual, s, 0, inst.horizon, inst.scene_tol))
+            for s in inst.initial_scenes
+        ]
     if status is Verdict3.TRUE:
         # Monotone TRUE cannot flip, so every completion is accepted; the
         # verdict needs one to exist, as a successor set may be empty.
-        return _completes(inst, starts, explore_budget)
-    verdicts = {_explore(scenario, p, conj, explore_budget) for p in starts}
+        return _completes(inst, [p for p, _ in roots], explore_budget)
+    verdicts = {_explore(scenario, root, explore_budget) for root in roots}
     if len(verdicts) == 1:
         return verdicts.pop()
     return Verdict3.UNKNOWN if verdicts else Verdict3.FALSE

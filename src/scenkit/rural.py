@@ -213,7 +213,7 @@ def suggested_grid(cfg: RuralConfig, step: float = 0.2) -> TimeGrid:
     span = _final_offset(cfg, cfg.n - 1) - _red_start_x(cfg, cfg.n - 1) if cfg.n else 0.0
     worst = worst_cursor + span / (cfg.pass_speed - cfg.tractor_speed) + 1.0 + SETTLE_MARGIN
     count = int(math.ceil(worst / step)) + 1
-    return TimeGrid(step, count, closed_end=True)
+    return TimeGrid(step, count)
 
 
 # --- synthesis ----------------------------------------------------------------

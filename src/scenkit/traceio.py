@@ -52,7 +52,6 @@ def write_trace(
 def read_trace(
     csv_path: str | Path,
     schema: SceneSchema | None = None,
-    closed_end: bool = True,
 ) -> Trajectory:
     """Read a trace CSV; the schema comes from the sidecar unless given."""
     if schema is None:
@@ -83,5 +82,5 @@ def read_trace(
         for i, t in enumerate(times):
             if abs(t - i * step) > ALIGN_TOL * step:
                 raise GridAlignmentError(f"trace time {t} off the uniform grid")
-    grid = TimeGrid(step, len(samples), closed_end)
+    grid = TimeGrid(step, len(samples))
     return Trajectory(schema, grid, tuple(samples))

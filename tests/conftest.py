@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from scenkit.core import Scene, SceneSchema, TimeGrid, Trajectory, schema_of
 from scenkit.formulas import (
@@ -13,7 +14,7 @@ from scenkit.formulas import (
     ScenePredicate,
     TrueFormula,
 )
-from scenkit.logic import AbstractScenario, delta_step_instance
+from scenkit.logic import AbstractScenario, delta_step_instance, quantized_motion_instance
 
 
 @pytest.fixture
@@ -69,3 +70,34 @@ def random_step_scenario(seed: int) -> AbstractScenario:
     ]
     inst = delta_step_instance(schema, deltas, 1.0, horizon, initials, id=f"step-{seed}")
     return AbstractScenario(random_formula(rng, schema), (), inst)
+
+
+PLANE = schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
+
+
+@st.composite
+def worlds_and_words(draw, formulas):
+    """A small quantized-motion or delta-step instance, a formula drawn
+    from ``formulas(dimension names)``, and a full-length word that may
+    start off the start set or leave the successors at any step."""
+    horizon = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        schema = PLANE
+        vec = st.tuples(*[st.integers(-1, 1).map(float)] * 4)
+        accels = draw(st.lists(st.integers(-1, 1).map(float), min_size=1, max_size=2, unique=True))
+        starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=2))]
+        inst = quantized_motion_instance(schema, accels, 1.0, horizon, starts)
+    else:
+        k = draw(st.integers(1, 2))
+        schema = schema_of(*[(f"d{i}", "dimensionless") for i in range(k)])
+        vec = st.tuples(*[st.integers(-2, 2).map(float)] * k)
+        deltas = draw(st.lists(vec, min_size=1, max_size=3))
+        starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=2))]
+        inst = delta_step_instance(schema, deltas, 1.0, horizon, starts)
+    anywhere = vec.map(lambda v: Scene(schema, v))
+    path = (draw(st.one_of(st.sampled_from(inst.initial_scenes), anywhere)),)
+    for _ in range(horizon):
+        on_track = st.sampled_from(inst.successors(path))
+        path += (draw(st.one_of(on_track, on_track, anywhere)),)
+    A = AbstractScenario(draw(formulas(schema.names)), (), inst)
+    return A, Trajectory(schema, inst.grid(len(path)), path)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from scenkit import dsl
-from scenkit.formulas import And, Eventually, SceneConst
+from scenkit.formulas import And, Atom, Eventually, SceneConst
 from scenkit.fixtures import straight_drive_trajectory
 from scenkit.logical import realize
 from scenkit.monitoring import Verdict, monitor_word
@@ -154,6 +154,48 @@ def test_fixture_reference_resolves_in_abstract(drive_spec):
     assert isinstance(formula, And)
     assert isinstance(formula.left, SceneConst)
     assert isinstance(formula.right, Eventually)
+
+
+def _abstract_with(constraint: str, fixtures: str = "") -> str:
+    return f"""
+    schema S {{ x: m }}
+    {fixtures}
+    abstract A {{ use S horizon 1 s step 0.5 s bound x 1 constraint {constraint} }}
+    """
+
+
+def test_deep_formulas_without_fixtures_resolve():
+    # Nesting is resolved without recursion and is not limited.
+    conjuncts = " and ".join(f"pred(x in [{-i}, {i}])" for i in range(40))
+    nexts = "next " * 33 + "true"
+    long_chain = " and ".join(["true"] * 3000)
+    for constraint in (conjuncts, nexts, long_chain):
+        spec = dsl.load(_abstract_with(constraint))
+        assert "A" in spec.abstracts
+
+
+@pytest.mark.parametrize(
+    "fixtures",
+    ["fixture f = f and true", "fixture f = f and f", "fixture f = g or g\nfixture g = next f"],
+)
+def test_fixture_cycle_is_diagnosed_once(fixtures):
+    with pytest.raises(dsl.ResolutionError) as err:
+        dsl.load(_abstract_with("f", fixtures))
+    assert [d.render() for d in err.value.diagnostics] == [
+        "RES001 at 0:0: fixture 'f' refers to itself"
+    ]
+
+
+def test_doubling_fixture_chain_resolves_to_shared_nodes():
+    # f31 names 2**31 leaves; each fixture is resolved once, as one node.
+    lines = ["fixture f0 = pred(x in [0, 1])"]
+    lines += [f"fixture f{i} = f{i - 1} and f{i - 1}" for i in range(1, 32)]
+    spec = dsl.load(_abstract_with("f31", "\n".join(lines)))
+    node = spec.abstracts["A"].constraints
+    for _ in range(31):
+        assert isinstance(node, And) and node.left is node.right
+        node = node.left
+    assert isinstance(node, Atom)
 
 
 def test_param_references_in_start_and_bind():

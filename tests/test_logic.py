@@ -50,7 +50,7 @@ from scenkit.logical import DiscreteAxis, LogicalScenario, ParameterSpace, reali
 from scenkit.monitoring import Verdict, WordReport, monitor_word, monitor_word_report
 from scenkit.rural import RuralConfig, rural_formula
 
-from conftest import random_step_scenario
+from conftest import PLANE, random_step_scenario, worlds_and_words
 
 ASSETS = Path(__file__).resolve().parents[1] / "src" / "scenkit" / "assets"
 
@@ -563,38 +563,7 @@ def test_default_admission_matches_successors_up_to_scene_tol():
 # --- one start set: the word problem agrees with enumeration ------------------------
 
 
-PLANE = schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
-
-
-@st.composite
-def small_worlds_and_words(draw):
-    """A small quantized-motion or delta-step instance, a formula, and a
-    full-length word that may start off the start set or leave the
-    successors at any step."""
-    horizon = draw(st.integers(0, 3))
-    if draw(st.booleans()):
-        schema = PLANE
-        vec = st.tuples(*[st.integers(-1, 1).map(float)] * 4)
-        accels = draw(st.lists(st.integers(-1, 1).map(float), min_size=1, max_size=2, unique=True))
-        starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=2))]
-        inst = quantized_motion_instance(schema, accels, 1.0, horizon, starts)
-    else:
-        k = draw(st.integers(1, 2))
-        schema = schema_of(*[(f"d{i}", "dimensionless") for i in range(k)])
-        vec = st.tuples(*[st.integers(-2, 2).map(float)] * k)
-        deltas = draw(st.lists(vec, min_size=1, max_size=3))
-        starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=2))]
-        inst = delta_step_instance(schema, deltas, 1.0, horizon, starts)
-    anywhere = vec.map(lambda v: Scene(schema, v))
-    path = (draw(st.one_of(st.sampled_from(inst.initial_scenes), anywhere)),)
-    for _ in range(horizon):
-        on_track = st.sampled_from(inst.successors(path))
-        path += (draw(st.one_of(on_track, on_track, anywhere)),)
-    A = AbstractScenario(draw(_formulas(schema.names)), (), inst)
-    return A, Trajectory(schema, inst.grid(len(path)), path)
-
-
-@given(small_worlds_and_words())
+@given(worlds_and_words(_formulas))
 @settings(max_examples=300, deadline=None)
 def test_word_problem_accepts_exactly_the_enumerated_scenarios(case):
     A, word = case

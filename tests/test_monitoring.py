@@ -2,14 +2,20 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenkit import dsl
-from scenkit.core import Scene, Trajectory, prefix
+from scenkit.core import Scene, Trajectory, prefix, schema_of
 from scenkit.errors import HorizonError, LengthError
 from scenkit.formulas import (
+    Always,
     And,
     Atom,
     Eventually,
+    FalseFormula,
+    Next,
+    Or,
     ScenePredicate,
     TrueFormula,
     Verdict3,
@@ -26,19 +32,21 @@ from scenkit.logic import (
     ScenarioLogicInstance,
     binary_branching,
     binary_scenarios,
+    box_step,
     enumerate_scenarios,
     sample_abstract,
 )
 from scenkit.monitoring import (
     StreamMonitor,
     Verdict,
+    WordReport,
     monitor_prefix,
     monitor_stream,
     monitor_word,
     monitor_word_report,
 )
 
-from conftest import random_step_scenario
+from conftest import random_step_scenario, worlds_and_words
 
 
 def bit_prefix(instance, bits):
@@ -387,3 +395,139 @@ def test_dsl_violation_index_matches_a_stream_replay():
     assert rejected == 8
     hold = monitor_word_report(words[3], A)
     assert hold.violation_index == drive.grid.count - 1
+
+
+# --- one forward pass against the reference procedures ------------------------------
+
+
+def reference_word_report(c, A):
+    """The word report as three procedures: an admission loop, one
+    evaluate3 verdict on the admissible part, and a bisection of further
+    evaluate3 verdicts for the shortest FALSE prefix."""
+    inst, samples, conj = A.instance, c.samples, A.conjoined()
+
+    def verdict(p):
+        return evaluate3(conj, p, inst.horizon, scene_tol=inst.scene_tol)
+
+    bad = None
+    if not inst.allows_initial(samples[0]):
+        bad = 0
+    else:
+        for i in range(1, len(samples)):
+            if not inst.allows_step(samples[:i], samples[i]):
+                bad = i
+                break
+    seen = samples if bad is None else samples[:bad]
+    if verdict(seen) is Verdict3.FALSE:
+        # The verdict is monotone in the prefix.
+        lo, hi = 1, len(seen)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if verdict(seen[:mid]) is Verdict3.FALSE:
+                hi = mid
+            else:
+                lo = mid + 1
+        return WordReport(Verdict.REJECTED, lo - 1, "constraint formula not satisfied")
+    if bad is not None:
+        what = f"transition at step {bad}" if bad else "starting scene"
+        return WordReport(Verdict.REJECTED, bad, f"{what} not admissible")
+    return WordReport(Verdict.ACCEPTED, None, "accepted")
+
+
+def formulas_over(dims):
+    """Every node type, windows of 1-2 or none; small horizons put Next at
+    and past the horizon."""
+    atoms = st.builds(
+        lambda name, lo, width: Atom(ScenePredicate(((name, float(lo), float(lo + width)),))),
+        st.sampled_from(dims),
+        st.integers(-3, 2),
+        st.integers(0, 3),
+    )
+    within = st.sampled_from([None, 1, 2])
+    return st.recursive(
+        st.one_of(st.just(TrueFormula()), st.just(FalseFormula()), atoms),
+        lambda sub: st.one_of(
+            st.builds(And, sub, sub),
+            st.builds(Or, sub, sub),
+            st.builds(Next, sub),
+            st.builds(Eventually, sub, within),
+            st.builds(Always, sub, within),
+        ),
+        max_leaves=6,
+    )
+
+
+@given(worlds_and_words(formulas_over))
+@settings(max_examples=400, deadline=None)
+def test_word_report_equals_the_reference_procedures(case):
+    A, word = case
+    assert monitor_word_report(word, A) == reference_word_report(word, A)
+
+
+@st.composite
+def box_worlds_and_words(draw):
+    """A box world (``box_step`` admission) with any start or a finite
+    start set, a formula, and an admissible full-length word."""
+    k = draw(st.integers(1, 2))
+    schema = schema_of(*[(f"d{i}", "dimensionless") for i in range(k)])
+    lows = draw(st.lists(st.integers(-2, 1), min_size=k, max_size=k))
+    bounds = [(lo, lo + draw(st.integers(0, 2))) for lo in lows]
+    vec = st.tuples(*[st.integers(-2, 2).map(float)] * k)
+    starts = None
+    if draw(st.booleans()):
+        starts = tuple(Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=2)))
+    horizon = draw(st.integers(0, 4))
+    inst = ScenarioLogicInstance(
+        id="box", schema=schema, step=1.0, horizon=horizon, initial_scenes=starts,
+        successors=lambda p: (), allows=box_step(bounds),
+    )
+    first = draw(st.sampled_from(starts)) if starts else Scene(schema, draw(vec))
+    path = [first]
+    for _ in range(horizon):
+        moves = [draw(st.integers(lo, hi)) for lo, hi in bounds]
+        path.append(Scene(schema, tuple(v + d for v, d in zip(path[-1].values, moves))))
+    A = AbstractScenario(draw(formulas_over(schema.names)), (), inst)
+    return A, tuple(path)
+
+
+@given(box_worlds_and_words())
+@settings(max_examples=300, deadline=None)
+def test_box_world_prefix_verdict_is_the_formulas_own(case):
+    # Box worlds are not explored: every prefix of an admissible word
+    # gets the formula's own three-valued verdict.
+    A, path = case
+    inst = A.instance
+    for k in range(len(path) + 1):
+        c = bit_prefix_like(inst, path[:k]) if k else None
+        want = evaluate3(A.conjoined(), path[:k], inst.horizon, scene_tol=inst.scene_tol)
+        assert monitor_prefix(c, A) is want, k
+
+
+# --- deep formulas through the public API ----------------------------------------------
+
+DEEP = 3_000
+
+
+def deep_eventually():
+    f = Atom(ScenePredicate((("bit", 0.0, 0.0),)))
+    for _ in range(DEEP):
+        f = Eventually(f)
+    return f
+
+
+def deep_and_or_chain():
+    f = Atom(ScenePredicate((("bit", 0.0, 0.0),)))
+    five = Atom(ScenePredicate((("bit", 5.0, 5.0),)))
+    for i in range(DEEP):
+        f = And(f, TrueFormula()) if i % 2 == 0 else Or(f, five)
+    return f
+
+
+@pytest.mark.parametrize("build", [deep_eventually, deep_and_or_chain])
+def test_deep_formulas_decide_without_recursion(build):
+    inst = binary_branching(4)
+    A = AbstractScenario(build(), (), inst)
+    assert monitor_prefix(bit_prefix(inst, [0]), A) is Verdict3.TRUE
+    assert monitor_prefix(bit_prefix(inst, [0, 0]), A) is Verdict3.TRUE
+    report = monitor_word_report(bit_prefix(inst, [0, 0, 0, 0]), A)
+    assert report == WordReport(Verdict.ACCEPTED, None, "accepted")
