@@ -55,6 +55,7 @@ from .logic import (
     binary_branching,
     binary_scenarios,
     check_axioms,
+    count_scenarios,
     delta_step_instance,
     encode_logical,
     enumerate_scenarios,

@@ -21,6 +21,7 @@ from .formulas import TrueFormula, Verdict3
 from .logic import (
     AbstractScenario,
     binary_scenarios,
+    count_scenarios,
     encode_logical,
     enumerate_scenarios,
     sample_abstract,
@@ -217,9 +218,7 @@ def _cmd_encode_logical(args) -> int:
 
 
 def _cmd_demo_complexity(args) -> int:
-    scenario = binary_scenarios(args.n)
-    leaves = enumerate_scenarios(scenario)
-    _emit({"n": args.n, "leaves": len(leaves)})
+    _emit({"n": args.n, "leaves": count_scenarios(binary_scenarios(args.n))})
     return 0
 
 

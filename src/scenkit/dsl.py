@@ -476,18 +476,37 @@ class _Parser:
     # -- formulas --------------------------------------------------------------
 
     def parse_formula(self) -> FormulaNode:
-        left = self.parse_formula_and()
-        while self.at_keyword("or"):
-            self.advance()
-            left = FOr(left, self.parse_formula_and())
-        return left
-
-    def parse_formula_and(self) -> FormulaNode:
-        left = self.parse_formula_unary()
-        while self.at_keyword("and"):
-            self.advance()
-            left = FAnd(left, self.parse_formula_unary())
-        return left
+        """``or`` over ``and`` over prefixed operands, left-associative.
+        Parsed in a loop with one frame per open parenthesis (its pending
+        prefix operators and the ``and`` and ``or`` chains built so far),
+        so nesting is not bounded by the Python stack."""
+        frames = []
+        conj = disj = None
+        while True:
+            ops = self.parse_formula_unary()
+            if self.peek().kind == "(":
+                self.advance()
+                frames.append((ops, conj, disj))
+                conj = disj = None
+                continue
+            f = self.parse_formula_primary()
+            while True:
+                for op, within in reversed(ops):
+                    f = FNext(f) if op is FNext else op(f, within)
+                conj = f if conj is None else FAnd(conj, f)
+                if self.at_keyword("and"):
+                    self.advance()
+                    break
+                disj = conj if disj is None else FOr(disj, conj)
+                conj = None
+                if self.at_keyword("or"):
+                    self.advance()
+                    break
+                if not frames:
+                    return disj
+                self.expect(")")
+                f = disj
+                ops, conj, disj = frames.pop()
 
     def parse_within(self) -> int | None:
         if self.peek().kind != "[":
@@ -498,27 +517,23 @@ class _Parser:
         self.expect("]")
         return int(float(tok.text))
 
-    def parse_formula_unary(self) -> FormulaNode:
-        if self.at_keyword("next"):
-            self.advance()
-            return FNext(self.parse_formula_unary())
-        if self.at_keyword("eventually"):
-            self.advance()
-            within = self.parse_within()
-            return FEventually(self.parse_formula_unary(), within)
-        if self.at_keyword("always"):
-            self.advance()
-            within = self.parse_within()
-            return FAlways(self.parse_formula_unary(), within)
-        return self.parse_formula_primary()
+    def parse_formula_unary(self) -> list[tuple[type, int | None]]:
+        """The prefix operators before an operand, outermost first, each
+        with its ``within`` bound."""
+        ops = []
+        while True:
+            if self.at_keyword("next"):
+                self.advance()
+                ops.append((FNext, None))
+            elif self.at_keyword("eventually") or self.at_keyword("always"):
+                op = FEventually if self.advance().text == "eventually" else FAlways
+                ops.append((op, self.parse_within()))
+            else:
+                return ops
 
     def parse_formula_primary(self) -> FormulaNode:
+        """An operand other than a parenthesized formula."""
         tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            f = self.parse_formula()
-            self.expect(")")
-            return f
         if tok.kind != "ident":
             raise self.error(
                 "expected a formula", ("true", "false", "scene", "pred", "(")

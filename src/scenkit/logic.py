@@ -14,6 +14,13 @@ probes) carries each node's residual formula (see ``formulas.progress``)
 and progresses it by the one new scene, so a child costs one scene, not
 a re-walk of its prefix. A child is pruned when its residual is
 FalseFormula; a full-length residual is TrueFormula or FalseFormula.
+
+Counting and uniform-leaf sampling do not enumerate. On a Markov
+instance (successors that read only the last scene) a node's
+completions depend only on its residual, last scene and depth, so
+``count_scenarios`` merges equal nodes into a DAG and counts the leaves
+below each; residuals are compared by hash-consing, not ``==``. A draw
+unranks its index through those counts.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     ALIGN_TOL,
@@ -73,7 +80,9 @@ class ScenarioLogicInstance:
     same way; only worlds the successors do not cover (see ``box_step``)
     set ``allows``, and monitoring does not explore them. The formula is
     the only acceptance condition. Full-length paths have horizon+1
-    samples.
+    samples. ``markov`` declares that ``successors`` reads only the last
+    scene of a prefix, which lets ``count_scenarios`` merge prefixes that
+    end alike.
     """
 
     id: str
@@ -85,6 +94,7 @@ class ScenarioLogicInstance:
     allows: Callable[[Path, Scene], bool] | None = None
     scene_tol: float = 0.0
     one_step_override: Callable[["AbstractScenario", Path], Sequence[Path]] | None = None
+    markov: bool = False
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -261,6 +271,117 @@ def enumerate_scenarios(
     return tuple(Trajectory(inst.schema, grid, p) for p, _ in leaves)
 
 
+class _Interner:
+    """Canonical ids of formula nodes (hash-consing): structurally equal
+    residuals share an id, and so progress alike. A node's key is its
+    type, its scalar fields and its operands' ids. Keys are built in a
+    loop, once per node: nodes are cached by ``id()`` and held here, so
+    a long trace formula's tail is keyed once, not at every node."""
+
+    def __init__(self):
+        self.seen: dict[int, tuple[int, Formula]] = {}
+        self.ids: dict[tuple, int] = {}
+
+    def __call__(self, formula: Formula) -> int:
+        seen = self.seen
+        todo = [formula]
+        while todo:
+            f = todo[-1]
+            if id(f) in seen:
+                todo.pop()
+                continue
+            fields = [getattr(f, name) for name in type(f).__dataclass_fields__]
+            missing = [v for v in fields if isinstance(v, Formula) and id(v) not in seen]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            key = (type(f), *(seen[id(v)][0] if isinstance(v, Formula) else v for v in fields))
+            seen[id(f)] = (self.ids.setdefault(key, len(self.ids)), f)
+        return seen[id(formula)][0]
+
+
+class _Dag(NamedTuple):
+    """The scenario tree with equal subtrees merged. States are numbered
+    level by level in canonical order; ``kids[i]`` lists state i's child
+    states in canonical order (states of the last level have none), and
+    ``counts[i]`` is the number of accepted leaves below state i."""
+
+    roots: range
+    kids: list[list[int]]
+    scenes: list[Scene]
+    counts: list[int]
+
+    def total(self) -> int:
+        return sum(self.counts[j] for j in self.roots)
+
+
+def _count_dag(scenario: AbstractScenario, guard: int) -> _Dag:
+    """Count the accepted leaves below every state, growing the states
+    level by level through ``_children``. A node's state is its residual
+    and last scene on a Markov instance (the level fixes its depth) and
+    its path otherwise; ComplexityError past ``guard`` states."""
+    inst = scenario.instance
+    if inst.initial_scenes is None:
+        raise ComplexityError(
+            f"instance {inst.id!r} declares no finite initial scene set"
+        )
+    intern = _Interner()
+    level = _roots(inst, scenario.conjoined())
+    scenes = [p[-1] for p, _ in level]
+    roots = range(len(level))
+    kids: list[list[int]] = []
+    for _ in range(inst.horizon):
+        states: dict[tuple, int] = {}
+        nxt: list[Node] = []
+        for node in level:
+            parent = len(kids)
+            out = []
+            for child in _children(inst, node):
+                last = child[0][-1]
+                key = (intern(child[1]), last.values, -1 if inst.markov else parent)
+                j = states.get(key)
+                if j is None:
+                    j = states[key] = len(scenes)
+                    if j >= guard:
+                        raise ComplexityError(
+                            f"scenario count exceeded the guard of {guard} states"
+                        )
+                    scenes.append(last)
+                    nxt.append(child)
+                out.append(j)
+            kids.append(out)
+        level = nxt
+    # Residuals at full length have folded to TRUE: the last level's
+    # states are accepted leaves.
+    counts = [1] * len(scenes)
+    for i in range(len(kids) - 1, -1, -1):
+        counts[i] = sum(counts[j] for j in kids[i])
+    return _Dag(roots, kids, scenes, counts)
+
+
+def count_scenarios(scenario: AbstractScenario) -> int:
+    """``len(enumerate_scenarios(scenario))``, counted without building a
+    trajectory: one progression per state, not per leaf."""
+    return _count_dag(scenario, ENUMERATION_GUARD).total()
+
+
+def _unrank(dag: _Dag, r: int) -> Path:
+    """The path of the r-th accepted leaf in canonical order: descend
+    through the sorted children, skipping r past each whole subtree
+    (Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978)."""
+    path = []
+    states = dag.roots
+    while states:
+        for j in states:
+            if r < dag.counts[j]:
+                break
+            r -= dag.counts[j]
+        path.append(dag.scenes[j])
+        states = dag.kids[j] if j < len(dag.kids) else ()
+    return tuple(path)
+
+
 def trace_formula(c: Trajectory) -> Formula:
     """A formula whose concrete-scenario set is exactly {c}.
 
@@ -285,12 +406,15 @@ def sample_abstract(
 ) -> list[Trajectory]:
     """Draw accepted concrete scenarios from an abstract scenario.
 
-    uniform-leaf is exactly uniform over the enumeration; uniform-branch
-    picks a uniformly random child at each expansion and is therefore
-    biased toward shallow-branching paths; rejection draws paths through
-    the world model alone and accepts those satisfying the constraints,
-    which cannot be guaranteed to succeed (surfaced as a budget error
-    carrying the acceptance rate so far).
+    uniform-leaf is exactly uniform over the enumeration without
+    building it: draw i unranks a seeded index below ``count_scenarios``
+    (memo lookups only), so it is the leaf the enumeration holds at that
+    index; uniform-branch picks a uniformly random child at each
+    expansion and is therefore biased toward shallow-branching paths;
+    rejection draws paths through the world model alone and accepts
+    those satisfying the constraints, which cannot be guaranteed to
+    succeed (surfaced as a budget error carrying the acceptance rate so
+    far).
     """
     if count < 1:
         raise RangeError("count must be >= 1")
@@ -304,13 +428,18 @@ def sample_abstract(
         raise ComplexityError("sampling needs a finite initial scene set")
 
     if strategy == "uniform-leaf":
-        leaves = enumerate_scenarios(scenario)
-        if not leaves:
+        dag = _count_dag(scenario, ENUMERATION_GUARD)
+        total = dag.total()
+        if not total:
             raise UnsatisfiableError("the abstract scenario has no concrete scenarios")
-        return [
-            leaves[random.Random(derive_seed(rng_seed, i)).randrange(len(leaves))]
-            for i in range(count)
-        ]
+        drawn: dict[int, Trajectory] = {}
+        out = []
+        for i in range(count):
+            r = random.Random(derive_seed(rng_seed, i)).randrange(total)
+            if r not in drawn:
+                drawn[r] = _to_trajectory(inst, _unrank(dag, r))
+            out.append(drawn[r])
+        return out
 
     guide = conj if strategy == "uniform-branch" else conjoin(scenario.world)
     roots = _roots(inst, guide)
@@ -499,6 +628,7 @@ def binary_branching(n: int) -> ScenarioLogicInstance:
         horizon=n - 1,
         initial_scenes=(zero, one),
         successors=lambda samples: (zero, one),
+        markov=True,
     )
 
 
@@ -575,6 +705,7 @@ def delta_step_instance(
         horizon=horizon,
         initial_scenes=tuple(initial_scenes),
         successors=successors,
+        markov=True,
     )
 
 
@@ -622,4 +753,5 @@ def quantized_motion_instance(
         initial_scenes=tuple(probe_scenes),
         successors=successors,
         scene_tol=snap_tol,
+        markov=True,
     )

@@ -9,8 +9,10 @@ from scenkit.formulas import (
     And,
     Atom,
     Eventually,
+    FalseFormula,
     Next,
     Or,
+    SceneConst,
     ScenePredicate,
     TrueFormula,
 )
@@ -76,11 +78,10 @@ PLANE = schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
 
 
 @st.composite
-def worlds_and_words(draw, formulas):
-    """A small quantized-motion or delta-step instance, a formula drawn
-    from ``formulas(dimension names)``, and a full-length word that may
-    start off the start set or leave the successors at any step."""
-    horizon = draw(st.integers(0, 3))
+def small_instances(draw, max_horizon=3):
+    """A small quantized-motion or delta-step instance, and the strategy
+    of the integer vectors its starts and steps are drawn from."""
+    horizon = draw(st.integers(0, max_horizon))
     if draw(st.booleans()):
         schema = PLANE
         vec = st.tuples(*[st.integers(-1, 1).map(float)] * 4)
@@ -94,6 +95,43 @@ def worlds_and_words(draw, formulas):
         deltas = draw(st.lists(vec, min_size=1, max_size=3))
         starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=2))]
         inst = delta_step_instance(schema, deltas, 1.0, horizon, starts)
+    return inst, vec
+
+
+def every_node_formulas(schema: SceneSchema):
+    """Formulas of every node type over a schema: TRUE, FALSE, box
+    atoms, scene constants of small integer vectors, And, Or, Next, and
+    Eventually and Always with windows of 1-2 or none."""
+    atoms = st.builds(
+        lambda name, lo, width: Atom(ScenePredicate(((name, float(lo), float(lo + width)),))),
+        st.sampled_from(schema.names),
+        st.integers(-3, 2),
+        st.integers(0, 3),
+    )
+    consts = st.tuples(*[st.integers(-1, 1).map(float)] * schema.k).map(
+        lambda v: SceneConst(Scene(schema, v))
+    )
+    within = st.sampled_from([None, 1, 2])
+    return st.recursive(
+        st.one_of(st.just(TrueFormula()), st.just(FalseFormula()), atoms, consts),
+        lambda sub: st.one_of(
+            st.builds(And, sub, sub),
+            st.builds(Or, sub, sub),
+            st.builds(Next, sub),
+            st.builds(Eventually, sub, within),
+            st.builds(Always, sub, within),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def worlds_and_words(draw, formulas):
+    """A small quantized-motion or delta-step instance, a formula drawn
+    from ``formulas(dimension names)``, and a full-length word that may
+    start off the start set or leave the successors at any step."""
+    inst, vec = draw(small_instances())
+    schema, horizon = inst.schema, inst.horizon
     anywhere = vec.map(lambda v: Scene(schema, v))
     path = (draw(st.one_of(st.sampled_from(inst.initial_scenes), anywhere)),)
     for _ in range(horizon):

@@ -62,6 +62,12 @@ def test_demo_spec_complexity(capsys):
     assert payload["leaves"] == 1024
 
 
+def test_demo_spec_complexity_counts_without_enumerating(capsys):
+    # 2**40 leaves: enumerating them would exceed the enumeration guard.
+    assert main(["demo-spec-complexity", "--n", "40"]) == 0
+    assert capsys.readouterr().out == '{"leaves": 1099511627776, "n": 40}\n'
+
+
 def test_count_rural(capsys):
     code, payload = run(capsys, "count-rural", "--n", "3", "--m", "2")
     assert code == 0

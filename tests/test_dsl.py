@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from scenkit import dsl
-from scenkit.formulas import And, Atom, Eventually, SceneConst
+from scenkit.formulas import Always, And, Atom, Eventually, Next, SceneConst, TrueFormula
 from scenkit.fixtures import straight_drive_trajectory
 from scenkit.logical import realize
 from scenkit.monitoring import Verdict, monitor_word
@@ -172,6 +172,30 @@ def test_deep_formulas_without_fixtures_resolve():
     for constraint in (conjuncts, nexts, long_chain):
         spec = dsl.load(_abstract_with(constraint))
         assert "A" in spec.abstracts
+
+
+def test_deeply_nested_fixtures_parse_without_recursion():
+    # Parentheses and prefix operators are parsed in a loop, not one
+    # call per level.
+    parens = "fixture f = " + "(" * 500 + "true" + ")" * 500
+    spec = dsl.load(_abstract_with("f", parens))
+    assert isinstance(spec.abstracts["A"].constraints, TrueFormula)
+
+    nexts = "fixture f = " + "next " * 3000 + "true"
+    node = dsl.load(_abstract_with("f", nexts)).abstracts["A"].constraints
+    depth = 0
+    while isinstance(node, Next):
+        node, depth = node.sub, depth + 1
+    assert depth == 3000 and isinstance(node, TrueFormula)
+
+    mixed = "fixture f = " + "always (next (" * 400 + "true" + "))" * 400 + " and true"
+    node = dsl.load(_abstract_with("f", mixed)).abstracts["A"].constraints
+    assert isinstance(node, And) and isinstance(node.right, TrueFormula)
+    node, depth = node.left, 0
+    while isinstance(node, Always):
+        assert isinstance(node.sub, Next)
+        node, depth = node.sub.sub, depth + 1
+    assert depth == 400 and isinstance(node, TrueFormula)
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from scenkit.formulas import (
     Eventually,
     FalseFormula,
     Next,
+    Or,
     SceneConst,
     ScenePredicate,
     TrueFormula,
@@ -32,10 +33,14 @@ from scenkit.formulas import (
 )
 from scenkit.fixtures import planar_instance, reach_or_stop_formula
 from scenkit.logic import (
+    ENUMERATION_GUARD,
     AbstractScenario,
+    _count_dag,
+    _unrank,
     binary_branching,
     binary_scenarios,
     check_axioms,
+    count_scenarios,
     delta_step_instance,
     encode_logical,
     enumerate_scenarios,
@@ -46,11 +51,17 @@ from scenkit.logic import (
     sample_abstract,
     trace_formula,
 )
-from scenkit.logical import DiscreteAxis, LogicalScenario, ParameterSpace, realize
+from scenkit.logical import DiscreteAxis, LogicalScenario, ParameterSpace, derive_seed, realize
 from scenkit.monitoring import Verdict, WordReport, monitor_word, monitor_word_report
 from scenkit.rural import RuralConfig, rural_formula
 
-from conftest import PLANE, random_step_scenario, worlds_and_words
+from conftest import (
+    PLANE,
+    every_node_formulas,
+    random_step_scenario,
+    small_instances,
+    worlds_and_words,
+)
 
 ASSETS = Path(__file__).resolve().parents[1] / "src" / "scenkit" / "assets"
 
@@ -407,6 +418,127 @@ def test_rejection_budget_error_reports_rate():
 def test_uniform_leaf_requires_valid_strategy():
     with pytest.raises(RangeError):
         sample_abstract(binary_scenarios(3), 1, "bogus", rng_seed=0)
+
+
+# --- counting and unranking against the enumeration ----------------------------------
+
+
+def _assert_count_and_draws_match_enumeration(A, seed):
+    leaves = enumerate_scenarios(A)
+    assert count_scenarios(A) == len(leaves)
+    dag = _count_dag(A, ENUMERATION_GUARD)
+    assert [_unrank(dag, r) for r in range(len(leaves))] == [t.samples for t in leaves]
+    if leaves:
+        draws = sample_abstract(A, 10, "uniform-leaf", rng_seed=seed)
+        picks = [random.Random(derive_seed(seed, i)).randrange(len(leaves)) for i in range(10)]
+        assert draws == [leaves[r] for r in picks]
+
+
+@given(small_instances(max_horizon=4), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_count_and_unranking_match_the_enumeration(case, boxed, data):
+    inst, _ = case
+    assert inst.markov
+    if boxed:
+        # Steps may not leave the box [-2, 2], so some prefixes have no
+        # successor at all: dead ends below the formula's pruning.
+        step = inst.successors
+        inst = dataclasses.replace(
+            inst,
+            successors=lambda p: tuple(s for s in step(p) if max(map(abs, s.values)) <= 2.0),
+        )
+    A = AbstractScenario(data.draw(every_node_formulas(inst.schema)), (), inst)
+    _assert_count_and_draws_match_enumeration(A, data.draw(st.integers(0, 2**31)))
+
+
+@given(every_node_formulas(PLANE), st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_count_and_unranking_match_the_enumeration_of_an_encoding(formula, seed):
+    spec = dsl.load((ASSETS / "straight_drive.scn").read_text(encoding="utf-8"))
+    inst = encode_logical(spec.logicals["speed_choices"])
+    assert not inst.markov
+    _assert_count_and_draws_match_enumeration(AbstractScenario(formula, (), inst), seed)
+
+
+def test_merging_an_encoding_would_splice_its_trajectories():
+    spec = dsl.load(
+        """
+        schema S { x: m }
+        logical cross {
+          param v: set{-1, 1}
+          start { S.x = -v }
+          bind drift(x = v)
+          horizon 2 s step 1 s
+        }
+        """
+    )
+    inst = encode_logical(spec.logicals["cross"])
+    A = AbstractScenario(TrueFormula(), (), inst)
+    # The two trajectories cross at x = 0 after one step.
+    assert [[s.values[0] for s in t.samples] for t in enumerate_scenarios(A)] == [
+        [-1.0, 0.0, 1.0],
+        [1.0, 0.0, -1.0],
+    ]
+    _assert_count_and_draws_match_enumeration(A, 3)
+    merged = AbstractScenario(TrueFormula(), (), dataclasses.replace(inst, markov=True))
+    spliced = _unrank(_count_dag(merged, ENUMERATION_GUARD), 1)
+    assert [s.values[0] for s in spliced] == [1.0, 0.0, 1.0]
+
+
+def test_count_keeps_nodes_with_different_residuals_apart():
+    # Up-then-down and down-then-up both reach 0 after two steps, one
+    # still owing a visit to -1 and the other to 1: residuals of one
+    # shape that differ only in their atoms.
+    d = schema_of(("d", "dimensionless"))
+    inst = delta_step_instance(d, [(-1.0,), (1.0,)], 1.0, 3, [Scene(d, (0.0,))])
+    visits = And(Eventually(Atom(ScenePredicate((("d", 1.0, 1.0),)))),
+                 Eventually(Atom(ScenePredicate((("d", -1.0, -1.0),)))))
+    A = AbstractScenario(visits, (), inst)
+    assert len(enumerate_scenarios(A)) == 2
+    _assert_count_and_draws_match_enumeration(A, 0)
+    for within in (1, 2):
+        windows = And(Always(Atom(ScenePredicate((("d", -2.0, 2.0),))), within),
+                      Eventually(Atom(ScenePredicate((("d", 1.0, 1.0),))), within + 1))
+        _assert_count_and_draws_match_enumeration(AbstractScenario(windows, (), inst), 0)
+    # Here they differ only in their node type: at 0 after two steps the
+    # residual is Next(Always(q)) via 1 and Next(Eventually(q)) via -1.
+    inst = dataclasses.replace(inst, horizon=4)
+    q = Atom(ScenePredicate((("d", -1.0, 1.0),)))
+
+    def branch(value, tail):
+        return And(Next(Atom(ScenePredicate((("d", value, value),)))), Next(Next(Next(tail))))
+
+    either = AbstractScenario(Or(branch(1.0, Always(q)), branch(-1.0, Eventually(q))), (), inst)
+    assert len(enumerate_scenarios(either)) == 9
+    _assert_count_and_draws_match_enumeration(either, 0)
+
+
+def test_count_merges_equal_nodes():
+    # Two states per level: the residual stays TRUE, and the last bit is
+    # all a binary node's completions depend on.
+    dag = _count_dag(binary_scenarios(16), ENUMERATION_GUARD)
+    assert len(dag.scenes) == 32
+    assert dag.total() == 2**16
+
+
+def test_count_over_a_long_horizon_without_recursion_error():
+    d = schema_of(("d", "dimensionless"))
+    inst = delta_step_instance(d, [(0.0,), (1.0,)], 1.0, 10_000, [Scene(d, (0.0,))])
+    target = Trajectory(
+        d, inst.grid(10_001), tuple(Scene(d, (float(i // 2),)) for i in range(10_001))
+    )
+    A = AbstractScenario(trace_formula(target), (), inst)
+    assert count_scenarios(A) == 1
+    assert _unrank(_count_dag(A, ENUMERATION_GUARD), 0) == target.samples
+
+
+def test_count_needs_a_finite_start_set_and_respects_the_guard():
+    reach = dsl.load((ASSETS / "straight_drive.scn").read_text(encoding="utf-8")).abstracts["reach"]
+    with pytest.raises(ComplexityError, match="no finite initial scene set"):
+        count_scenarios(reach)
+    with pytest.raises(ComplexityError, match="guard of 100 states"):
+        _count_dag(binary_scenarios(60), 100)
+    assert _count_dag(binary_scenarios(50), 100).total() == 2**50
 
 
 # --- misc -------------------------------------------------------------------------------------

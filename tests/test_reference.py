@@ -121,6 +121,7 @@ def test_schema_index_on_unknown_name():
     [
         ("uniform-branch", "e9d19346970c57237f67e3de56384c8bfdab11cfa9c9a926841cce1878f3d830"),
         ("rejection", "f2f67212e14e7ca47da305139e129ef0abdd8042408592a75d1540160479ca6c"),
+        ("uniform-leaf", "fd8b9d77f16bb90fcb6489d91699c71b7bc5d4b2079761bc0597737addd08663"),
     ],
 )
 def test_seeded_abstract_draws_match_reference_digest(strategy, digest):
