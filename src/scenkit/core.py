@@ -230,11 +230,14 @@ def scene_distance(a: Scene, b: Scene) -> float:
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
-    """Sup over grid points of the scene distance."""
+    """Sup over grid points of the scene distance: one square root of the
+    largest squared distance, as ``sqrt`` is correctly rounded and monotone."""
     _check_same_schema(a.schema, b.schema)
     if a.grid != b.grid:
         raise GridAlignmentError("trajectories live on different grids")
-    return max(scene_distance(x, y) for x, y in zip(a.samples, b.samples))
+    squares = [sum([(x - y) ** 2 for x, y in zip(s.values, r.values)])
+               for s, r in zip(a.samples, b.samples)]
+    return math.sqrt(max(squares))
 
 
 def prefix(c: Trajectory, upto: float) -> Trajectory:

@@ -312,12 +312,6 @@ Decl = SchemaDecl | ModelDecl | LogicalDecl | AbstractDecl | FixtureDecl
 class SpecDocument:
     decls: tuple[Decl, ...]
 
-    def find(self, kind: type, name: str):
-        for d in self.decls:
-            if isinstance(d, kind) and d.name == name:
-                return d
-        return None
-
 
 @dataclass(frozen=True)
 class ParseResult:
@@ -819,34 +813,40 @@ def _print_expr(e: Expr) -> str:
 
 
 def _print_formula(f: FormulaNode) -> str:
-    if isinstance(f, FTrue):
-        return "true"
-    if isinstance(f, FFalse):
-        return "false"
-    if isinstance(f, FScene):
-        inner = ", ".join(f"{n} = {_print_expr(e)}" for n, e in f.items)
-        return f"scene({inner})"
-    if isinstance(f, FPred):
-        parts = []
-        for name, other, lo, hi in f.items:
-            lhs = name if other is None else f"{name} - {other}"
-            parts.append(f"{lhs} in [{_print_expr(lo)}, {_print_expr(hi)}]")
-        return f"pred({', '.join(parts)})"
-    if isinstance(f, FAnd):
-        return f"({_print_formula(f.left)} and {_print_formula(f.right)})"
-    if isinstance(f, FOr):
-        return f"({_print_formula(f.left)} or {_print_formula(f.right)})"
-    if isinstance(f, FNext):
-        return f"next {_print_formula(f.sub)}"
-    if isinstance(f, FEventually):
-        bound = f"[<={f.within}]" if f.within is not None else ""
-        return f"eventually{bound} {_print_formula(f.sub)}"
-    if isinstance(f, FAlways):
-        bound = f"[<={f.within}]" if f.within is not None else ""
-        return f"always{bound} {_print_formula(f.sub)}"
-    if isinstance(f, FRef):
-        return f.name
-    raise TypeError(f)
+    """Source text of ``f``, from an explicit stack: nesting costs no frames."""
+    out: list[str] = []
+    stack: list[FormulaNode | str] = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, str):
+            out.append(f)
+        elif isinstance(f, (FAnd, FOr)):
+            op = " and " if isinstance(f, FAnd) else " or "
+            stack += [")", f.right, op, f.left, "("]
+        elif isinstance(f, FNext):
+            out.append("next ")
+            stack.append(f.sub)
+        elif isinstance(f, (FEventually, FAlways)):
+            word = "eventually" if isinstance(f, FEventually) else "always"
+            bound = f"[<={f.within}]" if f.within is not None else ""
+            out.append(f"{word}{bound} ")
+            stack.append(f.sub)
+        elif isinstance(f, (FTrue, FFalse)):
+            out.append("true" if isinstance(f, FTrue) else "false")
+        elif isinstance(f, FScene):
+            inner = ", ".join(f"{n} = {_print_expr(e)}" for n, e in f.items)
+            out.append(f"scene({inner})")
+        elif isinstance(f, FPred):
+            parts = []
+            for name, other, lo, hi in f.items:
+                lhs = name if other is None else f"{name} - {other}"
+                parts.append(f"{lhs} in [{_print_expr(lo)}, {_print_expr(hi)}]")
+            out.append(f"pred({', '.join(parts)})")
+        elif isinstance(f, FRef):
+            out.append(f.name)
+        else:
+            raise TypeError(f)
+    return "".join(out)
 
 
 def print_document(doc: SpecDocument) -> str:

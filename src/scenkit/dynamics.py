@@ -7,6 +7,11 @@ applies several models side by side, each writing the dimensions it
 owns; families are truncated just before the first time two members
 contradict each other on a shared dimension.
 
+A model's ``evolve_fn(theta, values)`` maps a value tuple to a tuple of
+``schema.k`` floats. Only ``evolve`` and ``evaluate`` build Scenes, one
+per call or grid point; a value a member writes outside the dimensions
+it owns is discarded, not validated.
+
 Absolute-time behaviors (stop_at, waypoint_follower) stay semigroup-valid
 by reading and advancing a clock dimension of the scene, which makes the
 flow autonomous on the extended state.
@@ -46,12 +51,14 @@ class DeterministicModel:
     means the model writes every dimension. State-driven models whose laws
     hold only on their reachable scenes provide ``state_sampler`` so
     randomized law checks draw consistent states.
+    ``evolve_fn(theta, values)`` returns a tuple of ``schema.k`` floats;
+    ``evolve`` validates all of it as a Scene, a family only what it owns.
     """
 
     id: str
     schema: SceneSchema
     theta_max: float
-    evolve_fn: Callable[[float, Scene], Scene]
+    evolve_fn: Callable[[float, tuple[float, ...]], tuple[float, ...]]
     owns: tuple[str, ...] | None = None
     params: Mapping[str, float] = field(default_factory=dict)
     state_sampler: Callable[[random.Random], Scene] | None = None
@@ -65,12 +72,15 @@ class DeterministicModel:
     def owned_names(self) -> tuple[str, ...]:
         return self.schema.names if self.owns is None else self.owns
 
-    def evolve(self, theta: float, scene: Scene) -> Scene:
+    def _check(self, theta: float, scene: Scene) -> None:
         if scene.schema is not self.schema and scene.schema != self.schema:
             raise SchemaError(f"scene schema does not match model {self.id!r}")
         if theta < 0 or theta > self.theta_max:
             raise RangeError(f"theta {theta} outside [0, {self.theta_max}]")
-        return self.evolve_fn(theta, scene)
+
+    def evolve(self, theta: float, scene: Scene) -> Scene:
+        self._check(theta, scene)
+        return Scene(self.schema, self.evolve_fn(theta, scene.values))
 
 
 @dataclass(frozen=True)
@@ -98,16 +108,20 @@ class ModelFamily:
 
     def evolve(self, theta: float, scene: Scene) -> Scene:
         """Combined evolution: each member writes its owned dims."""
-        return self._merge(scene, [m.evolve(theta, scene) for m in self.members])
+        for m in self.members:
+            m._check(theta, scene)
+        outputs = [m.evolve_fn(theta, scene.values) for m in self.members]
+        return Scene(self.schema, self._merge(scene.values, outputs))
 
-    def _merge(self, base: Scene, outputs: Sequence[Scene]) -> Scene:
+    def _merge(self, base: tuple, outputs: Sequence[tuple]) -> tuple[float, ...]:
         """``base`` with each member's owned dims taken from its output."""
-        vals = list(base.values)
-        for out, idx in zip(outputs, self._owned):
-            out_vals = out.values
+        vals = list(base)
+        for m, out, idx in zip(self.members, outputs, self._owned):
+            if len(out) != len(vals):
+                raise SchemaError(f"model {m.id!r} returned {len(out)} of {len(vals)} values")
             for i in idx:
-                vals[i] = out_vals[i]
-        return Scene(self.schema, tuple(vals))
+                vals[i] = out[i]
+        return tuple(vals)
 
 
 def combine(
@@ -193,31 +207,27 @@ def evaluate(
         writers = [j for j, m in enumerate(family.members) if name in m.owned_names()]
         if len(writers) > 1:
             scans.append((name, schema.index(name), writers))
+    fns = [m.evolve_fn for m in family.members]
+    base = start.values
     samples: list[Scene] = []
     for i in range(grid.count):
         theta = grid.t(i)
-        outputs = [m.evolve(theta, start) for m in family.members]
-        contradiction = None
+        outputs = [f(theta, base) for f in fns]
+        scene = Scene(schema, family._merge(base, outputs))
         for name, d, writers in scans:
-            vals = [outputs[j].values[d] for j in writers]
+            vals = [outputs[j][d] for j in writers]
+            if not all(map(math.isfinite, vals)):
+                raise SchemaError(f"non-finite value in shared dimension {name!r}")
             if max(vals) - min(vals) > CONTRADICTION_TOL:
-                contradiction = name
-                break
-        if contradiction is not None:
-            t_c = theta
-            keep_until = t_c - family.epsilon
-            keep = max(1, 1 + math.floor(keep_until / grid.step + 1e-9))
-            keep = min(keep, len(samples))
-            truncated = Trajectory(
-                schema, TimeGrid(grid.step, keep), tuple(samples[:keep])
-            )
-            result = TruncatedResult(truncated, t_c, t_sup=keep_until)
-            if allow_truncation:
-                return result
-            raise TruncationError(
-                f"members contradict on {contradiction!r} at t={t_c}", result
-            )
-        samples.append(family._merge(start, outputs))
+                keep_until = theta - family.epsilon
+                keep = max(1, 1 + math.floor(keep_until / grid.step + 1e-9))
+                keep = min(keep, len(samples))
+                truncated = Trajectory(schema, TimeGrid(grid.step, keep), tuple(samples[:keep]))
+                result = TruncatedResult(truncated, theta, t_sup=keep_until)
+                if allow_truncation:
+                    return result
+                raise TruncationError(f"members contradict on {name!r} at t={theta}", result)
+        samples.append(scene)
     return Trajectory(schema, grid, tuple(samples))
 
 
@@ -231,13 +241,13 @@ def drift(
     theta_max: float = math.inf,
 ) -> DeterministicModel:
     """Constant-rate motion on named dimensions; exact semigroup."""
-    idx = {name: schema.index(name) for name in rates}
+    idx = [(schema.index(name), rate) for name, rate in rates.items()]
 
-    def evolve(theta: float, s: Scene) -> Scene:
-        vals = list(s.values)
-        for name, rate in rates.items():
-            vals[idx[name]] = s.values[idx[name]] + rate * theta
-        return Scene(schema, tuple(vals))
+    def evolve(theta: float, v: tuple) -> tuple:
+        vals = list(v)
+        for i, rate in idx:
+            vals[i] = v[i] + rate * theta
+        return tuple(vals)
 
     return DeterministicModel(
         id, schema, theta_max, evolve, owns=tuple(rates), params=dict(rates)
@@ -270,13 +280,13 @@ def constant_acceleration(
     ix, iy = schema.index(x), schema.index(y)
     ivx, ivy = schema.index(vx), schema.index(vy)
 
-    def evolve(theta: float, s: Scene) -> Scene:
-        vals = list(s.values)
-        vals[ix] = s.values[ix] + s.values[ivx] * theta + 0.5 * ax * theta * theta
-        vals[iy] = s.values[iy] + s.values[ivy] * theta + 0.5 * ay * theta * theta
-        vals[ivx] = s.values[ivx] + ax * theta
-        vals[ivy] = s.values[ivy] + ay * theta
-        return Scene(schema, tuple(vals))
+    def evolve(theta: float, v: tuple) -> tuple:
+        vals = list(v)
+        vals[ix] = v[ix] + v[ivx] * theta + 0.5 * ax * theta * theta
+        vals[iy] = v[iy] + v[ivy] * theta + 0.5 * ay * theta * theta
+        vals[ivx] = v[ivx] + ax * theta
+        vals[ivy] = v[ivy] + ay * theta
+        return tuple(vals)
 
     return DeterministicModel(
         id, schema, math.inf, evolve, owns=(x, y, vx, vy), params={"ax": ax, "ay": ay}
@@ -315,17 +325,17 @@ def stop_at(
     ix, iy = schema.index(x), schema.index(y)
     ivx, ivy = schema.index(vx), schema.index(vy)
 
-    def evolve(theta: float, s: Scene) -> Scene:
-        tau = s.values[ic]
+    def evolve(theta: float, v: tuple) -> tuple:
+        tau = v[ic]
         moving = min(theta, max(0.0, t_stop - tau))
-        vals = list(s.values)
-        vals[ix] = s.values[ix] + s.values[ivx] * moving
-        vals[iy] = s.values[iy] + s.values[ivy] * moving
+        vals = list(v)
+        vals[ix] = v[ix] + v[ivx] * moving
+        vals[iy] = v[iy] + v[ivy] * moving
         if tau + theta >= t_stop:
             vals[ivx] = 0.0
             vals[ivy] = 0.0
         vals[ic] = tau + theta
-        return Scene(schema, tuple(vals))
+        return tuple(vals)
 
     def consistent(rng: random.Random) -> Scene:
         tau = rng.uniform(0.0, 2.0 * t_stop)
@@ -389,29 +399,23 @@ def waypoint_follower(
         sx, sy = slopes[seg]
         return x0 + (tau - t0) * sx, y0 + (tau - t0) * sy, sx, sy
 
-    def evolve(theta: float, s: Scene) -> Scene:
-        tau = s.values[ic] + theta
+    def evolve(theta: float, v: tuple) -> tuple:
+        tau = v[ic] + theta
         px, py, sx, sy = plan(tau)
-        vals = list(s.values)
+        vals = list(v)
         vals[ix], vals[iy] = px, py
         if ivx is not None:
             vals[ivx] = sx
         if ivy is not None:
             vals[ivy] = sy
         vals[ic] = tau
-        return Scene(schema, tuple(vals))
+        return tuple(vals)
 
     def consistent(rng: random.Random) -> Scene:
         tau = rng.uniform(0.0, ts[-1] + 5.0)
-        px, py, sx, sy = plan(tau)
         vals = [rng.uniform(-100.0, 100.0) for _ in range(schema.k)]
-        vals[ix], vals[iy] = px, py
-        if ivx is not None:
-            vals[ivx] = sx
-        if ivy is not None:
-            vals[ivy] = sy
-        vals[ic] = tau
-        return Scene(schema, tuple(vals))
+        vals[ic] = 0.0  # the state reached from clock 0 at time tau
+        return Scene(schema, evolve(tau, tuple(vals)))
 
     owned = [x, y, clock]
     if vx is not None:
@@ -427,10 +431,10 @@ def clock_model(schema: SceneSchema, clock: str = "clock", id: str = "clock") ->
     """Advances the clock dimension; for families with no other clock owner."""
     ic = _require_clock(schema, clock, id)
 
-    def evolve(theta: float, s: Scene) -> Scene:
-        vals = list(s.values)
-        vals[ic] = s.values[ic] + theta
-        return Scene(schema, tuple(vals))
+    def evolve(theta: float, v: tuple) -> tuple:
+        vals = list(v)
+        vals[ic] = v[ic] + theta
+        return tuple(vals)
 
     return DeterministicModel(id, schema, math.inf, evolve, owns=(clock,))
 

@@ -202,10 +202,6 @@ def _schedule(choice: ManeuverChoice, cfg: RuralConfig) -> _Schedule:
     return _Schedule(tuple(blue_cross), tuple(starts), arrival, settle, last_blue)
 
 
-def required_duration(choice: ManeuverChoice, cfg: RuralConfig) -> float:
-    return _schedule(choice, cfg).required
-
-
 def suggested_grid(cfg: RuralConfig, step: float = 0.2) -> TimeGrid:
     """A grid long enough for every choice at the given (n, m)."""
     ov_slot = cfg.overtake_slot()

@@ -14,10 +14,6 @@ from .core import ALIGN_TOL, Dimension, Scene, SceneSchema, TimeGrid, Trajectory
 from .errors import GridAlignmentError, SchemaError
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def sidecar_path_for(csv_path: str | Path) -> Path:
     p = Path(csv_path)
     return p.with_suffix(p.suffix + ".schema.json")
@@ -39,9 +35,10 @@ def read_schema(path: str | Path) -> SceneSchema:
 def write_trace(
     traj: Trajectory, csv_path: str | Path, sidecar: str | Path | None = None
 ) -> None:
+    row = ",".join(["%.17g"] * (traj.schema.k + 1))
     lines = ["t," + ",".join(traj.schema.names)]
     for i, s in enumerate(traj.samples):
-        lines.append(_fmt(traj.grid.t(i)) + "," + ",".join(_fmt(v) for v in s.values))
+        lines.append(row % ((i * traj.grid.step,) + s.values))
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if sidecar is None:

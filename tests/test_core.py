@@ -265,6 +265,29 @@ def test_trajectory_distance_sup(plane):
     assert trajectory_distance(d, c) == trajectory_distance(c, d)
 
 
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[finite] * 4), min_size=n, max_size=n),
+            st.lists(st.tuples(*[finite] * 4), min_size=n, max_size=n),
+        )
+    ),
+    st.booleans(),
+)
+def test_trajectory_distance_is_the_max_scene_distance(rows, identical):
+    # One square root of the largest squared distance gives the same bits
+    # as the largest of the per-sample distances.
+    plane = schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
+    a = make_trajectory(plane, rows[0])
+    b = a if identical else make_trajectory(plane, rows[1])
+    expected = max(scene_distance(x, y) for x, y in zip(a.samples, b.samples))
+    got = trajectory_distance(a, b)
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+    assert got == expected
+    if identical:
+        assert got == 0.0
+
+
 def test_trajectory_distance_grid_mismatch(plane):
     with pytest.raises(GridAlignmentError):
         trajectory_distance(straight(plane, n=5), straight(plane, n=6))

@@ -90,6 +90,24 @@ def test_print_parse_round_trip_on_shipped_fixtures(drive_spec, slope_spec):
         assert dsl.print_document(again.document) == printed
 
 
+def test_print_document_of_deep_formulas_round_trips():
+    # The printer keeps an explicit stack, so nesting is not limited. The
+    # printed texts are compared, because == on two such documents still
+    # recurses once per level.
+    nexts = "fixture f = " + "next " * 3000 + "true"
+    mixed = (
+        "fixture f = " + "always[<=2] (true or eventually (" * 1500
+        + "false" + "))" * 1500
+    )
+    for text in (nexts, mixed):
+        doc = dsl.parse(text).document
+        printed = dsl.print_document(doc)
+        again = dsl.parse(printed)
+        assert again.ok
+        assert dsl.print_document(again.document) == printed
+    assert dsl.print_document(dsl.parse(nexts).document) == nexts + "\n"
+
+
 # --- resolution --------------------------------------------------------------------
 
 

@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenkit.core import Scene, TimeGrid, Trajectory, schema_of
 from scenkit.dynamics import (
+    CONTRADICTION_TOL,
     AttributeLevelScenario,
     DeterministicModel,
     TruncatedResult,
@@ -56,8 +59,8 @@ def test_identity_and_semigroup_for_every_built_in(plane, clocked):
 
 
 def test_broken_model_fails_check(plane):
-    def sq(theta, s):
-        return Scene(plane, (s.values[0] + theta * theta,) + s.values[1:])
+    def sq(theta, v):
+        return (v[0] + theta * theta,) + v[1:]
 
     broken = DeterministicModel("sq", plane, math.inf, sq, owns=("x",))
     assert not check_semigroup(broken, trials=200, rng_seed=5).passed
@@ -286,3 +289,164 @@ def test_model_rejects_theta_outside_domain(plane):
         model.evolve(2.0, Scene(plane, (0, 0, 0, 0)))
     with pytest.raises(RangeError):
         model.evolve(-0.1, Scene(plane, (0, 0, 0, 0)))
+
+
+# --- the tuple path against the public, validating evolve ------------------------------
+
+
+def reference_evaluate(scenario):
+    """``evaluate(scenario, allow_truncation=True)`` as every member evolving
+    through the public ``DeterministicModel.evolve``, the returned Scenes
+    merged by ``owned_names()``."""
+    family, start, grid = scenario.family, scenario.start, scenario.grid
+    schema = family.schema
+    samples = []
+    for i in range(grid.count):
+        theta = grid.t(i)
+        outputs = [m.evolve(theta, start) for m in family.members]
+        for name in family.shared:
+            vals = [
+                out[name] for m, out in zip(family.members, outputs)
+                if name in m.owned_names()
+            ]
+            if len(vals) > 1 and max(vals) - min(vals) > CONTRADICTION_TOL:
+                keep_until = theta - family.epsilon
+                keep = max(1, 1 + math.floor(keep_until / grid.step + 1e-9))
+                keep = min(keep, len(samples))
+                truncated = Trajectory(
+                    schema, TimeGrid(grid.step, keep), tuple(samples[:keep])
+                )
+                return TruncatedResult(truncated, theta, t_sup=keep_until)
+        vals = list(start.values)
+        for m, out in zip(family.members, outputs):
+            for name in m.owned_names():
+                vals[schema.index(name)] = out[name]
+        samples.append(Scene(schema, tuple(vals)))
+    return Trajectory(schema, grid, tuple(samples))
+
+
+def bits(traj):
+    return [[v.hex() for v in s.values] for s in traj.samples]
+
+
+WIDE = schema_of(
+    ("clock", "s"), ("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"),
+    ("x2", "m"), ("y2", "m"), ("vx2", "m/s"), ("vy2", "m/s"), ("p", "m"),
+)
+SECOND_CAR = dict(x="x2", y="y2", vx="vx2", vy="vy2")
+rates = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
+values = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+
+
+@st.composite
+def library_members(draw):
+    kind = draw(st.sampled_from(
+        ["velocity", "acceleration", "drift", "stop", "waypoint", "clock"]
+    ))
+    car = draw(st.sampled_from([{}, SECOND_CAR]))
+    if kind == "velocity":
+        xy = {k: v for k, v in car.items() if k in ("x", "y")}
+        return constant_velocity(WIDE, draw(rates), draw(rates), **xy)
+    if kind == "acceleration":
+        return constant_acceleration(WIDE, draw(rates), draw(rates), **car)
+    if kind == "drift":
+        dims = draw(st.lists(st.sampled_from(WIDE.names[1:]), min_size=1, unique=True))
+        return drift(WIDE, {d: draw(rates) for d in dims})
+    if kind == "stop":
+        return stop_at(WIDE, draw(st.floats(min_value=0.0, max_value=10.0)), **car)
+    if kind == "waypoint":
+        times = draw(st.lists(
+            st.integers(min_value=0, max_value=40), min_size=1, max_size=4, unique=True
+        ))
+        knots = [(t * 0.25, draw(values), draw(values)) for t in times]
+        return waypoint_follower(WIDE, knots, **car)
+    return clock_model(WIDE)
+
+
+@st.composite
+def library_scenarios(draw):
+    members = draw(st.lists(library_members(), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # A contradicting pair: the drifts part after about 5e-7 / rate s.
+        rate = draw(st.floats(min_value=1e-7, max_value=1e-5))
+        members += [drift(WIDE, {"p": 0.0}, id="p0"), drift(WIDE, {"p": rate}, id="p1")]
+    writers = {}
+    for m in members:
+        for name in m.owned_names():
+            writers[name] = writers.get(name, 0) + 1
+    shared = [name for name, n in writers.items() if n > 1]
+    family = combine(members, epsilon=draw(st.sampled_from([0.1, 0.25, 1.0])), shared=shared)
+    start = Scene(WIDE, tuple(draw(values) for _ in range(WIDE.k)))
+    grid = TimeGrid(draw(st.sampled_from([0.1, 0.25, 0.5])), draw(st.integers(1, 40)))
+    return AttributeLevelScenario(start, family, grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(library_scenarios())
+def test_evaluate_matches_public_evolve_reference(scenario):
+    try:
+        want = reference_evaluate(scenario)
+    except RangeError:
+        # Members that contradict at t = 0 leave no sample to keep.
+        with pytest.raises(RangeError):
+            evaluate(scenario, allow_truncation=True)
+        return
+    got = evaluate(scenario, allow_truncation=True)
+    assert type(got) is type(want)
+    if isinstance(want, TruncatedResult):
+        assert got.contradiction_time == want.contradiction_time
+        assert got.t_sup == want.t_sup
+        assert got.trajectory.grid == want.trajectory.grid
+        assert bits(got.trajectory) == bits(want.trajectory)
+        with pytest.raises(TruncationError) as err:
+            evaluate(scenario)
+        assert err.value.result == want
+    else:
+        assert got.grid == want.grid
+        assert bits(got) == bits(want)
+        assert evaluate(scenario) == got
+
+
+def custom(evolve_fn, owns=("x",)):
+    return DeterministicModel("custom", WIDE, math.inf, evolve_fn, owns=owns)
+
+
+@pytest.mark.parametrize(
+    "evolve_fn",
+    [
+        lambda th, v: v[:-1],
+        lambda th, v: v + (0.0,),
+        lambda th, v: (v[0], math.nan) + v[2:],
+    ],
+    ids=["short", "long", "nan-owned"],
+)
+def test_bad_member_output_raises_schema_error(evolve_fn):
+    model = custom(evolve_fn)
+    start = Scene(WIDE, (0.0,) * WIDE.k)
+    fam = combine([model, clock_model(WIDE)], epsilon=0.1)
+    with pytest.raises(SchemaError):
+        model.evolve(0.5, start)
+    with pytest.raises(SchemaError):
+        fam.evolve(0.5, start)
+    with pytest.raises(SchemaError):
+        evaluate(AttributeLevelScenario(start, fam, TimeGrid(0.1, 5)))
+
+
+def test_nan_from_any_writer_of_a_shared_dim_raises_schema_error():
+    nan_clock = custom(lambda th, v: (math.nan,) + v[1:], owns=("clock",))
+    fam = combine([nan_clock, clock_model(WIDE)], epsilon=0.1, shared=("clock",))
+    start = Scene(WIDE, (0.0,) * WIDE.k)
+    with pytest.raises(SchemaError):
+        evaluate(AttributeLevelScenario(start, fam, TimeGrid(0.1, 5)))
+
+
+def test_values_outside_owned_dims_are_discarded():
+    # ``evolve`` validates a member's whole output; a family keeps only
+    # the owned dims, so a NaN elsewhere never reaches the trajectory.
+    model = custom(lambda th, v: (v[0] + th, math.nan) + v[2:], owns=("clock",))
+    start = Scene(WIDE, (0.0,) * WIDE.k)
+    with pytest.raises(SchemaError):
+        model.evolve(0.5, start)
+    traj = evaluate(AttributeLevelScenario(start, family_of(model), TimeGrid(0.5, 3)))
+    assert [s["clock"] for s in traj.samples] == [0.0, 0.5, 1.0]
+    assert all(s["x"] == 0.0 for s in traj.samples)
