@@ -192,7 +192,9 @@ def evaluate(
     A grid that outruns the family's declared time domain raises
     DomainExceededError. A member contradiction before the grid end
     raises TruncationError, unless allow_truncation is set, in which
-    case the truncated trajectory is returned in a TruncatedResult.
+    case the truncated trajectory is returned in a TruncatedResult. A
+    contradiction at the first grid point leaves nothing to return: it
+    raises TruncationError with ``result`` None either way.
     """
     family, start, grid = scenario.family, scenario.start, scenario.grid
     if grid.duration > family.theta_max:
@@ -219,6 +221,8 @@ def evaluate(
             if not all(map(math.isfinite, vals)):
                 raise SchemaError(f"non-finite value in shared dimension {name!r}")
             if max(vals) - min(vals) > CONTRADICTION_TOL:
+                if not samples:
+                    raise TruncationError(f"members contradict on {name!r} at t={theta}", None)
                 keep_until = theta - family.epsilon
                 keep = max(1, 1 + math.floor(keep_until / grid.step + 1e-9))
                 keep = min(keep, len(samples))

@@ -29,7 +29,8 @@ class TruncationError(ScenarioError):
     """Model members contradicted each other before the grid end.
 
     Carries the truncated result so callers that opted out of truncation
-    can still inspect what was computable.
+    can still inspect what was computable; None when the members
+    contradict at the first grid point.
     """
 
     def __init__(self, message: str, result):

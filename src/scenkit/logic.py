@@ -15,12 +15,14 @@ and progresses it by the one new scene, so a child costs one scene, not
 a re-walk of its prefix. A child is pruned when its residual is
 FalseFormula; a full-length residual is TrueFormula or FalseFormula.
 
-Counting and uniform-leaf sampling do not enumerate. On a Markov
-instance (successors that read only the last scene) a node's
-completions depend only on its residual, last scene and depth, so
-``count_scenarios`` merges equal nodes into a DAG and counts the leaves
-below each; residuals are compared by hash-consing, not ``==``. A draw
-unranks its index through those counts.
+Expansion, enumeration, counting and uniform-leaf sampling share one
+walk, ``_count_dag``, which counts the leaves below each state. On a
+Markov instance (successors that read only the last scene) a node's
+completions depend only on its residual, last scene and depth, so equal
+nodes merge and each state is progressed once; residuals are compared
+by hash-consing, not ``==``. Paths are read off the DAG depth-first, a
+draw unranks its index through the counts, and enumeration's guard
+bounds the accepted leaves before any trajectory is built.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .logical import DiscreteAxis, derive_seed, realize
 
 Path = tuple[Scene, ...]
 
-#: enumerate gives up when the live frontier outgrows this.
+#: Bound on a DAG's states, and enumerate's default bound on its leaves.
 ENUMERATION_GUARD = 10_000_000
 
 
@@ -81,8 +83,8 @@ class ScenarioLogicInstance:
     set ``allows``, and monitoring does not explore them. The formula is
     the only acceptance condition. Full-length paths have horizon+1
     samples. ``markov`` declares that ``successors`` reads only the last
-    scene of a prefix, which lets ``count_scenarios`` merge prefixes that
-    end alike.
+    scene of a prefix, which lets expansion, enumeration and counting
+    merge prefixes that end alike.
     """
 
     id: str
@@ -181,29 +183,11 @@ def _children(inst: ScenarioLogicInstance, node: Node) -> list[Node]:
 
 def _roots(inst: ScenarioLogicInstance, conj: Formula) -> list[Node]:
     """Filtered one-scene nodes from the finite start set, sorted and distinct."""
+    if inst.initial_scenes is None:
+        raise ComplexityError(
+            f"instance {inst.id!r} declares no finite initial scene set"
+        )
     return _extend(inst, ((), settle(conj, inst.horizon)), inst.initial_scenes)
-
-
-def _grow(
-    inst: ScenarioLogicInstance,
-    frontier: list[Node],
-    steps: int,
-    guard: int | None = None,
-) -> list[Node]:
-    """Grow a sorted frontier of distinct, equal-length nodes by steps
-    levels of children; ComplexityError past ``guard`` nodes."""
-    for _ in range(steps):
-        nxt: list[Node] = []
-        for node in frontier:
-            nxt.extend(_children(inst, node))
-            if guard is not None and len(nxt) > guard:
-                raise ComplexityError(
-                    f"enumeration frontier exceeded the guard of {guard}"
-                )
-        # Distinct, sorted, equal-length parents: their sorted children in
-        # parent order are already the sorted, unique frontier.
-        frontier = nxt
-    return frontier
 
 
 def _to_trajectory(inst: ScenarioLogicInstance, samples: Path) -> Trajectory:
@@ -216,7 +200,8 @@ def expand(
     """All admissible steps-long extensions of c, canonically ordered.
 
     steps=0 returns (c,); multi-step expansion composes one-step
-    expansions, so the composition axiom holds by construction.
+    expansions, so the composition axiom holds by construction. The paths
+    are read off the DAG of ``steps`` levels below c (``_count_dag``).
     """
     if steps < 0:
         raise RangeError("steps must be >= 0")
@@ -237,7 +222,7 @@ def expand(
             frontier = _sorted_unique(nxt)
     else:
         root = (c.samples, _residual(inst, scenario.conjoined(), c.samples))
-        frontier = [p for p, _ in _grow(inst, [root], steps)]
+        frontier = _paths(_count_dag(inst, [root], steps), c.samples[:-1])
     return tuple(_to_trajectory(inst, p) for p in frontier)
 
 
@@ -252,23 +237,6 @@ def box_step(bounds: Iterable[tuple[float, float]]) -> Callable[[Path, Scene], b
         return True
 
     return allows
-
-
-def enumerate_scenarios(
-    scenario: AbstractScenario, guard: int = ENUMERATION_GUARD, force: bool = False
-) -> tuple[Trajectory, ...]:
-    """All accepted horizon-length trajectories, canonically ordered."""
-    inst = scenario.instance
-    if inst.initial_scenes is None:
-        raise ComplexityError(
-            f"instance {inst.id!r} declares no finite initial scene set"
-        )
-    roots = _roots(inst, scenario.conjoined())
-    leaves = _grow(inst, roots, inst.horizon, None if force else guard)
-    grid = inst.grid(inst.full_length())
-    # _grow kept only paths whose residual is not FALSE, and at full length
-    # a residual has folded, so every leaf satisfies the formula.
-    return tuple(Trajectory(inst.schema, grid, p) for p, _ in leaves)
 
 
 class _Interner:
@@ -305,7 +273,7 @@ class _Dag(NamedTuple):
     """The scenario tree with equal subtrees merged. States are numbered
     level by level in canonical order; ``kids[i]`` lists state i's child
     states in canonical order (states of the last level have none), and
-    ``counts[i]`` is the number of accepted leaves below state i."""
+    ``counts[i]`` is the number of leaves below state i."""
 
     roots: range
     kids: list[list[int]]
@@ -316,33 +284,29 @@ class _Dag(NamedTuple):
         return sum(self.counts[j] for j in self.roots)
 
 
-def _count_dag(scenario: AbstractScenario, guard: int) -> _Dag:
-    """Count the accepted leaves below every state, growing the states
-    level by level through ``_children``. A node's state is its residual
-    and last scene on a Markov instance (the level fixes its depth) and
-    its path otherwise; ComplexityError past ``guard`` states."""
-    inst = scenario.instance
-    if inst.initial_scenes is None:
-        raise ComplexityError(
-            f"instance {inst.id!r} declares no finite initial scene set"
-        )
-    intern = _Interner()
-    level = _roots(inst, scenario.conjoined())
+def _count_dag(
+    inst: ScenarioLogicInstance, level: list[Node], steps: int, guard: int = ENUMERATION_GUARD
+) -> _Dag:
+    """The tree below the nodes of ``level`` grown ``steps`` levels, with
+    the leaves below every state counted. On a Markov instance a state is
+    a node's residual and last scene (the level fixes its depth), so equal
+    subtrees merge; otherwise each child is a new state, as its parent and
+    last scene identify it. ComplexityError past ``guard`` states."""
+    intern = _Interner() if inst.markov else None
     scenes = [p[-1] for p, _ in level]
     roots = range(len(level))
     kids: list[list[int]] = []
-    for _ in range(inst.horizon):
+    for _ in range(steps):
         states: dict[tuple, int] = {}
         nxt: list[Node] = []
         for node in level:
-            parent = len(kids)
             out = []
             for child in _children(inst, node):
                 last = child[0][-1]
-                key = (intern(child[1]), last.values, -1 if inst.markov else parent)
-                j = states.get(key)
-                if j is None:
-                    j = states[key] = len(scenes)
+                j = len(scenes)
+                if intern is not None:
+                    j = states.setdefault((intern(child[1]), last.values), j)
+                if j == len(scenes):
                     if j >= guard:
                         raise ComplexityError(
                             f"scenario count exceeded the guard of {guard} states"
@@ -352,18 +316,57 @@ def _count_dag(scenario: AbstractScenario, guard: int) -> _Dag:
                 out.append(j)
             kids.append(out)
         level = nxt
-    # Residuals at full length have folded to TRUE: the last level's
-    # states are accepted leaves.
+    # The last level's states are the leaves; at full length, accepted ones.
     counts = [1] * len(scenes)
     for i in range(len(kids) - 1, -1, -1):
-        counts[i] = sum(counts[j] for j in kids[i])
+        counts[i] = sum(map(counts.__getitem__, kids[i]))
     return _Dag(roots, kids, scenes, counts)
+
+
+def _paths(dag: _Dag, base: Path) -> list[Path]:
+    """Every leaf's path in canonical order after ``base``: a depth-first
+    walk in ``kids`` order that skips states with no leaf below, so no
+    dead subtree is built."""
+    counts, kids, scenes = dag.counts, dag.kids, dag.scenes
+    inner = len(kids)
+    out: list[Path] = []
+    stack = [(base, iter(dag.roots))]
+    while stack:
+        prefix, todo = stack[-1]
+        for j in todo:
+            if counts[j]:
+                path = prefix + (scenes[j],)
+                if j < inner:
+                    stack.append((path, iter(kids[j])))
+                    break
+                out.append(path)
+        else:
+            stack.pop()
+    return out
+
+
+def enumerate_scenarios(
+    scenario: AbstractScenario, guard: int = ENUMERATION_GUARD, force: bool = False
+) -> tuple[Trajectory, ...]:
+    """All accepted horizon-length trajectories, canonically ordered, read
+    off the counted DAG. ComplexityError when more than ``guard`` leaves
+    are accepted, read from the counts before any trajectory is built;
+    ``force`` lifts that guard, not the DAG's bound of ENUMERATION_GUARD
+    states."""
+    inst = scenario.instance
+    dag = _count_dag(inst, _roots(inst, scenario.conjoined()), inst.horizon)
+    total = dag.total()
+    if total > guard and not force:
+        raise ComplexityError(f"{total} accepted scenarios exceed the guard of {guard}")
+    grid = inst.grid(inst.full_length())
+    return tuple(Trajectory(inst.schema, grid, p) for p in _paths(dag, ()))
 
 
 def count_scenarios(scenario: AbstractScenario) -> int:
     """``len(enumerate_scenarios(scenario))``, counted without building a
     trajectory: one progression per state, not per leaf."""
-    return _count_dag(scenario, ENUMERATION_GUARD).total()
+    inst = scenario.instance
+    return _count_dag(inst, _roots(inst, scenario.conjoined()), inst.horizon).total()
 
 
 def _unrank(dag: _Dag, r: int) -> Path:
@@ -428,7 +431,7 @@ def sample_abstract(
         raise ComplexityError("sampling needs a finite initial scene set")
 
     if strategy == "uniform-leaf":
-        dag = _count_dag(scenario, ENUMERATION_GUARD)
+        dag = _count_dag(inst, _roots(inst, conj), inst.horizon)
         total = dag.total()
         if not total:
             raise UnsatisfiableError("the abstract scenario has no concrete scenarios")

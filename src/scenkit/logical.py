@@ -288,8 +288,14 @@ def invert(
             f"({MAX_INVERT_AXES}); pass force=True to override"
         )
 
+    seen: dict[tuple[str, ...], float] = {}
+
     def residual(x: tuple[float, ...]) -> float:
-        return trajectory_distance(realize(scenario, x), target)
+        # Each point once, keyed on its exact bits: 0.0 and -0.0 stay apart.
+        key = tuple(float(v).hex() for v in x)
+        if key not in seen:
+            seen[key] = trajectory_distance(realize(scenario, x), target)
+        return seen[key]
 
     grids = []
     for a in axes:

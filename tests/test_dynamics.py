@@ -297,7 +297,8 @@ def test_model_rejects_theta_outside_domain(plane):
 def reference_evaluate(scenario):
     """``evaluate(scenario, allow_truncation=True)`` as every member evolving
     through the public ``DeterministicModel.evolve``, the returned Scenes
-    merged by ``owned_names()``."""
+    merged by ``owned_names()``; None for members that contradict at
+    t = 0, where no sample is consistent."""
     family, start, grid = scenario.family, scenario.start, scenario.grid
     schema = family.schema
     samples = []
@@ -310,6 +311,8 @@ def reference_evaluate(scenario):
                 if name in m.owned_names()
             ]
             if len(vals) > 1 and max(vals) - min(vals) > CONTRADICTION_TOL:
+                if not samples:
+                    return None
                 keep_until = theta - family.epsilon
                 keep = max(1, 1 + math.floor(keep_until / grid.step + 1e-9))
                 keep = min(keep, len(samples))
@@ -384,12 +387,13 @@ def library_scenarios(draw):
 @settings(max_examples=300, deadline=None)
 @given(library_scenarios())
 def test_evaluate_matches_public_evolve_reference(scenario):
-    try:
-        want = reference_evaluate(scenario)
-    except RangeError:
+    want = reference_evaluate(scenario)
+    if want is None:
         # Members that contradict at t = 0 leave no sample to keep.
-        with pytest.raises(RangeError):
-            evaluate(scenario, allow_truncation=True)
+        for allow in (True, False):
+            with pytest.raises(TruncationError) as err:
+                evaluate(scenario, allow_truncation=allow)
+            assert err.value.result is None
         return
     got = evaluate(scenario, allow_truncation=True)
     assert type(got) is type(want)
@@ -405,6 +409,17 @@ def test_evaluate_matches_public_evolve_reference(scenario):
         assert got.grid == want.grid
         assert bits(got) == bits(want)
         assert evaluate(scenario) == got
+
+
+def test_contradiction_at_the_first_grid_point_leaves_no_result():
+    a = waypoint_follower(WIDE, [(0.0, 0.0, 0.0), (2.0, 10.0, 0.0)], id="a")
+    b = waypoint_follower(WIDE, [(0.0, 5.0, 0.0), (2.0, 15.0, 0.0)], id="b")
+    family = combine([a, b], epsilon=0.1, shared=["clock", "x", "y", "vx", "vy"])
+    scenario = AttributeLevelScenario(Scene(WIDE, (0.0,) * WIDE.k), family, TimeGrid(0.5, 5))
+    for allow in (True, False):
+        with pytest.raises(TruncationError, match="at t=0.0") as err:
+            evaluate(scenario, allow_truncation=allow)
+        assert err.value.result is None
 
 
 def custom(evolve_fn, owns=("x",)):

@@ -33,9 +33,9 @@ from scenkit.formulas import (
 )
 from scenkit.fixtures import planar_instance, reach_or_stop_formula
 from scenkit.logic import (
-    ENUMERATION_GUARD,
     AbstractScenario,
     _count_dag,
+    _roots,
     _unrank,
     binary_branching,
     binary_scenarios,
@@ -423,10 +423,16 @@ def test_uniform_leaf_requires_valid_strategy():
 # --- counting and unranking against the enumeration ----------------------------------
 
 
+def _dag(A):
+    """The counted DAG that enumeration, counting and uniform-leaf draws read."""
+    inst = A.instance
+    return _count_dag(inst, _roots(inst, A.conjoined()), inst.horizon)
+
+
 def _assert_count_and_draws_match_enumeration(A, seed):
     leaves = enumerate_scenarios(A)
     assert count_scenarios(A) == len(leaves)
-    dag = _count_dag(A, ENUMERATION_GUARD)
+    dag = _dag(A)
     assert [_unrank(dag, r) for r in range(len(leaves))] == [t.samples for t in leaves]
     if leaves:
         draws = sample_abstract(A, 10, "uniform-leaf", rng_seed=seed)
@@ -481,7 +487,7 @@ def test_merging_an_encoding_would_splice_its_trajectories():
     ]
     _assert_count_and_draws_match_enumeration(A, 3)
     merged = AbstractScenario(TrueFormula(), (), dataclasses.replace(inst, markov=True))
-    spliced = _unrank(_count_dag(merged, ENUMERATION_GUARD), 1)
+    spliced = _unrank(_dag(merged), 1)
     assert [s.values[0] for s in spliced] == [1.0, 0.0, 1.0]
 
 
@@ -516,7 +522,7 @@ def test_count_keeps_nodes_with_different_residuals_apart():
 def test_count_merges_equal_nodes():
     # Two states per level: the residual stays TRUE, and the last bit is
     # all a binary node's completions depend on.
-    dag = _count_dag(binary_scenarios(16), ENUMERATION_GUARD)
+    dag = _dag(binary_scenarios(16))
     assert len(dag.scenes) == 32
     assert dag.total() == 2**16
 
@@ -529,16 +535,73 @@ def test_count_over_a_long_horizon_without_recursion_error():
     )
     A = AbstractScenario(trace_formula(target), (), inst)
     assert count_scenarios(A) == 1
-    assert _unrank(_count_dag(A, ENUMERATION_GUARD), 0) == target.samples
+    assert _unrank(_dag(A), 0) == target.samples
 
 
 def test_count_needs_a_finite_start_set_and_respects_the_guard():
     reach = dsl.load((ASSETS / "straight_drive.scn").read_text(encoding="utf-8")).abstracts["reach"]
     with pytest.raises(ComplexityError, match="no finite initial scene set"):
         count_scenarios(reach)
+    inst = binary_branching(60)
     with pytest.raises(ComplexityError, match="guard of 100 states"):
-        _count_dag(binary_scenarios(60), 100)
-    assert _count_dag(binary_scenarios(50), 100).total() == 2**50
+        _count_dag(inst, _roots(inst, TrueFormula()), inst.horizon, 100)
+    inst = binary_branching(50)
+    assert _count_dag(inst, _roots(inst, TrueFormula()), inst.horizon, 100).total() == 2**50
+
+
+# --- enumeration and expansion off the counted DAG --------------------------------------
+
+
+def test_enumeration_progresses_each_state_not_each_tree_node(monkeypatch):
+    import scenkit.logic as logic
+
+    calls = []
+    progress = logic.progress
+
+    def counted(*args):
+        calls.append(1)
+        return progress(*args)
+
+    monkeypatch.setattr(logic, "progress", counted)
+    assert len(enumerate_scenarios(binary_scenarios(16))) == 2**16
+    # 2 roots, then 2 states x 2 children on each of 15 levels; growing
+    # the tree progresses all of its 131,070 nodes.
+    assert len(calls) < 100
+
+
+@given(small_instances(max_horizon=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_non_markov_copy_enumerates_and_expands_the_same_leaves(case, data):
+    inst, _ = case
+    A = AbstractScenario(data.draw(every_node_formulas(inst.schema)), (), inst)
+    B = dataclasses.replace(A, instance=dataclasses.replace(inst, markov=False))
+    assert enumerate_scenarios(B) == enumerate_scenarios(A)
+    prefix = (data.draw(st.sampled_from(inst.initial_scenes)),)
+    for _ in range(data.draw(st.integers(0, inst.horizon))):
+        prefix += (data.draw(st.sampled_from(inst.successors(prefix))),)
+    c = Trajectory(inst.schema, inst.grid(len(prefix)), prefix)
+    steps = data.draw(st.integers(0, inst.horizon - (len(prefix) - 1)))
+    assert expand(B, c, steps) == expand(A, c, steps)
+
+
+def test_enumeration_guard_counts_leaves_before_building_any(monkeypatch):
+    import time
+
+    import scenkit.logic as logic
+
+    def no_trajectory(*args):
+        raise AssertionError("a trajectory was built")
+
+    monkeypatch.setattr(logic, "Trajectory", no_trajectory)
+    start = time.perf_counter()
+    with pytest.raises(ComplexityError, match=f"{2**40} accepted scenarios"):
+        enumerate_scenarios(binary_scenarios(40))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ComplexityError, match="4096 accepted scenarios"):
+        enumerate_scenarios(binary_scenarios(12), guard=4095)
+    monkeypatch.undo()
+    assert len(enumerate_scenarios(binary_scenarios(12), guard=4096)) == 4096
+    assert len(enumerate_scenarios(binary_scenarios(12), guard=1, force=True)) == 4096
 
 
 # --- misc -------------------------------------------------------------------------------------

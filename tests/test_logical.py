@@ -252,6 +252,22 @@ def test_invert_handles_discrete_axes():
     assert result.x[0] * result.x[1] == pytest.approx(3.0, abs=1e-6)
 
 
+def test_invert_realizes_each_distinct_point_once(monkeypatch):
+    import scenkit.logical as logical
+
+    points = []
+
+    def recorded(scenario, x):
+        points.append(tuple(v.hex() for v in map(float, x)))
+        return realize(scenario, x)
+
+    monkeypatch.setattr(logical, "realize", recorded)
+    L = slope_drive_scenario()
+    result = invert(L, realize(L, (2.0,)), tol=1e-6)
+    assert isinstance(result, Found)
+    assert len(points) == len(set(points))
+
+
 def test_invert_axis_guard():
     schema = schema_of(("pos", "m"))
     axes = tuple(ContinuousAxis(f"a{i}", 0.0, 1.0) for i in range(7))
