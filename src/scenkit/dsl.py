@@ -13,6 +13,7 @@ m/s at parse time, so printed documents are always in SI units.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -192,61 +193,96 @@ class Bin(Expr):
 
 
 class FormulaNode:
-    pass
+    """A formula of the document. Equality and hashing walk the tree with
+    an explicit stack, so nesting costs no Python frames; the node classes
+    are declared with ``eq=False`` so that they keep these."""
+
+    def __eq__(self, other):
+        if not isinstance(other, FormulaNode):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            for name in a.__dataclass_fields__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, FormulaNode):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # Node types and other fields in preorder: equal trees hash alike.
+        parts = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            parts.append(type(node))
+            for name in node.__dataclass_fields__:
+                v = getattr(node, name)
+                if isinstance(v, FormulaNode):
+                    stack.append(v)
+                else:
+                    parts.append(v)
+        return hash(tuple(parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FTrue(FormulaNode):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FFalse(FormulaNode):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FScene(FormulaNode):
     items: tuple[tuple[str, Expr], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FPred(FormulaNode):
     # (dim_or_None, other_dim_or_None, lo, hi): single-dim when other is None,
     # otherwise a bound on dim - other.
     items: tuple[tuple[str, str | None, Expr, Expr], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FAnd(FormulaNode):
     left: FormulaNode
     right: FormulaNode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FOr(FormulaNode):
     left: FormulaNode
     right: FormulaNode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FNext(FormulaNode):
     sub: FormulaNode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FEventually(FormulaNode):
     sub: FormulaNode
     within: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FAlways(FormulaNode):
     sub: FormulaNode
     within: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FRef(FormulaNode):
     name: str
 
@@ -255,6 +291,8 @@ class FRef(FormulaNode):
 class SchemaDecl:
     name: str
     dims: tuple[tuple[str, str], ...]
+    # Line and column of the keyword token; not part of the document.
+    at: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -262,6 +300,7 @@ class ModelDecl:
     name: str
     factory: str
     args: tuple[tuple[str, Expr], ...]
+    at: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -286,6 +325,7 @@ class LogicalDecl:
     binds: tuple[BindDecl, ...]
     horizon: float
     step: float
+    at: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -297,12 +337,14 @@ class AbstractDecl:
     bounds: tuple[tuple[str, float], ...]
     world: tuple[FormulaNode, ...]
     constraint: FormulaNode
+    at: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class FixtureDecl:
     name: str
     formula: FormulaNode
+    at: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 Decl = SchemaDecl | ModelDecl | LogicalDecl | AbstractDecl | FixtureDecl
@@ -577,7 +619,7 @@ class _Parser:
     # -- declarations ------------------------------------------------------------
 
     def parse_schema(self) -> SchemaDecl:
-        self.expect_keyword("schema")
+        kw = self.expect_keyword("schema")
         name = self.expect("ident", "a schema name").text
         self.expect("{")
         dims = []
@@ -600,15 +642,15 @@ class _Parser:
             if self.peek().kind == ",":
                 self.advance()
         self.expect("}")
-        return SchemaDecl(name, tuple(dims))
+        return SchemaDecl(name, tuple(dims), at=(kw.line, kw.col))
 
     def parse_model(self) -> ModelDecl:
-        self.expect_keyword("model")
+        kw = self.expect_keyword("model")
         name = self.expect("ident", "a model name").text
         self.expect("=")
         factory = self.expect("ident", "a model factory").text
         args = self.parse_arglist()
-        return ModelDecl(name, factory, args)
+        return ModelDecl(name, factory, args, at=(kw.line, kw.col))
 
     def parse_arglist(self) -> tuple[tuple[str, Expr], ...]:
         self.expect("(")
@@ -674,7 +716,7 @@ class _Parser:
         return ParamDecl(name, kind, values, dist)
 
     def parse_logical(self) -> LogicalDecl:
-        self.expect_keyword("logical")
+        kw = self.expect_keyword("logical")
         name = self.expect("ident", "a scenario name").text
         self.expect("{")
         params = []
@@ -704,10 +746,12 @@ class _Parser:
         self.expect_keyword("step")
         step = self.parse_number_with_unit()
         self.expect("}")
-        return LogicalDecl(name, tuple(params), tuple(start), tuple(binds), horizon, step)
+        return LogicalDecl(
+            name, tuple(params), tuple(start), tuple(binds), horizon, step, at=(kw.line, kw.col)
+        )
 
     def parse_abstract(self) -> AbstractDecl:
-        self.expect_keyword("abstract")
+        kw = self.expect_keyword("abstract")
         name = self.expect("ident", "a scenario name").text
         self.expect("{")
         self.expect_keyword("use")
@@ -737,13 +781,16 @@ class _Parser:
         self.expect("}")
         if constraint is None:
             raise self.error("abstract scenario needs a constraint", ("constraint",))
-        return AbstractDecl(name, use, horizon, step, tuple(bounds), tuple(world), constraint)
+        return AbstractDecl(
+            name, use, horizon, step, tuple(bounds), tuple(world), constraint,
+            at=(kw.line, kw.col),
+        )
 
     def parse_fixture(self) -> FixtureDecl:
-        self.expect_keyword("fixture")
+        kw = self.expect_keyword("fixture")
         name = self.expect("ident", "a fixture name").text
         self.expect("=")
-        return FixtureDecl(name, self.parse_formula())
+        return FixtureDecl(name, self.parse_formula(), at=(kw.line, kw.col))
 
     def parse_document(self) -> SpecDocument | None:
         decls: list[Decl] = []
@@ -1116,7 +1163,7 @@ def resolve(doc: SpecDocument) -> ResolvedSpec:
     for d in doc.decls:
         key = (type(d), d.name)
         if key in seen:
-            diags.append(Diagnostic("RES002", 0, 0, f"duplicate declaration {d.name!r}", d.name))
+            diags.append(Diagnostic("RES002", *d.at, f"duplicate declaration {d.name!r}", d.name))
         seen.add(key)
         if isinstance(d, SchemaDecl):
             spec.schemas[d.name] = schema_of(*d.dims)
@@ -1126,12 +1173,15 @@ def resolve(doc: SpecDocument) -> ResolvedSpec:
             spec.fixtures[d.name] = d.formula
 
     for d in doc.decls:
+        # The helpers below report at 0:0; their diagnostics take the
+        # position of the declaration being resolved.
+        first = len(diags)
         if isinstance(d, LogicalDecl):
             _resolve_logical(d, spec, models, diags)
         elif isinstance(d, AbstractDecl):
             schema = spec.schemas.get(d.use)
             if schema is None:
-                diags.append(Diagnostic("RES001", 0, 0, f"unknown schema {d.use!r}", d.use))
+                diags.append(Diagnostic("RES001", *d.at, f"unknown schema {d.use!r}", d.use))
                 continue
             resolved: dict[str, Formula] = {}
             world = tuple(
@@ -1140,6 +1190,8 @@ def resolve(doc: SpecDocument) -> ResolvedSpec:
             constraint = _resolve_formula(d.constraint, schema, spec.fixtures, diags, resolved)
             instance = _bounded_step_instance(d, schema, diags)
             spec.abstracts[d.name] = AbstractScenario(constraint, world, instance)
+        line, col = d.at
+        diags[first:] = [dataclasses.replace(x, line=line, col=col) for x in diags[first:]]
     if diags:
         raise ResolutionError(diags)
     return spec

@@ -20,15 +20,19 @@ walk, ``_count_dag``, which counts the leaves below each state. On a
 Markov instance (successors that read only the last scene) a node's
 completions depend only on its residual, last scene and depth, so equal
 nodes merge and each state is progressed once; residuals are compared
-by hash-consing, not ``==``. Paths are read off the DAG depth-first, a
-draw unranks its index through the counts, and enumeration's guard
-bounds the accepted leaves before any trajectory is built.
+by hash-consing, not ``==``, and only where two nodes could merge
+(``_States``). Paths are read off the DAG depth-first, a draw unranks
+its index through the counts, and enumeration's guard bounds the
+accepted leaves before any trajectory is built. The uniform-branch and
+rejection samplers walk the same merged states, computing each state's
+children once per call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -269,6 +273,54 @@ class _Interner:
         return seen[id(formula)][0]
 
 
+class _States:
+    """The merge rule for Markov states. A node is ``(path, *residuals)``;
+    on a Markov instance its completions depend only on its depth, its
+    last scene and its residuals, so nodes equal in all three are one
+    state, and a value stored for one serves every other.
+    Residuals are compared by their interned ids, and interned lazily:
+    only once a second node of one depth ends on the same scene values,
+    so a level whose nodes all end apart is never interned. At most
+    ``cap`` states are stored."""
+
+    def __init__(self, cap: int):
+        self.intern = _Interner()
+        self.cap = cap
+        self.size = 0
+        # (depth, last scene values) -> (residuals, value) while one node
+        # ends there, then {residual ids: value}.
+        self.buckets: dict[tuple, tuple | dict] = {}
+
+    def _ids(self, residuals: tuple) -> tuple:
+        return tuple(map(self.intern, residuals))
+
+    def lookup(self, node: tuple, make: Callable[[tuple], object]):
+        """The value of ``node``'s state. On a miss it is ``make(node)``,
+        stored while fewer than ``cap`` states are."""
+        path = node[0]
+        key = (len(path), path[-1].values)
+        b = self.buckets.get(key)
+        if b is None:
+            value = make(node)
+            if self.size < self.cap:
+                self.size += 1
+                self.buckets[key] = (node[1:], value)
+            return value
+        if type(b) is tuple:
+            residuals, value = b
+            if all(map(operator.is_, residuals, node[1:])):
+                return value
+            b = self.buckets[key] = {self._ids(residuals): value}
+        ids = self._ids(node[1:])
+        value = b.get(ids)
+        if value is None:
+            value = make(node)
+            if self.size < self.cap:
+                self.size += 1
+                b[ids] = value
+        return value
+
+
 class _Dag(NamedTuple):
     """The scenario tree with equal subtrees merged. States are numbered
     level by level in canonical order; ``kids[i]`` lists state i's child
@@ -288,30 +340,33 @@ def _count_dag(
     inst: ScenarioLogicInstance, level: list[Node], steps: int, guard: int = ENUMERATION_GUARD
 ) -> _Dag:
     """The tree below the nodes of ``level`` grown ``steps`` levels, with
-    the leaves below every state counted. On a Markov instance a state is
-    a node's residual and last scene (the level fixes its depth), so equal
-    subtrees merge; otherwise each child is a new state, as its parent and
-    last scene identify it. ComplexityError past ``guard`` states."""
-    intern = _Interner() if inst.markov else None
+    the leaves below every state counted. On a Markov instance nodes merge
+    by ``_States``' rule (depth, residual, last scene), so equal subtrees
+    merge; otherwise each child is a new state, as its parent and last
+    scene identify it. ComplexityError past ``guard`` states."""
+    states = _States(guard) if inst.markov else None
     scenes = [p[-1] for p, _ in level]
     roots = range(len(level))
     kids: list[list[int]] = []
+
+    def new(node: Node) -> int:
+        return len(scenes)
+
     for _ in range(steps):
-        states: dict[tuple, int] = {}
+        # The children of one node end on distinct scenes, so a level of
+        # one node has nothing to merge.
+        merge = states if len(level) > 1 else None
         nxt: list[Node] = []
         for node in level:
             out = []
             for child in _children(inst, node):
-                last = child[0][-1]
-                j = len(scenes)
-                if intern is not None:
-                    j = states.setdefault((intern(child[1]), last.values), j)
+                j = len(scenes) if merge is None else merge.lookup(child, new)
                 if j == len(scenes):
                     if j >= guard:
                         raise ComplexityError(
                             f"scenario count exceeded the guard of {guard} states"
                         )
-                    scenes.append(last)
+                    scenes.append(child[0][-1])
                     nxt.append(child)
                 out.append(j)
             kids.append(out)
@@ -412,12 +467,20 @@ def sample_abstract(
     uniform-leaf is exactly uniform over the enumeration without
     building it: draw i unranks a seeded index below ``count_scenarios``
     (memo lookups only), so it is the leaf the enumeration holds at that
-    index; uniform-branch picks a uniformly random child at each
-    expansion and is therefore biased toward shallow-branching paths;
-    rejection draws paths through the world model alone and accepts
-    those satisfying the constraints, which cannot be guaranteed to
-    succeed (surfaced as a budget error carrying the acceptance rate so
-    far).
+    index. uniform-branch picks a uniformly random child at each
+    expansion and is therefore biased toward shallow-branching paths.
+    rejection walks the world model alone and accepts the leaves that
+    satisfy the constraints, which cannot be guaranteed to succeed
+    (surfaced as a budget error carrying the acceptance rate so far).
+
+    Attempt i walks with its own generator, seeded by
+    ``derive_seed(rng_seed, i)``. On a Markov instance the two walks go
+    over the states that counting and enumeration merge (depth, residual,
+    last scene): each state's children are computed once per call, in the
+    order ``_children`` gives them, so a draw picks the same child as a
+    walk that recomputes them at every step. At most count × (horizon + 1)
+    states are kept, for the length of the call. A rejection walk carries the constraints' residual next to
+    the world's, so a leaf is checked without progressing its path again.
     """
     if count < 1:
         raise RangeError("count must be >= 1")
@@ -444,41 +507,56 @@ def sample_abstract(
             out.append(drawn[r])
         return out
 
-    guide = conj if strategy == "uniform-branch" else conjoin(scenario.world)
-    roots = _roots(inst, guide)
+    # A walk node is (path, guide residual), and for rejection also the
+    # constraints' residual, so the leaf check reads it off the node.
+    if strategy == "uniform-branch":
+        roots = _roots(inst, conj)
+    else:
+        check = settle(scenario.constraints, inst.horizon)
+        roots = [
+            (p, r, progress(check, p[0], 0, inst.horizon, inst.scene_tol))
+            for p, r in _roots(inst, conjoin(scenario.world))
+        ]
     if not roots:
         raise UnsatisfiableError("no admissible starting scene")
 
+    def children(node: tuple) -> list[tuple]:
+        """A node's children as (last scene, *residuals), ordered as
+        ``_children`` orders them."""
+        path = node[0]
+        kids = _children(inst, node[:2])
+        if strategy == "uniform-branch":
+            return [(p[-1], r) for p, r in kids]
+        position, check = len(path), node[2]
+        return [
+            (p[-1], r, progress(check, p[-1], position, inst.horizon, inst.scene_tol))
+            for p, r in kids
+        ]
+
+    states = _States(count * inst.full_length()) if inst.markov else None
     out: list[Trajectory] = []
     attempts = 0
-    accepted = 0
     while len(out) < count:
         if attempts >= max_attempts:
-            rate = accepted / attempts
+            rate = len(out) / attempts
             raise RejectionBudgetError(
                 f"gave up after {attempts} attempts (acceptance rate {rate:.3g})",
                 acceptance_rate=rate,
             )
         rng = random.Random(derive_seed(rng_seed, attempts))
         attempts += 1
-        path, r = roots[rng.randrange(len(roots))]
-        dead = False
+        node = roots[rng.randrange(len(roots))]
         for _ in range(inst.horizon):
-            kids = _children(inst, (path, r))
+            kids = children(node) if states is None else states.lookup(node, children)
             if not kids:
-                dead = True
                 break
-            path, r = kids[rng.randrange(len(kids))]
-        if dead:
-            continue
-        if strategy == "rejection":
-            # The walk followed the world's residual; the leaf still has
-            # to satisfy the whole formula. At full length it has folded.
-            r = _residual(inst, conj, path)
-        if not isinstance(r, TrueFormula):
-            continue
-        accepted += 1
-        out.append(_to_trajectory(inst, path))
+            scene, *residuals = kids[rng.randrange(len(kids))]
+            node = (node[0] + (scene,), *residuals)
+        else:
+            # At full length every residual has folded to TRUE or FALSE;
+            # the walk kept the guide's, so the last one decides.
+            if isinstance(node[-1], TrueFormula):
+                out.append(_to_trajectory(inst, node[0]))
     return out
 
 

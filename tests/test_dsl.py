@@ -91,9 +91,7 @@ def test_print_parse_round_trip_on_shipped_fixtures(drive_spec, slope_spec):
 
 
 def test_print_document_of_deep_formulas_round_trips():
-    # The printer keeps an explicit stack, so nesting is not limited. The
-    # printed texts are compared, because == on two such documents still
-    # recurses once per level.
+    # The printer, == and hash keep explicit stacks, so nesting is not limited.
     nexts = "fixture f = " + "next " * 3000 + "true"
     mixed = (
         "fixture f = " + "always[<=2] (true or eventually (" * 1500
@@ -104,8 +102,40 @@ def test_print_document_of_deep_formulas_round_trips():
         printed = dsl.print_document(doc)
         again = dsl.parse(printed)
         assert again.ok
+        assert again.document == doc
         assert dsl.print_document(again.document) == printed
     assert dsl.print_document(dsl.parse(nexts).document) == nexts + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, other",
+    [
+        ("fixture f = " + "next " * 3000 + "true", "fixture f = " + "next " * 3000 + "false"),
+        ("fixture f = " + "next " * 3000 + "true", "fixture f = " + "next " * 2999 + "true"),
+        ("fixture f = " + " or ".join(f"g{i}" for i in range(3000)),
+         "fixture f = " + " or ".join(f"g{i}" for i in range(2999)) + " or h"),
+        ("fixture f = " + " or ".join(f"g{i}" for i in range(3000)),
+         "fixture f = " + " and ".join(f"g{i}" for i in range(3000))),
+    ],
+)
+def test_deep_documents_compare_and_hash_without_recursion_error(text, other):
+    a, b, c = (dsl.parse(t).document for t in (text, text, other))
+    assert a == b and hash(a) == hash(b)
+    assert a != c and c != a
+
+
+def test_formula_node_equality_is_structural():
+    two = dsl.parse("fixture f = eventually[<=2] pred(x in [0, 1]) and next g").document
+    node = two.decls[0].formula
+    assert node == dsl.FAnd(
+        dsl.FEventually(dsl.FPred((("x", None, dsl.Num(0.0), dsl.Num(1.0)),)), 2),
+        dsl.FNext(dsl.FRef("g")),
+    )
+    assert node != dsl.FOr(node.left, node.right)
+    assert dsl.FEventually(dsl.FTrue(), 2) != dsl.FEventually(dsl.FTrue(), None)
+    assert dsl.FRef("g") != dsl.FRef("h") and dsl.FTrue() != dsl.FFalse()
+    assert dsl.FTrue() != "true"
+    assert {node: 1}[dsl.parse(dsl.print_document(two)).document.decls[0].formula] == 1
 
 
 # --- resolution --------------------------------------------------------------------
@@ -221,11 +251,47 @@ def test_deeply_nested_fixtures_parse_without_recursion():
     ["fixture f = f and true", "fixture f = f and f", "fixture f = g or g\nfixture g = next f"],
 )
 def test_fixture_cycle_is_diagnosed_once(fixtures):
+    text = _abstract_with("f", fixtures)
     with pytest.raises(dsl.ResolutionError) as err:
-        dsl.load(_abstract_with("f", fixtures))
+        dsl.load(text)
+    # Reported at the abstract whose formulas name the fixture.
+    line, col = _position(text, "abstract")
     assert [d.render() for d in err.value.diagnostics] == [
-        "RES001 at 0:0: fixture 'f' refers to itself"
+        f"RES001 at {line}:{col}: fixture 'f' refers to itself"
     ]
+
+
+def _position(text: str, word: str) -> tuple[int, int]:
+    """Line and column, from 1, of the first ``word`` in ``text``."""
+    before = text[: text.index(word)]
+    return before.count("\n") + 1, len(before) - before.rfind("\n")
+
+
+def test_resolution_diagnostics_carry_their_declarations_position():
+    text = """schema S { x: m }
+    abstract A {
+      use S horizon 1 s step 0.5 s
+      bound q 1
+      constraint true
+    }
+    abstract B { use S horizon 1 s step 0.5 s constraint pred(z in [0, 1]) }
+    abstract C { use T horizon 1 s step 0.5 s constraint true }
+      logical L { start { S.x = 0 } bind teleport(x = 1) horizon 1 s step 0.5 s }
+    schema S { x: m }
+    """
+    with pytest.raises(dsl.ResolutionError) as err:
+        dsl.load(text)
+    assert [d.render() for d in err.value.diagnostics] == [
+        "RES002 at 10:5: duplicate declaration 'S'",
+        "RES003 at 2:5: bound on unknown dimension 'q'",
+        "RES003 at 7:5: unknown dimension 'z' in pred()",
+        "RES001 at 8:5: unknown schema 'T'",
+        "RES001 at 9:7: unknown model factory 'teleport' "
+        "(expected constant_velocity, constant_acceleration, drift)",
+    ]
+    # Positions are not part of the document.
+    doc = dsl.parse(text).document
+    assert dsl.parse(dsl.print_document(doc)).document == doc
 
 
 def test_doubling_fixture_chain_resolves_to_shared_nodes():

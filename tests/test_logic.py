@@ -29,12 +29,16 @@ from scenkit.formulas import (
     ScenePredicate,
     TrueFormula,
     Verdict3,
+    conjoin,
     evaluate3,
+    settle,
 )
 from scenkit.fixtures import planar_instance, reach_or_stop_formula
 from scenkit.logic import (
     AbstractScenario,
+    _children,
     _count_dag,
+    _residual,
     _roots,
     _unrank,
     binary_branching,
@@ -602,6 +606,169 @@ def test_enumeration_guard_counts_leaves_before_building_any(monkeypatch):
     monkeypatch.undo()
     assert len(enumerate_scenarios(binary_scenarios(12), guard=4096)) == 4096
     assert len(enumerate_scenarios(binary_scenarios(12), guard=1, force=True)) == 4096
+
+
+# --- sampling walks over merged states against the per-node walk ---------------------
+
+
+def _per_node_walk(scenario, count, strategy, rng_seed, max_attempts=10_000):
+    """uniform-branch and rejection as sampled before the state memo, kept
+    as the reference: every step of every attempt computes its node's
+    children again, and a rejection leaf progresses the whole formula
+    over its path."""
+    inst = scenario.instance
+    conj = scenario.conjoined()
+    if isinstance(settle(conj, inst.horizon), FalseFormula):
+        raise UnsatisfiableError("the constraint formula is unsatisfiable")
+    if inst.initial_scenes is None:
+        raise ComplexityError("sampling needs a finite initial scene set")
+    guide = conj if strategy == "uniform-branch" else conjoin(scenario.world)
+    roots = _roots(inst, guide)
+    if not roots:
+        raise UnsatisfiableError("no admissible starting scene")
+    out = []
+    attempts = accepted = 0
+    while len(out) < count:
+        if attempts >= max_attempts:
+            rate = accepted / attempts
+            raise RejectionBudgetError(
+                f"gave up after {attempts} attempts (acceptance rate {rate:.3g})",
+                acceptance_rate=rate,
+            )
+        rng = random.Random(derive_seed(rng_seed, attempts))
+        attempts += 1
+        path, r = roots[rng.randrange(len(roots))]
+        dead = False
+        for _ in range(inst.horizon):
+            kids = _children(inst, (path, r))
+            if not kids:
+                dead = True
+                break
+            path, r = kids[rng.randrange(len(kids))]
+        if dead:
+            continue
+        if strategy == "rejection":
+            r = _residual(inst, conj, path)
+        if not isinstance(r, TrueFormula):
+            continue
+        accepted += 1
+        out.append(Trajectory(inst.schema, inst.grid(len(path)), path))
+    return out
+
+
+def _outcome(sample, *args, **kwargs):
+    """Draws, or the error raised, with a budget error's acceptance rate."""
+    try:
+        return sample(*args, **kwargs)
+    except RejectionBudgetError as exc:
+        return type(exc), str(exc), exc.acceptance_rate
+    except (UnsatisfiableError, ComplexityError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    small_instances(max_horizon=4),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["uniform-branch", "rejection"]),
+    st.integers(1, 12),
+    st.integers(0, 2**31),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_memoized_walks_draw_what_the_per_node_walk_draws(
+    case, boxed, markov, strategy, count, seed, data
+):
+    inst, _ = case
+    if boxed:
+        # Steps may not leave the box [-2, 2]: dead ends below the pruning.
+        step = inst.successors
+        inst = dataclasses.replace(
+            inst,
+            successors=lambda p: tuple(s for s in step(p) if max(map(abs, s.values)) <= 2.0),
+        )
+    inst = dataclasses.replace(inst, markov=markov)
+    formulas = every_node_formulas(inst.schema)
+    A = AbstractScenario(
+        data.draw(formulas), tuple(data.draw(st.lists(formulas, max_size=2))), inst
+    )
+    budget = data.draw(st.integers(1, 60))
+    args = (A, count, strategy, seed)
+    assert _outcome(sample_abstract, *args, max_attempts=budget) == _outcome(
+        _per_node_walk, *args, max_attempts=budget
+    )
+
+
+def _owing_visits():
+    """Scenarios whose walks reach one (depth, scene) with residuals that
+    differ (see test_count_keeps_nodes_with_different_residuals_apart),
+    through the constraint and through the world."""
+    d = schema_of(("d", "dimensionless"))
+    inst = delta_step_instance(d, [(-1.0,), (1.0,)], 1.0, 3, [Scene(d, (0.0,))])
+
+    def at(lo, hi):
+        return Atom(ScenePredicate((("d", lo, hi),)))
+
+    visits = And(Eventually(at(1.0, 1.0)), Eventually(at(-1.0, -1.0)))
+    windows = And(Always(at(-2.0, 2.0), 1), Eventually(at(1.0, 1.0), 2))
+    out = [AbstractScenario(visits, (), inst), AbstractScenario(windows, (visits,), inst),
+           AbstractScenario(TrueFormula(), (visits,), inst)]
+    longer = dataclasses.replace(inst, horizon=4)
+
+    def branch(value, tail):
+        return And(Next(at(value, value)), Next(Next(Next(tail))))
+
+    q = at(-1.0, 1.0)
+    either = Or(branch(1.0, Always(q)), branch(-1.0, Eventually(q)))
+    return out + [AbstractScenario(either, (), longer), AbstractScenario(q, (either,), longer)]
+
+
+@pytest.mark.parametrize("A", _owing_visits())
+@pytest.mark.parametrize("strategy", ["uniform-branch", "rejection"])
+def test_memoized_walks_keep_states_with_different_residuals_apart(A, strategy):
+    for seed in range(40):
+        args = (A, 6, strategy, seed)
+        assert _outcome(sample_abstract, *args, max_attempts=30) == _outcome(
+            _per_node_walk, *args, max_attempts=30
+        )
+
+
+@pytest.mark.parametrize("strategy", ["uniform-branch", "rejection"])
+def test_memoized_walks_past_the_memo_cap_draw_the_same(strategy, monkeypatch):
+    import scenkit.logic as logic
+
+    memos = []
+
+    class Spy(logic._States):
+        def __init__(self, cap):
+            super().__init__(cap)
+            memos.append(self)
+
+    monkeypatch.setattr(logic, "_States", Spy)
+    d0 = schema_of(("d0", "dimensionless"))
+    inst = delta_step_instance(d0, [(-1.0,), (0.0,), (1.0,)], 1.0, 8, [Scene(d0, (0.0,))])
+    # Rarely met, so rejection walks many distinct states before two draws.
+    constraint = And(Always(Atom(ScenePredicate((("d0", -3.0, 3.0),)))),
+                     Eventually(Atom(ScenePredicate((("d0", 3.0, 3.0),)))))
+    A = AbstractScenario(constraint, (), inst)
+    assert sample_abstract(A, 2, strategy, 5) == _per_node_walk(A, 2, strategy, 5)
+    (memo,) = memos
+    assert memo.size == memo.cap == 2 * 9
+
+
+def test_memoized_walks_compute_each_state_once(monkeypatch):
+    import scenkit.logic as logic
+
+    calls = []
+    successors = binary_branching(12).successors
+    inst = dataclasses.replace(
+        binary_branching(12), successors=lambda p: calls.append(1) or successors(p)
+    )
+    draws = sample_abstract(AbstractScenario(TrueFormula(), (), inst), 50, "uniform-branch", 0)
+    assert len(draws) == 50
+    # Two states per depth below the roots, one successors call each;
+    # the per-node walk makes 50 x 11.
+    assert len(calls) == 22
 
 
 # --- misc -------------------------------------------------------------------------------------
