@@ -1,0 +1,21 @@
+#!/bin/sh
+# Transcript of the inverse-image demo on the shipped slope_drive asset:
+# five seeded draws with `scenkit sample-logical`, their manifest, then
+# `scenkit invert` on each drawn trace at two tolerances, each line
+# followed by its exit code. Run from the repository root with `scenkit`
+# on PATH:
+#
+#   sh scripts/invert_slope.sh | diff scripts/expected/invert_slope.txt -
+spec="$(pwd)/src/scenkit/assets/slope_drive.scn"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work" || exit 1
+scenkit sample-logical "$spec" --scenario slope_drive --count 5 --seed 11 --out-dir slope
+echo "exit $?"
+cat slope/manifest.json
+for i in 0 1 2 3 4; do
+  for tol in 1e-6 1e-2; do
+    scenkit invert "$spec" --scenario slope_drive --trace "slope/sample-0000$i.csv" --tol "$tol"
+    echo "exit $?"
+  done
+done

@@ -84,6 +84,26 @@ def schema_of(*dims: tuple[str, str]) -> SceneSchema:
     return SceneSchema(tuple(Dimension(n, u) for n, u in dims))
 
 
+def _scene_values(schema: SceneSchema, values: Sequence[float]) -> tuple[float, ...]:
+    """``values`` as a valid Scene's float tuple: the right length, finite,
+    integral on enum dimensions. ``logical.invert`` checks rows with it."""
+    vals = tuple(map(float, values))
+    if len(vals) != len(schema.dimensions):
+        raise SchemaError(f"scene has {len(vals)} values, schema expects {schema.k}")
+    # Fast accept; the loop below runs only to name the first fault.
+    enums = schema._enum_indices
+    if all(map(math.isfinite, vals)) and (
+        not enums or all(vals[i].is_integer() for i in enums)
+    ):
+        return vals
+    for d, v in zip(schema.dimensions, vals):
+        if not math.isfinite(v):
+            raise SchemaError(f"non-finite value {v!r} in dimension {d.name!r}")
+        if d.unit == "enum-code" and v != int(v):
+            raise SchemaError(f"enum dimension {d.name!r} holds non-integer {v!r}")
+    return vals
+
+
 @dataclass(frozen=True, slots=True)
 class Scene:
     """One snapshot: a real vector conforming to a schema."""
@@ -92,22 +112,7 @@ class Scene:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        schema = self.schema
-        vals = tuple(map(float, self.values))
-        object.__setattr__(self, "values", vals)
-        if len(vals) != schema.k:
-            raise SchemaError(f"scene has {len(vals)} values, schema expects {schema.k}")
-        # Fast accept; the loop below runs only to name the first fault.
-        enums = schema._enum_indices
-        if all(map(math.isfinite, vals)) and (
-            not enums or all(vals[i].is_integer() for i in enums)
-        ):
-            return
-        for d, v in zip(schema.dimensions, vals):
-            if not math.isfinite(v):
-                raise SchemaError(f"non-finite value {v!r} in dimension {d.name!r}")
-            if d.unit == "enum-code" and v != int(v):
-                raise SchemaError(f"enum dimension {d.name!r} holds non-integer {v!r}")
+        object.__setattr__(self, "values", _scene_values(self.schema, self.values))
 
     def __getitem__(self, name: str) -> float:
         return self.values[self.schema.index(name)]
@@ -224,20 +229,32 @@ def _check_same_schema(a_schema: SceneSchema, b_schema: SceneSchema) -> None:
 
 
 def scene_distance(a: Scene, b: Scene) -> float:
-    """Euclidean distance between two scenes of the same schema."""
+    """Euclidean distance between two scenes of the same schema (or inf)."""
     _check_same_schema(a.schema, b.schema)
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.values, b.values)))
+    try:
+        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.values, b.values)))
+    except OverflowError:
+        return math.inf
+
+
+def _sup_distance(schema: SceneSchema, grid: TimeGrid, rows: Sequence, b: Trajectory) -> float:
+    """``trajectory_distance`` from value rows on ``schema`` and ``grid`` to
+    ``b``: one square root of the largest squared scene distance, as ``sqrt``
+    is correctly rounded and monotone; inf when a square passes the largest
+    float."""
+    _check_same_schema(schema, b.schema)
+    if grid != b.grid:
+        raise GridAlignmentError("trajectories live on different grids")
+    try:
+        return math.sqrt(max([sum([(x - y) ** 2 for x, y in zip(r, s.values)])
+                              for r, s in zip(rows, b.samples)]))
+    except OverflowError:
+        return math.inf
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
-    """Sup over grid points of the scene distance: one square root of the
-    largest squared distance, as ``sqrt`` is correctly rounded and monotone."""
-    _check_same_schema(a.schema, b.schema)
-    if a.grid != b.grid:
-        raise GridAlignmentError("trajectories live on different grids")
-    squares = [sum([(x - y) ** 2 for x, y in zip(s.values, r.values)])
-               for s, r in zip(a.samples, b.samples)]
-    return math.sqrt(max(squares))
+    """Sup over grid points of the scene distance."""
+    return _sup_distance(a.schema, a.grid, [s.values for s in a.samples], b)
 
 
 def prefix(c: Trajectory, upto: float) -> Trajectory:

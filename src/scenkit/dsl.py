@@ -369,12 +369,16 @@ class ParseResult:
 
 _DECL_KEYWORDS = ("schema", "model", "logical", "abstract", "fixture")
 
+#: Deepest nesting of unary minus and parentheses in arithmetic.
+MAX_EXPR_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.diags: list[Diagnostic] = []
+        self.expr_depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -486,9 +490,17 @@ class _Parser:
 
     def parse_factor(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "-":
+        if tok.kind in ("-", "("):
+            # Bounded nesting: no walk of the expression runs out of stack.
+            if self.expr_depth == MAX_EXPR_DEPTH:
+                raise self.error(f"arithmetic nested deeper than {MAX_EXPR_DEPTH} levels")
             self.advance()
-            return Neg(self.parse_factor())
+            self.expr_depth += 1
+            e = Neg(self.parse_factor()) if tok.kind == "-" else self.parse_expr()
+            if tok.kind == "(":
+                self.expect(")")
+            self.expr_depth -= 1
+            return e
         if tok.kind == "number":
             self.advance()
             value = float(tok.text)
@@ -502,11 +514,6 @@ class _Parser:
                 return Num(math.inf)
             self.advance()
             return Ref(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            e = self.parse_expr()
-            self.expect(")")
-            return e
         raise self.error("expected an expression", ("number", "identifier", "("))
 
     # -- formulas --------------------------------------------------------------
@@ -815,6 +822,7 @@ class _Parser:
                 else:
                     raise self.error("expected declaration", _DECL_KEYWORDS)
             except ParseFailure:
+                self.expr_depth = 0
                 self.advance()
                 self.sync_to_decl()
         if self.diags:

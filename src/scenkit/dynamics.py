@@ -8,9 +8,10 @@ owns; families are truncated just before the first time two members
 contradict each other on a shared dimension.
 
 A model's ``evolve_fn(theta, values)`` maps a value tuple to a tuple of
-``schema.k`` floats. Only ``evolve`` and ``evaluate`` build Scenes, one
-per call or grid point; a value a member writes outside the dimensions
-it owns is discarded, not validated.
+``schema.k`` floats; a value a member writes outside the dimensions it
+owns is discarded, not validated. Only ``evolve`` and ``evaluate`` build
+Scenes, one per call or grid point; ``logical.invert`` measures the
+grid loop's value rows themselves.
 
 Absolute-time behaviors (stop_at, waypoint_follower) stay semigroup-valid
 by reading and advancing a clock dimension of the scene, which makes the
@@ -183,26 +184,23 @@ class TruncatedResult:
     t_sup: float
 
 
-def evaluate(
-    scenario: AttributeLevelScenario, allow_truncation: bool = False
-) -> Trajectory | TruncatedResult:
-    """Run the family from the starting scene over the requested grid.
-
-    Deterministic: identical inputs produce bit-identical trajectories.
-    A grid that outruns the family's declared time domain raises
-    DomainExceededError. A member contradiction before the grid end
-    raises TruncationError, unless allow_truncation is set, in which
-    case the truncated trajectory is returned in a TruncatedResult. A
-    contradiction at the first grid point leaves nothing to return: it
-    raises TruncationError with ``result`` None either way.
-    """
-    family, start, grid = scenario.family, scenario.start, scenario.grid
+def _walk(
+    scenario: AttributeLevelScenario, make: Callable[[SceneSchema, tuple], object]
+) -> tuple[list, tuple[str, float] | None]:
+    """The one grid loop: ``make(schema, row)`` of the family's merged value
+    row per grid point up to the first contradiction, and that contradiction
+    as (dimension, time) or None. The contradicting row is made too. A lone
+    member that writes every dimension gives its output as the row."""
+    family, grid = scenario.family, scenario.grid
     if grid.duration > family.theta_max:
         raise DomainExceededError(
             f"grid duration {grid.duration} exceeds the family domain",
             t_sup=family.theta_max,
         )
-    schema = family.schema
+    schema, step, base = family.schema, grid.step, scenario.start.values
+    if len(family.members) == 1 and len(set(family._owned[0])) == schema.k:
+        f = family.members[0].evolve_fn
+        return [make(schema, f(i * step, base)) for i in range(grid.count)], None
     # (name, index, writer positions) per shared dim with several writers.
     scans = []
     for name in family.shared:
@@ -210,29 +208,50 @@ def evaluate(
         if len(writers) > 1:
             scans.append((name, schema.index(name), writers))
     fns = [m.evolve_fn for m in family.members]
-    base = start.values
-    samples: list[Scene] = []
+    rows = []
     for i in range(grid.count):
-        theta = grid.t(i)
+        theta = i * step
         outputs = [f(theta, base) for f in fns]
-        scene = Scene(schema, family._merge(base, outputs))
+        row = make(schema, family._merge(base, outputs))
         for name, d, writers in scans:
             vals = [outputs[j][d] for j in writers]
             if not all(map(math.isfinite, vals)):
                 raise SchemaError(f"non-finite value in shared dimension {name!r}")
             if max(vals) - min(vals) > CONTRADICTION_TOL:
-                if not samples:
-                    raise TruncationError(f"members contradict on {name!r} at t={theta}", None)
-                keep_until = theta - family.epsilon
-                keep = max(1, 1 + math.floor(keep_until / grid.step + 1e-9))
-                keep = min(keep, len(samples))
-                truncated = Trajectory(schema, TimeGrid(grid.step, keep), tuple(samples[:keep]))
-                result = TruncatedResult(truncated, theta, t_sup=keep_until)
-                if allow_truncation:
-                    return result
-                raise TruncationError(f"members contradict on {name!r} at t={theta}", result)
-        samples.append(scene)
-    return Trajectory(schema, grid, tuple(samples))
+                return rows, (name, theta)
+        rows.append(row)
+    return rows, None
+
+
+def evaluate(
+    scenario: AttributeLevelScenario, allow_truncation: bool = False
+) -> Trajectory | TruncatedResult:
+    """Run the family from the starting scene over the requested grid.
+
+    Deterministic: identical inputs produce bit-identical trajectories.
+    Each grid point's value row becomes one Scene, validated once by its
+    constructor. A grid that outruns the family's declared time domain
+    raises DomainExceededError. A member contradiction before the grid
+    end raises TruncationError, unless allow_truncation is set, in which
+    case the truncated trajectory is returned in a TruncatedResult. A
+    contradiction at the first grid point leaves nothing to return: it
+    raises TruncationError with ``result`` None either way.
+    """
+    samples, contradiction = _walk(scenario, Scene)
+    family, grid = scenario.family, scenario.grid
+    if contradiction is None:
+        return Trajectory(family.schema, grid, tuple(samples))
+    name, theta = contradiction
+    message = f"members contradict on {name!r} at t={theta}"
+    if not samples:
+        raise TruncationError(message, None)
+    keep_until = theta - family.epsilon
+    keep = min(max(1, 1 + math.floor(keep_until / grid.step + 1e-9)), len(samples))
+    truncated = Trajectory(family.schema, TimeGrid(grid.step, keep), tuple(samples[:keep]))
+    result = TruncatedResult(truncated, theta, t_sup=keep_until)
+    if allow_truncation:
+        return result
+    raise TruncationError(message, result)
 
 
 # --- built-in model library ---------------------------------------------

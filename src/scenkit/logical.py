@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Sequence
 
-from .core import Scene, TimeGrid, Trajectory, trajectory_distance
-from .dynamics import AttributeLevelScenario, ModelFamily, evaluate
+from .core import Scene, TimeGrid, Trajectory, _scene_values, _sup_distance
+from .dynamics import AttributeLevelScenario, ModelFamily, _walk, evaluate
 from .errors import ComplexityError, OutOfSpaceError, RangeError, SchemaError
 
 #: Tolerance for membership of a value in a discrete axis.
@@ -197,14 +197,19 @@ class LogicalScenario:
     name: str = field(default="logical")
 
 
-def realize(scenario: LogicalScenario, x: Sequence[float]) -> Trajectory:
-    """Evaluate the scenario at one in-space parameter vector."""
+def _bind(scenario: LogicalScenario, x: Sequence[float]) -> AttributeLevelScenario:
+    """The attribute-level scenario an in-space parameter vector binds."""
     x = tuple(float(v) for v in x)
     bad = scenario.space.violating_axis(x)
     if bad is not None:
         raise OutOfSpaceError(f"parameter {x} violates axis {bad!r}", axis=bad)
     start, family = scenario.binder(x)
-    result = evaluate(AttributeLevelScenario(start, family, scenario.grid))
+    return AttributeLevelScenario(start, family, scenario.grid)
+
+
+def realize(scenario: LogicalScenario, x: Sequence[float]) -> Trajectory:
+    """Evaluate the scenario at one in-space parameter vector."""
+    result = evaluate(_bind(scenario, x))
     assert isinstance(result, Trajectory)
     return result
 
@@ -275,6 +280,11 @@ def invert(
     Coarse grid scan over the space followed by a derivative-free
     coordinate pattern search (shrink factor 0.5, stop when the step
     falls below tol/10). Best-effort numerics, not exact solving.
+
+    A residual is ``trajectory_distance(realize(scenario, x), target)``
+    measured on the value rows, building no Scene or Trajectory; each row
+    gets the Scene check, so a candidate raises what ``realize`` would,
+    where it would. Residuals may be inf; then the best x is the first.
     """
     if not (tol > 0):
         raise RangeError("tol must be positive")
@@ -294,7 +304,11 @@ def invert(
         # Each point once, keyed on its exact bits: 0.0 and -0.0 stay apart.
         key = tuple(float(v).hex() for v in x)
         if key not in seen:
-            seen[key] = trajectory_distance(realize(scenario, x), target)
+            bound = _bind(scenario, x)
+            rows, contradiction = _walk(bound, _scene_values)
+            if contradiction is not None:
+                evaluate(bound)  # raises realize's TruncationError
+            seen[key] = _sup_distance(bound.family.schema, bound.grid, rows, target)
         return seen[key]
 
     grids = []
@@ -316,7 +330,7 @@ def invert(
     best_r = math.inf
     for x in itertools.product(*grids):
         r = residual(x)
-        if r < best_r:
+        if best_x is None or r < best_r:
             best_x, best_r = x, r
 
     # Pattern search on the continuous axes only, clamped to the box.
@@ -369,8 +383,5 @@ def invert_over_binders(
 
 
 def _probe_schema(scenario: LogicalScenario):
-    probe = []
-    for a in scenario.space.axes:
-        probe.append(a.lo if isinstance(a, ContinuousAxis) else a.values[0])
-    start, _ = scenario.binder(tuple(probe))
-    return start.schema
+    probe = [a.lo if isinstance(a, ContinuousAxis) else a.values[0] for a in scenario.space.axes]
+    return scenario.binder(tuple(probe))[0].schema

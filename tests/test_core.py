@@ -288,6 +288,16 @@ def test_trajectory_distance_is_the_max_scene_distance(rows, identical):
         assert got == 0.0
 
 
+def test_distances_overflow_to_inf(line):
+    # (1e200 - -1e200) ** 2 passes the largest float.
+    a, b = Scene(line, (1e200,)), Scene(line, (-1e200,))
+    assert scene_distance(a, b) == math.inf
+    far = make_trajectory(line, [[0.0], [1e200]])
+    near = make_trajectory(line, [[0.0], [-1e200]])
+    assert trajectory_distance(far, near) == math.inf
+    assert trajectory_distance(far, far) == 0.0
+
+
 def test_trajectory_distance_grid_mismatch(plane):
     with pytest.raises(GridAlignmentError):
         trajectory_distance(straight(plane, n=5), straight(plane, n=6))

@@ -222,6 +222,29 @@ def test_deep_formulas_without_fixtures_resolve():
         assert "A" in spec.abstracts
 
 
+@pytest.mark.parametrize(
+    "bound", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"], ids=["parens", "minus"]
+)
+def test_deep_arithmetic_is_a_diagnostic(bound):
+    text = f"schema s {{ x: m }}\nfixture f = pred(x in [{bound}, 2])\n"
+    result = dsl.parse(text)
+    assert not result.ok
+    assert [d.code for d in result.diagnostics] == ["PAR001"]
+    assert f"deeper than {dsl.MAX_EXPR_DEPTH}" in result.diagnostics[0].message
+    with pytest.raises(dsl.ResolutionError):
+        dsl.load(text)
+
+
+def test_arithmetic_at_the_depth_bound_loads_and_prints():
+    depth = dsl.MAX_EXPR_DEPTH
+    for bound, value in (("(" * depth + "1" + ")" * depth, 1.0), ("-" * depth + "1", 1.0)):
+        text = f"schema s {{ x: m }}\nfixture f = pred(x in [{bound}, 2])\n"
+        doc = dsl.parse(text).document
+        assert dsl.parse(dsl.print_document(doc)).document == doc
+        (item,) = dsl.load(text).fixtures["f"].items
+        assert dsl._eval_expr(item[2], {}, []) == value
+
+
 def test_deeply_nested_fixtures_parse_without_recursion():
     # Parentheses and prefix operators are parsed in a loop, not one
     # call per level.

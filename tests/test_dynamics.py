@@ -465,3 +465,120 @@ def test_values_outside_owned_dims_are_discarded():
     traj = evaluate(AttributeLevelScenario(start, family_of(model), TimeGrid(0.5, 3)))
     assert [s["clock"] for s in traj.samples] == [0.0, 0.5, 1.0]
     assert all(s["x"] == 0.0 for s in traj.samples)
+
+
+# --- the row walk against the per-point merge loop ---------------------------------
+
+
+def merge_loop_evaluate(scenario, allow_truncation=False):
+    """``evaluate`` as a per-point loop: every member's output merged by
+    ``ModelFamily._merge``, one Scene per point, then the shared-dim scan."""
+    family, start, grid = scenario.family, scenario.start, scenario.grid
+    if grid.duration > family.theta_max:
+        raise DomainExceededError(
+            f"grid duration {grid.duration} exceeds the family domain",
+            t_sup=family.theta_max,
+        )
+    schema = family.schema
+    samples = []
+    for i in range(grid.count):
+        theta = grid.t(i)
+        outputs = [m.evolve_fn(theta, start.values) for m in family.members]
+        scene = Scene(schema, family._merge(start.values, outputs))
+        for name in family.shared:
+            writers = [j for j, m in enumerate(family.members) if name in m.owned_names()]
+            if len(writers) < 2:
+                continue
+            vals = [outputs[j][schema.index(name)] for j in writers]
+            if not all(map(math.isfinite, vals)):
+                raise SchemaError(f"non-finite value in shared dimension {name!r}")
+            if max(vals) - min(vals) > CONTRADICTION_TOL:
+                message = f"members contradict on {name!r} at t={theta}"
+                if not samples:
+                    raise TruncationError(message, None)
+                keep_until = theta - family.epsilon
+                keep = max(1, 1 + math.floor(keep_until / grid.step + 1e-9))
+                keep = min(keep, len(samples))
+                truncated = Trajectory(schema, TimeGrid(grid.step, keep), tuple(samples[:keep]))
+                result = TruncatedResult(truncated, theta, t_sup=keep_until)
+                if allow_truncation:
+                    return result
+                raise TruncationError(message, result)
+        samples.append(scene)
+    return Trajectory(schema, grid, tuple(samples))
+
+
+FAULTS = {
+    "nan": lambda out: (math.nan,) + out[1:],
+    "inf_last": lambda out: out[:-1] + (math.inf,),
+    "short": lambda out: out[:-1],
+    "long": lambda out: out + (0.0,),
+}
+
+
+@st.composite
+def walked_scenarios(draw):
+    """library_scenarios, where a member may turn faulty from a grid
+    point on, or a lone member may write every dimension."""
+    scenario = draw(library_scenarios())
+    members = list(scenario.family.members)
+    shared = scenario.family.shared
+    if draw(st.booleans()):
+        members = [DeterministicModel("all", WIDE, math.inf, members[0].evolve_fn)]
+        shared = ()
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(members) - 1))
+        fault = FAULTS[draw(st.sampled_from(sorted(FAULTS)))]
+        t_fault = draw(st.integers(0, 40)) * scenario.grid.step
+        m, fn = members[j], members[j].evolve_fn
+
+        def faulty(theta, v, fn=fn):
+            out = fn(theta, v)
+            return fault(out) if theta >= t_fault else out
+
+        members[j] = DeterministicModel(m.id, WIDE, m.theta_max, faulty, owns=m.owns)
+    family = combine(members, epsilon=scenario.family.epsilon, shared=shared)
+    return AttributeLevelScenario(scenario.start, family, scenario.grid)
+
+
+def outcome(call):
+    try:
+        got = call()
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        return ("raised", type(exc), str(exc), vars(exc))
+    if isinstance(got, TruncatedResult):
+        return (got.contradiction_time, got.t_sup, got.trajectory.grid, bits(got.trajectory))
+    return (got.grid, bits(got))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walked_scenarios(), st.booleans())
+def test_evaluate_matches_the_merge_loop(scenario, allow):
+    want = outcome(lambda: merge_loop_evaluate(scenario, allow))
+    got = outcome(lambda: evaluate(scenario, allow))
+    family = scenario.family
+    lone_owner = len(family.members) == 1 and family.members[0].owns is None
+    if lone_owner and want[0] == "raised" and "returned" in want[2]:
+        # A lone member's output is the row, so the Scene check names a
+        # wrong length instead of the merge.
+        assert got[:2] == ("raised", SchemaError)
+        assert got[2].startswith("scene has ")
+    else:
+        assert got == want
+
+
+def test_the_contradicting_row_is_checked_before_the_scan():
+    # At t = 0.5 member a writes NaN into x and parts from b on p: the
+    # row's Scene check comes first, as in the merge loop.
+    def a_fn(th, v):
+        late = th >= 0.5
+        return (v[0], math.nan if late else 0.0) + v[2:9] + (1.0 if late else 0.0,)
+
+    a = DeterministicModel("a", WIDE, math.inf, a_fn, owns=("x", "p"))
+    b = drift(WIDE, {"p": 0.0}, id="b")
+    family = combine([a, b], epsilon=0.1, shared=("p",))
+    scenario = AttributeLevelScenario(Scene(WIDE, (0.0,) * WIDE.k), family, TimeGrid(0.1, 8))
+    for allow in (True, False):
+        want = outcome(lambda: merge_loop_evaluate(scenario, allow))
+        assert want[:2] == ("raised", SchemaError)
+        assert outcome(lambda: evaluate(scenario, allow)) == want

@@ -1,0 +1,300 @@
+"""``invert`` measures residuals on value rows; these tests hold it to the
+reference search whose residual is ``trajectory_distance(realize(x),
+target)``, bit for bit, and error for error."""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scenkit.core import Scene, TimeGrid, schema_of, trajectory_distance, trajectory_from_values
+from scenkit.dynamics import DeterministicModel, combine, drift, family_of
+from scenkit.fixtures import slope_drive_scenario
+from scenkit.logical import (
+    ContinuousAxis,
+    DiscreteAxis,
+    Found,
+    LogicalScenario,
+    NotInImage,
+    ParameterSpace,
+    invert,
+    realize,
+)
+
+LINE = schema_of(("pos", "m"))
+TWO = schema_of(("pos", "m"), ("v", "m/s"))
+LANE = schema_of(("pos", "m"), ("lane", "enum-code"))
+
+
+def reference_invert(scenario, target, tol, coarse=16):
+    """``invert``'s search, each residual taken from a realized Trajectory."""
+    axes = scenario.space.axes
+    seen = {}
+
+    def residual(x):
+        key = tuple(float(v).hex() for v in x)
+        if key not in seen:
+            seen[key] = trajectory_distance(realize(scenario, x), target)
+        return seen[key]
+
+    grids = []
+    for a in axes:
+        if isinstance(a, DiscreteAxis):
+            grids.append(a.values)
+        elif a.hi == a.lo:
+            grids.append((a.lo,))
+        else:
+            grids.append(tuple(a.lo + (a.hi - a.lo) * i / (coarse - 1) for i in range(coarse)))
+    best_x, best_r = None, math.inf
+    for x in itertools.product(*grids):
+        r = residual(x)
+        if r < best_r:
+            best_x, best_r = x, r
+    steps = [
+        (a.hi - a.lo) / max(coarse - 1, 1) if isinstance(a, ContinuousAxis) else 0.0
+        for a in axes
+    ]
+    x_cur, r_cur = list(best_x), best_r
+    while any(s >= tol / 10 for s in steps):
+        improved = False
+        for i, a in enumerate(axes):
+            if not isinstance(a, ContinuousAxis) or steps[i] == 0.0:
+                continue
+            for cand in (x_cur[i] - steps[i], x_cur[i] + steps[i]):
+                cand = min(max(cand, a.lo), a.hi)
+                if cand == x_cur[i]:
+                    continue
+                trial = list(x_cur)
+                trial[i] = cand
+                r = residual(tuple(trial))
+                if r < r_cur:
+                    x_cur, r_cur = trial, r
+                    improved = True
+        if not improved:
+            steps = [s * 0.5 for s in steps]
+    if r_cur <= tol:
+        return Found(tuple(x_cur), r_cur)
+    return NotInImage(tuple(x_cur), r_cur)
+
+
+def outcome(call):
+    """The result's kind, point and residual as exact bits, or the
+    exception's type, message and attributes."""
+    try:
+        result = call()
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        return ("raised", type(exc), str(exc), vars(exc))
+    x, r = (result.x, result.residual) if isinstance(result, Found) else (
+        result.best_x, result.best_residual
+    )
+    return (type(result), tuple(v.hex() for v in x), r.hex())
+
+
+def assert_same(scenario, target, tol, coarse=16):
+    want = outcome(lambda: reference_invert(scenario, target, tol, coarse))
+    assert outcome(lambda: invert(scenario, target, tol, coarse)) == want
+    return want
+
+
+# --- in the image and near it ---------------------------------------------------
+
+
+def geared():
+    space = ParameterSpace(
+        (DiscreteAxis("gear", (1.0, 2.0, 3.0)), ContinuousAxis("rate", 0.0, 4.0))
+    )
+
+    def binder(x):
+        return Scene(LINE, (0.0,)), family_of(drift(LINE, {"pos": x[0] * x[1]}))
+
+    return LogicalScenario(space, binder, TimeGrid(0.1, 21))
+
+
+def two_axis():
+    space = ParameterSpace((ContinuousAxis("a", 0.0, 2.0), ContinuousAxis("b", -1.0, 1.0)))
+
+    def binder(x):
+        return Scene(TWO, (0.0, 1.0)), family_of(drift(TWO, {"pos": x[0], "v": x[1]}))
+
+    return LogicalScenario(space, binder, TimeGrid(0.25, 9))
+
+
+def shared_pair():
+    """Two members that both write pos, and agree on it."""
+    space = ParameterSpace((ContinuousAxis("a", 0.0, 2.0),))
+
+    def binder(x):
+        p = drift(TWO, {"pos": x[0]}, id="p")
+        pv = drift(TWO, {"pos": x[0], "v": 0.5}, id="pv")
+        return Scene(TWO, (1.0, 0.0)), combine([p, pv], epsilon=0.1, shared=("pos",))
+
+    return LogicalScenario(space, binder, TimeGrid(0.1, 21))
+
+
+def writes_outside():
+    """A lone member that owns pos and writes NaN into v: v is discarded."""
+    space = ParameterSpace((ContinuousAxis("a", 0.0, 2.0),))
+
+    def binder(x):
+        model = DeterministicModel(
+            "outside", TWO, math.inf, lambda t, v: (v[0] + x[0] * t, math.nan), owns=("pos",)
+        )
+        return Scene(TWO, (0.0, 3.0)), family_of(model)
+
+    return LogicalScenario(space, binder, TimeGrid(0.1, 21))
+
+
+SCENARIOS = {
+    "slope": slope_drive_scenario,
+    "geared": geared,
+    "two_axis": two_axis,
+    "shared_pair": shared_pair,
+    "writes_outside": writes_outside,
+}
+
+
+@st.composite
+def near_targets(draw):
+    name = draw(st.sampled_from(sorted(SCENARIOS)))
+    scenario = SCENARIOS[name]()
+    x = tuple(
+        draw(st.sampled_from(a.values)) if isinstance(a, DiscreteAxis)
+        else draw(st.floats(min_value=a.lo, max_value=a.hi))
+        for a in scenario.space.axes
+    )
+    traj = realize(scenario, x)
+    offset = draw(st.sampled_from([0.0, 0.0, 1e-4, 0.3, -2.0]))
+    rows = [[v + offset for v in s.values] for s in traj.samples]
+    target = trajectory_from_values(traj.schema, traj.grid.step, rows)
+    tol = draw(st.sampled_from([1e-6, 1e-3, 0.1]))
+    coarse = draw(st.sampled_from([2, 5, 16]))
+    return scenario, target, tol, coarse
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_targets())
+def test_invert_is_bit_equal_to_the_realizing_reference(case):
+    want = assert_same(*case)
+    assert want[0] in (Found, NotInImage)
+
+
+# --- errors ----------------------------------------------------------------------
+
+STEP, COUNT = 0.1, 11
+
+
+def custom(schema, id, fn, owns=None, theta_max=math.inf):
+    return DeterministicModel(id, schema, theta_max, fn, owns=owns)
+
+
+def faulty(kind, k, thr):
+    """A one-axis scenario whose family goes wrong from grid point k on,
+    for a > thr only, so that the fault strikes mid-search."""
+    space = ParameterSpace((ContinuousAxis("a", 0.0, 2.0),))
+    t_fault = k * STEP
+
+    def binder(x):
+        a = x[0]
+        bad = a > thr
+
+        def hit(t):
+            return bad and t >= t_fault
+
+        def line(t, v):
+            return (v[0] + a * t,)
+
+        schema, start = LINE, (0.0,)
+        if kind == "contradiction":
+            members = [custom(LINE, "p", line),
+                       custom(LINE, "q", lambda t, v: (v[0] + a * t + (1.0 if hit(t) else 0.0),))]
+            family = combine(members, epsilon=0.1, shared=("pos",))
+        elif kind == "non_finite":
+            family = family_of(
+                custom(LINE, "p", lambda t, v: (math.inf,) if hit(t) else line(t, v))
+            )
+        elif kind == "enum":
+            schema, start = LANE, (0.0, 1.0)
+            family = family_of(custom(
+                LANE, "p", lambda t, v: (v[0] + a * t, 0.5 if hit(t) else v[1])
+            ))
+        elif kind == "length_lone":
+            family = family_of(custom(LINE, "p", lambda t, v: () if hit(t) else line(t, v)))
+        elif kind == "length_merged":
+            schema, start = TWO, (0.0, 0.0)
+            p = custom(TWO, "p", lambda t, v: v[:1] if hit(t) else (v[0] + a * t, v[1]), ("pos",))
+            family = combine([p, drift(TWO, {"v": 1.0})], epsilon=0.1)
+        elif kind == "nan_shared":
+            schema, start = TWO, (0.0, 0.0)
+            p = custom(TWO, "p", lambda t, v: (v[0] + a * t, math.nan if hit(t) else 0.0))
+            q = drift(TWO, {"v": 0.0}, id="q")
+            family = combine([p, q], epsilon=0.1, shared=("v",))
+        elif kind == "mixed":
+            # NaN in an unshared dim from k on, and a contradiction from
+            # the point after the threshold's: the first in grid order wins.
+            schema, start = TWO, (0.0, 0.0)
+            p = custom(TWO, "p", lambda t, v: (math.nan if hit(t) else v[0] + a * t, v[1]),
+                       ("pos",))
+            q = drift(TWO, {"v": 0.0}, id="q")
+            r = custom(TWO, "r", lambda t, v: (0.0, 1.0 if bad and t >= 0.5 else 0.0), ("v",))
+            family = combine([p, q, r], epsilon=0.1, shared=("v",))
+        elif kind == "domain":
+            family = family_of(custom(LINE, "p", line, theta_max=0.5 if bad else math.inf))
+        elif kind == "schema":
+            if bad:
+                schema = schema_of(("q", "m"))
+            family = family_of(drift(schema, {schema.names[0]: a}))
+        else:
+            family = family_of(drift(LINE, {"pos": a}))
+        return Scene(schema, start), family
+
+    scenario = LogicalScenario(space, binder, TimeGrid(STEP, COUNT))
+    probe = binder((0.0,))[0].schema
+    count = COUNT + 1 if kind == "grid" else COUNT
+    target = trajectory_from_values(probe, STEP, [[0.7 * i * STEP] + [0.0] * (probe.k - 1)
+                                                  for i in range(count)])
+    return scenario, target
+
+
+KINDS = ["contradiction", "non_finite", "enum", "length_lone", "length_merged",
+         "nan_shared", "mixed", "domain", "schema", "grid"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.integers(min_value=0, max_value=COUNT - 1),
+    st.floats(min_value=0.0, max_value=1.9),
+)
+def test_invert_raises_what_realize_raises(kind, k, thr):
+    scenario, target = faulty(kind, k, thr)
+    want = assert_same(scenario, target, 1e-6)
+    assert want[0] == "raised"
+
+
+def test_every_error_kind_is_named():
+    expected = {
+        "contradiction": "TruncationError",
+        "non_finite": "SchemaError",
+        "enum": "SchemaError",
+        "length_lone": "SchemaError",
+        "length_merged": "SchemaError",
+        "nan_shared": "SchemaError",
+        "mixed": "SchemaError",
+        "domain": "DomainExceededError",
+        "schema": "SchemaError",
+        "grid": "GridAlignmentError",
+    }
+    for kind in KINDS:
+        scenario, target = faulty(kind, 3, 0.5)
+        with pytest.raises(Exception) as err:
+            invert(scenario, target, 1e-6)
+        assert type(err.value).__name__ == expected[kind], kind
+
+
+def test_truncation_carries_realize_result():
+    scenario, target = faulty("contradiction", 4, 0.5)
+    want = outcome(lambda: reference_invert(scenario, target, 1e-6))
+    assert want[1].__name__ == "TruncationError" and want[3]["result"] is not None
+    assert outcome(lambda: invert(scenario, target, 1e-6)) == want

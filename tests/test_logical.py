@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -252,20 +253,30 @@ def test_invert_handles_discrete_axes():
     assert result.x[0] * result.x[1] == pytest.approx(3.0, abs=1e-6)
 
 
-def test_invert_realizes_each_distinct_point_once(monkeypatch):
-    import scenkit.logical as logical
-
+def test_invert_binds_each_distinct_point_once():
+    L = slope_drive_scenario()
     points = []
 
-    def recorded(scenario, x):
-        points.append(tuple(v.hex() for v in map(float, x)))
-        return realize(scenario, x)
+    def binder(x):
+        points.append(tuple(v.hex() for v in x))
+        return L.binder(x)
 
-    monkeypatch.setattr(logical, "realize", recorded)
-    L = slope_drive_scenario()
-    result = invert(L, realize(L, (2.0,)), tol=1e-6)
+    counted = LogicalScenario(L.space, binder, L.grid)
+    result = invert(counted, realize(L, (2.0,)), tol=1e-6)
     assert isinstance(result, Found)
+    # The schema probe binds the first corner once more.
+    probe = points.pop(0)
+    assert points and points[0] == probe
     assert len(points) == len(set(points))
+
+
+def test_invert_not_in_image_when_every_residual_overflows():
+    L = slope_drive_scenario()
+    far = trajectory_from_values(schema_of(("pos", "m")), 0.1, [[-1e200]] * 101)
+    result = invert(L, far, tol=1e-6)
+    assert isinstance(result, NotInImage)
+    assert result.best_x == (1.0,)
+    assert result.best_residual == math.inf
 
 
 def test_invert_axis_guard():
