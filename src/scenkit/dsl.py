@@ -14,9 +14,7 @@ m/s at parse time, so printed documents are always in SI units.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -1129,25 +1127,18 @@ def _resolve_atom(node: FormulaNode, schema: SceneSchema, diags: list[Diagnostic
 def _bounded_step_instance(
     decl: AbstractDecl, schema: SceneSchema, diags: list[Diagnostic]
 ) -> ScenarioLogicInstance:
-    """Per-dimension step-bound world: any scene starts; the quantized
-    successor offers -bound, 0, +bound per bounded dimension; monitoring
-    admits anything inside the box, so it decides prefixes by the formula
-    alone; unbounded dimensions are frozen."""
+    """Per-dimension step-bound world: any scene starts, and a step
+    changes each bounded dimension by at most its bound and leaves the
+    unbounded ones frozen. It is a box world, with ``allows`` and no
+    successors: monitoring decides its prefixes by the formula alone,
+    and the walks that need successors refuse it."""
     bound_by_dim = dict(decl.bounds)
     for dim in bound_by_dim:
         if not schema.has(dim):
             diags.append(Diagnostic("RES003", 0, 0, f"bound on unknown dimension {dim!r}", dim))
     horizon = int(round(decl.horizon / decl.step))
-    names = schema.names
     slack = 1e-9
-    reach = [bound_by_dim.get(name, 0.0) + slack for name in names]
-
-    options = [(0.0,) if b is None else (-b, 0.0, b) for b in map(bound_by_dim.get, names)]
-    moves = tuple(itertools.product(*options))
-
-    def successors(samples):
-        end = samples[-1].values
-        return tuple(Scene(schema, tuple(map(operator.add, end, d))) for d in moves)
+    reach = [bound_by_dim.get(name, 0.0) + slack for name in schema.names]
 
     return ScenarioLogicInstance(
         id=f"dsl-{decl.name}",
@@ -1155,7 +1146,7 @@ def _bounded_step_instance(
         step=decl.step,
         horizon=max(horizon, 1),
         initial_scenes=None,
-        successors=successors,
+        successors=None,
         allows=box_step((-r, r) for r in reach),
         scene_tol=1e-6,
     )

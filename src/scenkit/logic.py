@@ -83,12 +83,13 @@ class ScenarioLogicInstance:
     admissible when it matches one of them up to ``scene_tol``.
     ``successors`` maps a prefix (tuple of scenes) to the finite set of
     candidate next scenes and defines the admissible steps, matched the
-    same way; only worlds the successors do not cover (see ``box_step``)
-    set ``allows``, and monitoring does not explore them. The formula is
-    the only acceptance condition. Full-length paths have horizon+1
-    samples. ``markov`` declares that ``successors`` reads only the last
-    scene of a prefix, which lets expansion, enumeration and counting
-    merge prefixes that end alike.
+    same way. A box world (see ``box_step``) admits steps by ``allows``
+    instead: a world sets ``allows`` exactly when it sets no successors.
+    Monitoring does not search box worlds, and ``expand`` refuses them.
+    The formula is the only acceptance condition. Full-length paths have
+    horizon+1 samples. ``markov`` declares that ``successors`` reads only
+    the last scene of a prefix, which lets expansion, enumeration and
+    counting merge prefixes that end alike.
     """
 
     id: str
@@ -96,7 +97,7 @@ class ScenarioLogicInstance:
     step: float
     horizon: int
     initial_scenes: tuple[Scene, ...] | None
-    successors: Callable[[Path], Sequence[Scene]]
+    successors: Callable[[Path], Sequence[Scene]] | None
     allows: Callable[[Path, Scene], bool] | None = None
     scene_tol: float = 0.0
     one_step_override: Callable[["AbstractScenario", Path], Sequence[Path]] | None = None
@@ -217,6 +218,8 @@ def expand(
         )
     if steps == 0:
         return (c,)
+    if inst.allows is not None:
+        raise ComplexityError(f"instance {inst.id!r} declares no successors to expand")
     if inst.one_step_override is not None:
         frontier = [c.samples]
         for _ in range(steps):

@@ -288,9 +288,13 @@ def invert(
     """
     if not (tol > 0):
         raise RangeError("tol must be positive")
-    if target.schema != _probe_schema(scenario):
-        raise SchemaError("target trajectory schema does not match the scenario")
     axes = scenario.space.axes
+    # The schema is probed at the first corner, which is in the space;
+    # the scan reuses that binding.
+    corner = tuple(float(a.lo if isinstance(a, ContinuousAxis) else a.values[0]) for a in axes)
+    probe = scenario.binder(corner)
+    if target.schema != probe[0].schema:
+        raise SchemaError("target trajectory schema does not match the scenario")
     n_cont = sum(isinstance(a, ContinuousAxis) for a in axes)
     if n_cont > MAX_INVERT_AXES and not force:
         raise ComplexityError(
@@ -299,12 +303,16 @@ def invert(
         )
 
     seen: dict[tuple[str, ...], float] = {}
+    corner_key = tuple(v.hex() for v in corner)
 
     def residual(x: tuple[float, ...]) -> float:
         # Each point once, keyed on its exact bits: 0.0 and -0.0 stay apart.
         key = tuple(float(v).hex() for v in x)
         if key not in seen:
-            bound = _bind(scenario, x)
+            if key == corner_key:
+                bound = AttributeLevelScenario(*probe, scenario.grid)
+            else:
+                bound = _bind(scenario, x)
             rows, contradiction = _walk(bound, _scene_values)
             if contradiction is not None:
                 evaluate(bound)  # raises realize's TruncationError
@@ -381,7 +389,3 @@ def invert_over_binders(
         raise RangeError("empty scenario registry")
     return best
 
-
-def _probe_schema(scenario: LogicalScenario):
-    probe = [a.lo if isinstance(a, ContinuousAxis) else a.values[0] for a in scenario.space.axes]
-    return scenario.binder(tuple(probe))[0].schema

@@ -9,25 +9,31 @@ formula is FALSE; the CLI prints it, times the grid step, as
 ``first_violation_time``.
 
 The prefix problem quantifies over all instance-valid horizon-length
-completions of the prefix, with the formula as the acceptance condition,
-which makes its TRUE and FALSE verdicts irrevocable under any
-continuation the world permits. Exploration decides only worlds the
-successors cover: no explicit ``allows`` and, for the empty prefix, a
-finite start set. Elsewhere, as in the box worlds of the DSL and the
-rural study, the verdict is the formula's own, UNKNOWN while it is
-undecided. A TRUE verdict in explored worlds also needs one full-length
-completion to exist, since a successor set may be empty. The stream
-monitor latches accordingly.
+completions of the prefix, with the formula as the acceptance condition.
+The search decides only worlds the successors cover: no explicit
+``allows`` and, for the empty prefix, a finite start set. Elsewhere, as
+in the box worlds of the DSL and the rural study, the verdict is the
+formula's own, UNKNOWN while it is undecided.
 
 A given trace is decided in one forward pass: each scene is admitted
 (the start set for the first, the successors or ``allows`` after that)
 and the formula is progressed by it (see ``formulas.progress``). The
 pass stops at the first inadmissible scene or the first FALSE residual,
 which is the word problem's violation index, and otherwise hands its
-residual to the prefix problem. Exploration below the prefix starts
-from that residual and carries one in every tree node, so a node costs
-one scene. The stream monitor does not keep the pass's state between
-steps yet: a step still costs a pass over the prefix.
+residual to the prefix problem. One bounded depth-first search below the
+prefix decides the rest. It starts from that residual and carries one in
+every node, so a node costs one scene. A FALSE residual is a rejection;
+an acceptance is a path that reaches full length, so TRUE needs a
+completion to exist. A dead end (a path short of full length with no
+successors) below an undecided residual counts against TRUE; one below
+a TRUE residual does not, since every completion there is accepted and
+the search only looks for one. So in a world with dead ends a TRUE
+prefix can still run into one: with start 0, 0 → {1, 2}, 1 → {3},
+2 → {}, horizon 2 and the formula ``true``, the prefix (0) is TRUE and
+its admissible extension (0, 2) is FALSE. FALSE is irrevocable under any
+continuation the world permits, and so is TRUE in worlds without dead
+ends. The stream monitor latches both. It does not keep the pass's state
+between steps yet: a step still costs a pass over the prefix.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from .errors import HorizonError, LengthError
 from .formulas import FalseFormula, Formula, TrueFormula, Verdict3, progress, settle
 from .logic import AbstractScenario, Node, Path, ScenarioLogicInstance, _check_conforms
 
-#: Node budget for prefix-tree exploration; exhaustion yields UNKNOWN.
+#: Node budget of the one search below a prefix: one budget per call,
+#: shared by the starts of the empty prefix. Exhaustion yields UNKNOWN.
 DEFAULT_EXPLORE_BUDGET = 100_000
 
 
@@ -103,80 +110,58 @@ def monitor_word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport
     return _word_report(c, scenario)
 
 
-def _explore(scenario: AbstractScenario, root: Node, budget: int) -> Verdict3:
-    """Bounded DFS over the instance tree under a prefix and its residual.
-
-    The tree grows through the raw successor relation; the conjoined
-    formula acts as the acceptance condition on full-length leaves, so a
-    TRUE verdict means every instance-valid continuation is accepted and
-    cannot be revoked by feeding more scenes. Every stack entry carries
-    its residual, so a child costs one scene. Returns UNKNOWN as soon as
-    both an accepted and a rejected completion are witnessed or the node
-    budget runs out (inconclusive); obviously oversized trees are
-    declared inconclusive up front instead of crawling the budget.
-    """
-    inst = scenario.instance
-    samples = root[0]
-    remaining = inst.full_length() - len(samples)
-    fanout = len(tuple(inst.successors(samples))) if remaining else 0
-    if fanout > 1 and remaining * math.log(fanout) > math.log(max(budget, 2)):
-        return Verdict3.UNKNOWN
-    found_accept = False
-    found_reject = False
+def _decide(inst: ScenarioLogicInstance, roots: list[Node], budget: int) -> Verdict3:
+    """Bounded depth-first search over the (path, residual) nodes below
+    ``roots``. A FALSE residual is a rejection, and so is a dead end
+    below an undecided one; an acceptance is a path that reaches full
+    length. Below a TRUE residual every completion is accepted, so the
+    search there only looks for one: its dead ends are skipped, and once
+    an acceptance is seen no TRUE node is expanded. UNKNOWN as soon as
+    both have been seen, past ``budget`` nodes, or up front when an
+    undecided root's tree is obviously larger than the budget."""
+    full = inst.full_length()
+    stack = [node for node in roots if not isinstance(node[1], FalseFormula)]
+    reject = len(stack) < len(roots)
+    for p, r in stack:
+        remaining = full - len(p)
+        if remaining and not isinstance(r, TrueFormula):
+            fanout = len(inst.successors(p))
+            if fanout > 1 and remaining * math.log(fanout) > math.log(max(budget, 2)):
+                return Verdict3.UNKNOWN
+    accept = False
     nodes = 0
-    stack: list[Node] = [root]
     while stack:
-        nodes += 1
-        if nodes > budget:
-            return Verdict3.UNKNOWN
         p, residual = stack.pop()
-        if len(p) == inst.full_length():
-            if isinstance(residual, TrueFormula):
-                found_accept = True
-            else:
-                found_reject = True
-        else:
-            kids = tuple(inst.successors(p))
-            if not kids:
-                found_reject = True
-            else:
-                # Prune subtrees whose verdict is already settled by the
-                # monotone formula status: FALSE subtrees only reject.
-                position = len(p)
-                for cand in kids:
-                    r = progress(residual, cand, position, inst.horizon, inst.scene_tol)
-                    if isinstance(r, FalseFormula):
-                        found_reject = True
-                    elif isinstance(r, TrueFormula):
-                        found_accept = True
-                    else:
-                        stack.append((p + (cand,), r))
-        if found_accept and found_reject:
-            return Verdict3.UNKNOWN
-    if found_accept:
-        return Verdict3.TRUE
-    return Verdict3.FALSE
-
-
-def _completes(inst: ScenarioLogicInstance, starts: list[Path], budget: int) -> Verdict3:
-    """TRUE if a full-length path through the successors extends one of
-    ``starts``, FALSE if none does, UNKNOWN past ``budget`` nodes. The
-    search is depth-first and stops at the first full-length path; it
-    keeps one lazy level of siblings per depth, not all of them."""
-    levels = [iter(starts)]
-    nodes = 0
-    while levels:
-        p = next(levels[-1], None)
-        if p is None:
-            levels.pop()
+        settled = isinstance(residual, TrueFormula)
+        if settled and accept:
             continue
         nodes += 1
         if nodes > budget:
             return Verdict3.UNKNOWN
-        if len(p) == inst.full_length():
-            return Verdict3.TRUE
-        levels.append(p + (cand,) for cand in inst.successors(p))
-    return Verdict3.FALSE
+        if len(p) == full:
+            # A full-length residual has folded, and FALSE is never pushed.
+            accept = True
+        else:
+            kids = inst.successors(p)
+            if not kids and not settled:
+                reject = True
+            position = len(p)
+            trues = []
+            for cand in kids:
+                r = progress(residual, cand, position, inst.horizon, inst.scene_tol)
+                if isinstance(r, FalseFormula):
+                    reject = True
+                elif not isinstance(r, TrueFormula):
+                    stack.append((p + (cand,), r))
+                elif not accept:
+                    trues.append((p + (cand,), r))
+            # Settled children go on top: one path down any of them
+            # reaches an acceptance without backtracking unless it meets
+            # a dead end.
+            stack += trues
+        if accept and reject:
+            return Verdict3.UNKNOWN
+    return Verdict3.TRUE if accept else Verdict3.FALSE
 
 
 def monitor_prefix(
@@ -186,13 +171,18 @@ def monitor_prefix(
 ) -> Verdict3:
     """Three-valued verdict for a partial trace.
 
-    TRUE iff every reachable horizon-length extension is accepted and
-    one exists, FALSE iff none is accepted. One forward pass admits the
-    prefix and progresses the formula over it; the residual's monotone
-    verdict decides most prefixes outright. Otherwise a bounded tree
-    exploration from that residual settles the rest and reports UNKNOWN
-    when its node budget runs out. Worlds the successors do not
-    cover are not explored (see the module docstring).
+    TRUE when a horizon-length completion exists and every one is
+    accepted, FALSE when none is accepted, UNKNOWN otherwise or when the
+    search gives up. One forward pass admits the prefix and progresses
+    the formula over it; a FALSE residual decides at once. Otherwise one
+    bounded depth-first search below the prefix decides (``_decide``):
+    below a TRUE residual it looks for one completion, and below an
+    undecided one it looks for an acceptance and a rejection, where a
+    dead end counts as a rejection. ``explore_budget`` bounds the nodes
+    of that one search, shared by the starts of the empty prefix; past
+    it, or when the tree below an undecided start is obviously larger,
+    the verdict is UNKNOWN. Worlds the successors do not cover are not
+    searched (see the module docstring).
 
     ``c=None`` stands for the empty prefix (nothing observed yet).
     """
@@ -209,11 +199,11 @@ def monitor_prefix(
     index, _, residual = _scan(scenario, samples)
     if index is not None or isinstance(residual, FalseFormula):
         return Verdict3.FALSE
-    status = Verdict3.TRUE if isinstance(residual, TrueFormula) else Verdict3.UNKNOWN
     if inst.allows is not None or (not samples and inst.initial_scenes is None):
         # The successors do not cover the admissible steps or starts, so
-        # exploring them could claim a verdict a continuation revokes.
+        # searching them could claim a verdict a continuation revokes.
         # A monotone TRUE cannot flip; it stands unless no start exists.
+        status = Verdict3.TRUE if isinstance(residual, TrueFormula) else Verdict3.UNKNOWN
         return status if samples or inst.initial_scenes != () else Verdict3.UNKNOWN
     if samples:
         roots = [(samples, residual)]
@@ -222,14 +212,7 @@ def monitor_prefix(
             ((s,), progress(residual, s, 0, inst.horizon, inst.scene_tol))
             for s in inst.initial_scenes
         ]
-    if status is Verdict3.TRUE:
-        # Monotone TRUE cannot flip, so every completion is accepted; the
-        # verdict needs one to exist, as a successor set may be empty.
-        return _completes(inst, [p for p, _ in roots], explore_budget)
-    verdicts = {_explore(scenario, root, explore_budget) for root in roots}
-    if len(verdicts) == 1:
-        return verdicts.pop()
-    return Verdict3.UNKNOWN if verdicts else Verdict3.FALSE
+    return _decide(inst, roots, explore_budget)
 
 
 class StreamMonitor:

@@ -20,7 +20,7 @@ from .core import Scene, SceneSchema, TimeGrid, Trajectory
 from .dynamics import AttributeLevelScenario, combine, evaluate, waypoint_follower
 from .errors import ComplexityError, RangeError, ScheduleError
 from .formulas import Always, And, Atom, Eventually, ScenePredicate
-from .logic import AbstractScenario, Path, ScenarioLogicInstance, box_step
+from .logic import AbstractScenario, ScenarioLogicInstance, box_step
 
 INF = math.inf
 
@@ -340,10 +340,10 @@ def _speed_caps(cfg: RuralConfig) -> ScenePredicate:
 def _rural_instance(cfg: RuralConfig, grid: TimeGrid) -> ScenarioLogicInstance:
     """Permissive world: any scene starts, steps stay in per-dimension boxes.
 
-    The quantized successor used for expansion just holds every actor's
-    course; monitoring admits any transition inside the boxes, leaving
-    the behavioral restrictions to the world-model formulas, and decides
-    prefixes by the formula alone.
+    It is a box world: it has ``allows`` and no successors, so monitoring
+    admits any transition inside the boxes, leaving the behavioral
+    restrictions to the world-model formulas, and decides prefixes by
+    the formula alone.
     """
     schema = rural_schema(cfg.n, cfg.m)
     step = grid.step
@@ -361,25 +361,13 @@ def _rural_instance(cfg: RuralConfig, grid: TimeGrid) -> ScenarioLogicInstance:
             bound = 1.2 * cfg.v_car_max * step + slack
             box.append((-bound, bound))
 
-    def hold_course(samples: Path) -> tuple[Scene, ...]:
-        end = samples[-1]
-        vals = list(end.values)
-        for i, name in enumerate(names):
-            if name == "clock":
-                vals[i] += step
-            elif name.endswith("_x"):
-                vals[i] += end.values[schema.index(name[:-2] + "_vx")] * step
-            elif name.endswith("_y"):
-                vals[i] += end.values[schema.index(name[:-2] + "_vy")] * step
-        return (Scene(schema, tuple(vals)),)
-
     return ScenarioLogicInstance(
         id=f"rural-{cfg.n}-{cfg.m}",
         schema=schema,
         step=step,
         horizon=grid.count - 1,
         initial_scenes=None,
-        successors=hold_course,
+        successors=None,
         allows=box_step(box),
         scene_tol=1e-9,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -96,6 +97,16 @@ def small_instances(draw, max_horizon=3):
         starts = [Scene(schema, v) for v in draw(st.lists(vec, min_size=1, max_size=2))]
         inst = delta_step_instance(schema, deltas, 1.0, horizon, starts)
     return inst, vec
+
+
+def with_dead_ends(inst):
+    """The instance with its steps kept inside the box [-2, 2], so some
+    prefixes have no successor at all: dead ends."""
+    step = inst.successors
+    return dataclasses.replace(
+        inst,
+        successors=lambda p: tuple(s for s in step(p) if max(map(abs, s.values)) <= 2.0),
+    )
 
 
 def every_node_formulas(schema: SceneSchema):

@@ -64,6 +64,7 @@ from conftest import (
     every_node_formulas,
     random_step_scenario,
     small_instances,
+    with_dead_ends,
     worlds_and_words,
 )
 
@@ -450,13 +451,8 @@ def test_count_and_unranking_match_the_enumeration(case, boxed, data):
     inst, _ = case
     assert inst.markov
     if boxed:
-        # Steps may not leave the box [-2, 2], so some prefixes have no
-        # successor at all: dead ends below the formula's pruning.
-        step = inst.successors
-        inst = dataclasses.replace(
-            inst,
-            successors=lambda p: tuple(s for s in step(p) if max(map(abs, s.values)) <= 2.0),
-        )
+        # Dead ends below the formula's pruning.
+        inst = with_dead_ends(inst)
     A = AbstractScenario(data.draw(every_node_formulas(inst.schema)), (), inst)
     _assert_count_and_draws_match_enumeration(A, data.draw(st.integers(0, 2**31)))
 
@@ -954,3 +950,18 @@ def test_check_axioms_needs_a_finite_start_set():
         assert inst.initial_scenes is None
         with pytest.raises(RangeError, match=re.escape(repr(inst.id))):
             check_axioms(inst, [TrueFormula()], probes=1)
+
+
+def test_expand_refuses_box_worlds():
+    # Box worlds admit steps by ``allows`` and carry no successors.
+    text = (ASSETS / "straight_drive.scn").read_text(encoding="utf-8")
+    dsl_inst = dsl.load(text).abstracts["reach"].instance
+    rural_inst = rural_formula(RuralConfig(n=1, m=1)).instance
+    for inst in (dsl_inst, rural_inst):
+        assert inst.successors is None and inst.allows is not None
+        start = Scene(inst.schema, (0.0,) * inst.schema.k)
+        c = Trajectory(inst.schema, inst.grid(1), (start,))
+        A = AbstractScenario(TrueFormula(), (), inst)
+        assert expand(A, c, 0) == (c,)
+        with pytest.raises(ComplexityError, match=re.escape(repr(inst.id))):
+            expand(A, c, 1)

@@ -264,9 +264,25 @@ def test_invert_binds_each_distinct_point_once():
     counted = LogicalScenario(L.space, binder, L.grid)
     result = invert(counted, realize(L, (2.0,)), tol=1e-6)
     assert isinstance(result, Found)
-    # The schema probe binds the first corner once more.
-    probe = points.pop(0)
-    assert points and points[0] == probe
+    # The schema probe binds the first corner, and the scan reuses it.
+    assert points and points[0] == ((1.0).hex(),)
+    assert len(points) == len(set(points))
+
+
+def test_invert_keeps_the_probe_corner_apart_from_the_scan_by_bits():
+    schema = schema_of(("pos", "m"))
+    points = []
+
+    def binder(x):
+        points.append(tuple(v.hex() for v in x))
+        return Scene(schema, (0.0,)), family_of(drift(schema, {"pos": x[0]}))
+
+    L = LogicalScenario(ParameterSpace((ContinuousAxis("v", -0.0, 1.0),)), binder, TimeGrid(0.1, 3))
+    target = realize(L, (0.5,))
+    points.clear()
+    invert(L, target, tol=1e-3)
+    # The scan's first point is -0.0 + 0.0, which is 0.0: a second point.
+    assert points[:2] == [((-0.0).hex(),), ((0.0).hex(),)]
     assert len(points) == len(set(points))
 
 

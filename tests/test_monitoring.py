@@ -33,6 +33,7 @@ from scenkit.logic import (
     binary_branching,
     binary_scenarios,
     box_step,
+    count_scenarios,
     enumerate_scenarios,
     sample_abstract,
 )
@@ -46,7 +47,13 @@ from scenkit.monitoring import (
     monitor_word_report,
 )
 
-from conftest import random_step_scenario, worlds_and_words
+from conftest import (
+    every_node_formulas,
+    random_step_scenario,
+    small_instances,
+    with_dead_ends,
+    worlds_and_words,
+)
 
 
 def bit_prefix(instance, bits):
@@ -195,6 +202,81 @@ def test_dead_end_world_gets_no_true_verdict():
     assert monitor_prefix(bit_prefix(inst, [0]), A) is Verdict3.FALSE
 
 
+def bit_world(edges):
+    """A one-bit world from 0 with horizon 2 and the given successor map."""
+    schema = binary_branching(1).schema
+    return ScenarioLogicInstance(
+        id="bits", schema=schema, step=1.0, horizon=2,
+        initial_scenes=(Scene(schema, (0.0,)),),
+        successors=lambda p: tuple(Scene(schema, (float(v),)) for v in edges[p[-1].values[0]]),
+    )
+
+
+def test_true_prefix_backtracks_past_a_dead_end():
+    # The search for a completion below (0) meets the dead end 2 before
+    # the completion through 1.
+    inst = bit_world({0: (2, 1), 1: (3,), 2: (), 3: ()})
+    A = AbstractScenario(TrueFormula(), (), inst)
+    assert monitor_prefix(bit_prefix(inst, [0]), A) is Verdict3.TRUE
+    assert monitor_prefix(bit_prefix(inst, [0, 2]), A) is Verdict3.FALSE
+
+
+def test_settled_child_without_completion_is_no_acceptance():
+    # The one child of the start satisfies the formula, but no path
+    # reaches full length.
+    inst = bit_world({0: (1,), 1: ()})
+    A = AbstractScenario(Eventually(Atom(ScenePredicate((("bit", 1.0, 1.0),)))), (), inst)
+    assert count_scenarios(A) == 0
+    assert monitor_prefix(None, A) is Verdict3.FALSE
+    assert monitor_prefix(bit_prefix(inst, [0]), A) is Verdict3.FALSE
+    assert StreamMonitor(A).verdict is Verdict3.FALSE
+
+
+def completions(inst, path):
+    """Every full-length path through the successors that extends ``path``."""
+    if len(path) == inst.full_length():
+        return [path]
+    return [q for s in inst.successors(path) for q in completions(inst, path + (s,))]
+
+
+def brute_force_verdict(A, path):
+    """TRUE if a completion exists and all are accepted, FALSE if none is
+    accepted, UNKNOWN otherwise."""
+    inst = A.instance
+    starts = [(s,) for s in inst.initial_scenes] if not path else [path]
+    verdicts = {
+        evaluate3(A.conjoined(), q, inst.horizon, scene_tol=inst.scene_tol)
+        for p in starts
+        for q in completions(inst, p)
+    }
+    if Verdict3.TRUE not in verdicts:
+        return Verdict3.FALSE
+    return Verdict3.TRUE if len(verdicts) == 1 else Verdict3.UNKNOWN
+
+
+@given(small_instances(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_prefix_verdicts_match_brute_force_over_the_completions(case, boxed, data):
+    inst, _ = case
+    if boxed:
+        inst = with_dead_ends(inst)
+    A = AbstractScenario(data.draw(every_node_formulas(inst.schema)), (), inst)
+    prefixes = [()]
+    frontier = [(s,) for s in inst.initial_scenes]
+    while frontier:
+        prefixes += frontier
+        frontier = [p + (s,) for p in frontier if len(p) < inst.full_length()
+                    for s in inst.successors(p)]
+    for path in prefixes:
+        got = monitor_prefix(bit_prefix_like(inst, path) if path else None, A)
+        want = brute_force_verdict(A, path)
+        if boxed:
+            # Dead ends below an undecided residual count against TRUE.
+            assert got is want or got is Verdict3.UNKNOWN, path
+        else:
+            assert got is want, path
+
+
 def test_prefix_of_invalid_path_is_false():
     A = binary_scenarios(4)
     bad = bit_prefix(A.instance, [0, 5])
@@ -308,8 +390,9 @@ def dsl_reach():
 
 
 def test_dsl_reach_prefixes_of_an_accepted_drive_are_never_false():
-    # The DSL box world admits steps its {-b, 0, +b} successors never
-    # offer, so no prefix of an accepted trace may be declared FALSE.
+    # The DSL box world admits any step inside its box and has no
+    # successors to search, so no prefix of an accepted trace may be
+    # declared FALSE.
     A = dsl_reach()
     drive = straight_drive_trajectory()
     for k in range(1, drive.grid.count):
@@ -479,7 +562,7 @@ def box_worlds_and_words(draw):
     horizon = draw(st.integers(0, 4))
     inst = ScenarioLogicInstance(
         id="box", schema=schema, step=1.0, horizon=horizon, initial_scenes=starts,
-        successors=lambda p: (), allows=box_step(bounds),
+        successors=None, allows=box_step(bounds),
     )
     first = draw(st.sampled_from(starts)) if starts else Scene(schema, draw(vec))
     path = [first]
