@@ -138,14 +138,14 @@ def _decide(inst: ScenarioLogicInstance, roots: list[Node], budget: int) -> Verd
         nodes += 1
         if nodes > budget:
             return Verdict3.UNKNOWN
-        if len(p) == full:
+        position = len(p)
+        if position == full:
             # A full-length residual has folded, and FALSE is never pushed.
             accept = True
         else:
             kids = inst.successors(p)
             if not kids and not settled:
                 reject = True
-            position = len(p)
             trues = []
             for cand in kids:
                 r = progress(residual, cand, position, inst.horizon, inst.scene_tol)
