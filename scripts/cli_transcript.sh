@@ -1,0 +1,49 @@
+#!/bin/sh
+# Transcript of every scenkit command on the shipped assets: each
+# command's stdout followed by its exit code, then every path the
+# commands left in the work directory, sorted, and the sha256 of every
+# file. Run from the repository root with `scenkit` on PATH:
+#
+#   sh scripts/cli_transcript.sh | diff scripts/expected/cli_transcript.txt -
+assets="$(pwd)/src/scenkit/assets"
+slope="$assets/slope_drive.scn"
+straight="$assets/straight_drive.scn"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work" || exit 1
+run() {
+  echo "\$ scenkit $*" | sed "s#$assets/##"
+  scenkit "$@"
+  echo "exit $?"
+}
+printf 'schema s { x: m }\nlogical broken {\n  horizon 1 s step\n}\n' > broken.scn
+
+run validate "$slope"
+run validate "$straight"
+run validate broken.scn
+run validate missing.scn
+
+run sample-logical "$slope" --scenario slope_drive --count 3 --seed 5 --out-dir slope
+run sample-logical "$straight" --scenario straight_drive --count 1 --seed 1 --out-dir straight
+run sample-logical "$straight" --scenario speed_choices --count 4 --seed 2 --out-dir choices
+run sample-logical "$straight" --scenario no_such --count 1 --seed 1 --out-dir unknown
+
+run sample-abstract "$straight" --scenario reach --count 2 --strategy uniform-leaf --seed 3 --out-dir reach-sample
+run enumerate "$straight" --scenario reach --out-dir reach-enum
+
+head -n 51 straight/sample-00000.csv > prefix.csv
+run monitor "$straight" --scenario reach --trace straight/sample-00000.csv
+run monitor "$straight" --scenario reach --trace prefix.csv
+run monitor "$straight" --scenario reach --trace choices/sample-00000.csv
+run monitor "$straight" --scenario reach --trace missing.csv
+
+run invert "$slope" --scenario slope_drive --trace slope/sample-00001.csv --tol 1e-6
+run encode-logical "$straight" --scenario speed_choices
+run demo-spec-complexity --n 40
+run count-rural --n 3 --m 2
+run synth-rural --n 2 --m 1 --limit 3 --out-dir rural
+
+echo "\$ find . | sort"
+find . | LC_ALL=C sort
+echo "\$ sha256sum"
+find . -type f | LC_ALL=C sort | xargs sha256sum

@@ -49,6 +49,17 @@ def _fail(code: int, error: str, **extra) -> int:
     return code
 
 
+class _UnknownScenario(Exception):
+    """``--scenario`` names no scenario of the spec."""
+
+
+def _scenario(args, table: dict):
+    """The scenario of ``table`` that ``--scenario`` names."""
+    if args.scenario not in table:
+        raise _UnknownScenario(args.scenario)
+    return table[args.scenario]
+
+
 def _load_spec(path: str) -> dsl.ResolvedSpec:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -78,74 +89,57 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_traces(out: Path, stem: str, trajs) -> list[str]:
+    """Write each trajectory as it comes, to ``<stem>-00000.csv``, … under
+    ``out``; the file names."""
+    names = []
+    for i, traj in enumerate(trajs):
+        names.append(f"{stem}-{i:05d}.csv")
+        traceio.write_trace(traj, out / names[-1])
+    return names
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _cmd_sample_logical(args) -> int:
     spec = _load_spec(args.spec)
-    if args.scenario not in spec.logicals:
-        return _fail(1, "UnknownScenario", scenario=args.scenario)
-    scenario = spec.logicals[args.scenario]
+    scenario = _scenario(args, spec.logicals)
     dist = spec.distributions.get(args.scenario)
     out = _out_dir(args)
     draws = sample(scenario, dist, args.count, args.seed)
-    manifest = {"seed": args.seed, "samples": []}
+    names = _write_traces(out, "sample", (traj for _, traj in draws))
     axis_names = [a.name for a in scenario.space.axes]
-    for i, (x, traj) in enumerate(draws):
-        name = f"sample-{i:05d}.csv"
-        traceio.write_trace(traj, out / name)
-        manifest["samples"].append(
-            {"x": dict(zip(axis_names, x)), "trace": name}
-        )
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    samples = [{"x": dict(zip(axis_names, x)), "trace": n} for (x, _), n in zip(draws, names)]
+    _write_json(out / "manifest.json", {"seed": args.seed, "samples": samples})
     _emit({"count": len(draws), "manifest": str(out / "manifest.json"), "seed": args.seed})
     return 0
 
 
 def _cmd_sample_abstract(args) -> int:
-    spec = _load_spec(args.spec)
-    if args.scenario not in spec.abstracts:
-        return _fail(1, "UnknownScenario", scenario=args.scenario)
-    scenario = spec.abstracts[args.scenario]
+    scenario = _scenario(args, _load_spec(args.spec).abstracts)
     out = _out_dir(args)
     traces = sample_abstract(scenario, args.count, args.strategy, args.seed)
-    names = []
-    for i, traj in enumerate(traces):
-        name = f"sample-{i:05d}.csv"
-        traceio.write_trace(traj, out / name)
-        names.append(name)
-    (out / "manifest.json").write_text(
-        json.dumps({"seed": args.seed, "strategy": args.strategy, "samples": names}, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
+    names = _write_traces(out, "sample", traces)
+    _write_json(
+        out / "manifest.json", {"seed": args.seed, "strategy": args.strategy, "samples": names}
     )
     _emit({"count": len(traces), "seed": args.seed, "strategy": args.strategy})
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    spec = _load_spec(args.spec)
-    if args.scenario not in spec.abstracts:
-        return _fail(1, "UnknownScenario", scenario=args.scenario)
-    scenario = spec.abstracts[args.scenario]
+    scenario = _scenario(args, _load_spec(args.spec).abstracts)
     out = _out_dir(args)
     leaves = enumerate_scenarios(scenario)
-    names = []
-    for i, traj in enumerate(leaves):
-        name = f"scenario-{i:05d}.csv"
-        traceio.write_trace(traj, out / name)
-        names.append(name)
-    (out / "index.json").write_text(
-        json.dumps({"scenarios": names}, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "index.json", {"scenarios": _write_traces(out, "scenario", leaves)})
     _emit({"count": len(leaves), "index": str(out / "index.json")})
     return 0
 
 
 def _cmd_monitor(args) -> int:
-    spec = _load_spec(args.spec)
-    if args.scenario not in spec.abstracts:
-        return _fail(1, "UnknownScenario", scenario=args.scenario)
-    scenario = spec.abstracts[args.scenario]
+    scenario = _scenario(args, _load_spec(args.spec).abstracts)
     try:
         trace = traceio.read_trace(args.trace, schema=scenario.instance.schema)
     except OSError as exc:
@@ -174,10 +168,7 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    spec = _load_spec(args.spec)
-    if args.scenario not in spec.logicals:
-        return _fail(1, "UnknownScenario", scenario=args.scenario)
-    scenario = spec.logicals[args.scenario]
+    scenario = _scenario(args, _load_spec(args.spec).logicals)
     try:
         trace = traceio.read_trace(args.trace)
     except OSError as exc:
@@ -204,10 +195,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_encode_logical(args) -> int:
-    spec = _load_spec(args.spec)
-    if args.scenario not in spec.logicals:
-        return _fail(1, "UnknownScenario", scenario=args.scenario)
-    scenario = spec.logicals[args.scenario]
+    scenario = _scenario(args, _load_spec(args.spec).logicals)
     instance = encode_logical(scenario)
     leaves = enumerate_scenarios(AbstractScenario(TrueFormula(), (), instance))
     xs = sorted(itertools.product(*(a.values for a in scenario.space.axes)))
@@ -239,19 +227,18 @@ def _cmd_synth_rural(args) -> int:
         choices = choices[: args.limit]
     out = _out_dir(args)
     scenario = rural.rural_formula(cfg, grid)
-    names = []
     accepted = 0
-    for i, choice in enumerate(choices):
-        traj = rural.synthesize(choice, cfg, grid)
-        name = f"choice-{i:05d}.csv"
-        traceio.write_trace(traj, out / name)
-        if monitor_word(traj, scenario) is Verdict.ACCEPTED:
-            accepted += 1
-        names.append(name)
-    (out / "manifest.json").write_text(
-        json.dumps({"n": args.n, "m": args.m, "traces": names}, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+
+    def synthesized():
+        # Each trace is written as soon as it is synthesized, then monitored.
+        nonlocal accepted
+        for choice in choices:
+            traj = rural.synthesize(choice, cfg, grid)
+            yield traj
+            accepted += monitor_word(traj, scenario) is Verdict.ACCEPTED
+
+    names = _write_traces(out, "choice", synthesized())
+    _write_json(out / "manifest.json", {"n": args.n, "m": args.m, "traces": names})
     _emit({"n": args.n, "m": args.m, "synthesized": len(names), "accepted": accepted})
     return 0
 
@@ -263,21 +250,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="scenkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def scenario_command(name, func, help):
+        """A command on one scenario of a spec file: ``spec --scenario NAME``."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("spec")
+        p.add_argument("--scenario", required=True)
+        p.set_defaults(func=func)
+        return p
+
     p = sub.add_parser("validate", help="parse and resolve a spec file")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("sample-logical", help="push-forward sampling of a logical scenario")
-    p.add_argument("spec")
-    p.add_argument("--scenario", required=True)
+    p = scenario_command(
+        "sample-logical", _cmd_sample_logical, "push-forward sampling of a logical scenario"
+    )
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_sample_logical)
 
-    p = sub.add_parser("sample-abstract", help="sample concrete scenarios from an abstract one")
-    p.add_argument("spec")
-    p.add_argument("--scenario", required=True)
+    p = scenario_command(
+        "sample-abstract", _cmd_sample_abstract, "sample concrete scenarios from an abstract one"
+    )
     p.add_argument("--count", type=int, required=True)
     p.add_argument(
         "--strategy",
@@ -286,33 +280,22 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_sample_abstract)
 
-    p = sub.add_parser("enumerate", help="enumerate an abstract scenario's set")
-    p.add_argument("spec")
-    p.add_argument("--scenario", required=True)
+    p = scenario_command("enumerate", _cmd_enumerate, "enumerate an abstract scenario's set")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("monitor", help="decide membership of a trace")
-    p.add_argument("spec")
-    p.add_argument("--scenario", required=True)
+    p = scenario_command("monitor", _cmd_monitor, "decide membership of a trace")
     p.add_argument("--trace", required=True)
-    p.set_defaults(func=_cmd_monitor)
 
-    p = sub.add_parser("invert", help="inverse-image analysis of a trace")
-    p.add_argument("spec")
-    p.add_argument("--scenario", required=True)
+    p = scenario_command("invert", _cmd_invert, "inverse-image analysis of a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--tol", type=float, required=True)
-    p.set_defaults(func=_cmd_invert)
 
-    p = sub.add_parser(
-        "encode-logical", help="encode a finite logical scenario and verify set equality"
+    scenario_command(
+        "encode-logical",
+        _cmd_encode_logical,
+        "encode a finite logical scenario and verify set equality",
     )
-    p.add_argument("spec")
-    p.add_argument("--scenario", required=True)
-    p.set_defaults(func=_cmd_encode_logical)
 
     p = sub.add_parser("demo-spec-complexity", help="binary branching scenario counts")
     p.add_argument("--n", type=int, required=True)
@@ -339,6 +322,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail(EX_NOINPUT, "io", detail=str(exc))
+    except _UnknownScenario:
+        return _fail(1, "UnknownScenario", scenario=args.scenario)
     except dsl.ResolutionError as exc:
         _emit({"ok": False, "diagnostics": [d.render() for d in exc.diagnostics]})
         return EX_DATAERR

@@ -1,7 +1,7 @@
 """Scenes, time grids, trajectories and the structural operations on them.
 
 A scene is a fixed-dimension snapshot of the world; a trajectory is a
-time-gridded sequence of scenes with a declared interpolation policy.
+time-gridded sequence of scenes, linearly interpolated between samples.
 Everything here is immutable and safe to share across workers.
 """
 
@@ -144,9 +144,6 @@ class TimeGrid:
     def t(self, i: int) -> float:
         return i * self.step
 
-    def times(self) -> tuple[float, ...]:
-        return tuple(i * self.step for i in range(self.count))
-
     def index_of(self, t: float) -> int:
         """Map a grid-aligned time to its index; raise if misaligned."""
         i = round(t / self.step)
@@ -161,20 +158,17 @@ class TimeGrid:
 class Trajectory:
     """A concrete scenario sampled on a uniform time grid.
 
-    samples[0] is the starting scene. Between samples the declared
-    interpolation is piecewise-linear; jumps are detected, not rejected.
+    samples[0] is the starting scene. Between samples the trajectory is
+    piecewise-linear; jumps are detected, not rejected.
     """
 
     schema: SceneSchema
     grid: TimeGrid
     samples: tuple[Scene, ...]
-    interpolation: str = field(default="piecewise-linear")
 
     def __post_init__(self):
         samples = tuple(self.samples)
         object.__setattr__(self, "samples", samples)
-        if self.interpolation != "piecewise-linear":
-            raise SchemaError(f"unknown interpolation {self.interpolation!r}")
         if len(samples) != self.grid.count:
             raise SchemaError(
                 f"{len(samples)} samples for a grid of {self.grid.count} points"

@@ -7,16 +7,17 @@ formula fixtures. Parsing is total: any input yields either a document
 or a list of diagnostics with line/column, offending token and expected
 set, never an exception and never a partial document.
 
-Numbers accept unit suffixes m, m/s, s and km/h; km/h is converted to
+Numbers accept unit suffixes m, s, m/s, m/s^2 and km/h; km/h is converted to
 m/s at parse time, so printed documents are always in SI units.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import Scene, SceneSchema, TimeGrid, schema_of
 from .dynamics import (
@@ -55,6 +56,16 @@ from .logical import (
 KMH_PER_MS = 3.6
 
 _UNIT_FACTORS = {"m": 1.0, "s": 1.0, "m/s": 1.0, "m/s^2": 1.0, "km/h": 1.0 / KMH_PER_MS}
+#: Unit spellings as token texts, longest first. ``m /`` is no unit
+#: unless ``m/s`` follows.
+_UNIT_SPELLINGS = (
+    (("m", "/", "s", "^", "2"), "m/s^2"),
+    (("m", "/", "s"), "m/s"),
+    (("km", "/", "h"), "km/h"),
+    (("m", "/"), None),
+    (("m",), "m"),
+    (("s",), "s"),
+)
 _SCHEMA_UNITS = {"m", "m/s", "m/s^2", "s", "dimensionless", "enum", "enum-code", "km/h"}
 
 
@@ -191,42 +202,33 @@ class Bin(Expr):
 
 
 class FormulaNode:
-    """A formula of the document. Equality and hashing walk the tree with
-    an explicit stack, so nesting costs no Python frames; the node classes
-    are declared with ``eq=False`` so that they keep these."""
+    """A formula of the document. Equality and hashing read the tree's
+    preorder, walked with an explicit stack, so nesting costs no Python
+    frames; the node classes are declared with ``eq=False`` so that they
+    keep these."""
 
-    def __eq__(self, other):
-        if not isinstance(other, FormulaNode):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            for name in a.__dataclass_fields__:
-                x, y = getattr(a, name), getattr(b, name)
-                if isinstance(x, FormulaNode):
-                    stack.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __hash__(self):
-        # Node types and other fields in preorder: equal trees hash alike.
-        parts = []
+    def _preorder(self):
+        """Each node's type and other fields, then its operands'."""
         stack = [self]
         while stack:
             node = stack.pop()
-            parts.append(type(node))
+            yield type(node)
             for name in node.__dataclass_fields__:
                 v = getattr(node, name)
                 if isinstance(v, FormulaNode):
                     stack.append(v)
                 else:
-                    parts.append(v)
-        return hash(tuple(parts))
+                    yield v
+
+    def __eq__(self, other):
+        if not isinstance(other, FormulaNode):
+            return NotImplemented
+        end = object()
+        pairs = itertools.zip_longest(self._preorder(), other._preorder(), fillvalue=end)
+        return not any(x != y for x, y in pairs)
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,14 +404,33 @@ class _Parser:
         return self.advance()
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
+        if not self.at_keyword(word):
             raise self.error(f"expected {word!r}", (word,))
         return self.advance()
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
         return tok.kind == "ident" and tok.text == word
+
+    def items(self, close: str, item: Callable[[], Any]) -> tuple:
+        """``item`` up to the ``close`` token; the comma after an item is
+        optional, so a trailing one is allowed."""
+        out = []
+        while self.peek().kind != close:
+            out.append(item())
+            if self.peek().kind == ",":
+                self.advance()
+        self.expect(close)
+        return tuple(out)
+
+    def numbers(self, close: str) -> tuple[float, ...]:
+        """One or more comma-separated numbers up to the ``close`` token."""
+        values = [self.parse_number_with_unit()]
+        while self.peek().kind == ",":
+            self.advance()
+            values.append(self.parse_number_with_unit())
+        self.expect(close)
+        return tuple(values)
 
     def sync_to_decl(self) -> None:
         while True:
@@ -423,52 +444,25 @@ class _Parser:
     # -- numbers, units, expressions -----------------------------------------
 
     def parse_unit(self) -> str | None:
-        tok = self.peek()
-        if tok.kind != "ident":
-            return None
-        if tok.text == "km":
-            save = self.pos
-            self.advance()
-            if self.peek().kind == "/" :
-                self.advance()
-                if self.at_keyword("h"):
-                    self.advance()
-                    return "km/h"
-            self.pos = save
-            return None
-        if tok.text in ("m", "s"):
-            save = self.pos
-            unit = tok.text
-            self.advance()
-            if unit == "m" and self.peek().kind == "/":
-                peek2 = self.tokens[self.pos + 1]
-                if peek2.kind == "ident" and peek2.text == "s":
-                    self.advance()
-                    self.advance()
-                    unit = "m/s"
-                    if self.peek().kind == "^":
-                        peek3 = self.tokens[self.pos + 1]
-                        if peek3.kind == "number" and peek3.text == "2":
-                            self.advance()
-                            self.advance()
-                            unit = "m/s^2"
-                else:
-                    self.pos = save
-                    return None
-            return unit
+        """Consume the longest unit spelling at the cursor and return it."""
+        texts = tuple(t.text for t in self.tokens[self.pos : self.pos + 5])
+        for spelling, unit in _UNIT_SPELLINGS:
+            if texts[: len(spelling)] == spelling:
+                if unit is not None:
+                    self.pos += len(spelling)
+                return unit
         return None
 
+    def parse_number(self) -> float:
+        """A number and its optional unit, scaled to SI."""
+        value = float(self.expect("number", "a number").text)
+        return value * _UNIT_FACTORS.get(self.parse_unit(), 1.0)
+
     def parse_number_with_unit(self) -> float:
-        neg = False
         if self.peek().kind == "-":
             self.advance()
-            neg = True
-        tok = self.expect("number", "a number")
-        value = float(tok.text)
-        unit = self.parse_unit()
-        if unit is not None:
-            value *= _UNIT_FACTORS.get(unit, 1.0)
-        return -value if neg else value
+            return -self.parse_number()
+        return self.parse_number()
 
     def parse_expr(self) -> Expr:
         left = self.parse_term()
@@ -500,12 +494,7 @@ class _Parser:
             self.expr_depth -= 1
             return e
         if tok.kind == "number":
-            self.advance()
-            value = float(tok.text)
-            unit = self.parse_unit()
-            if unit is not None:
-                value *= _UNIT_FACTORS.get(unit, 1.0)
-            return Num(value)
+            return Num(self.parse_number())
         if tok.kind == "ident":
             if tok.text == "inf":
                 self.advance()
@@ -588,38 +577,34 @@ class _Parser:
         if tok.text == "scene":
             self.advance()
             self.expect("(")
-            items = []
-            while not self.peek().kind == ")":
-                name = self.expect("ident", "a dimension name").text
-                self.expect("=")
-                items.append((name, self.parse_expr()))
-                if self.peek().kind == ",":
-                    self.advance()
-            self.expect(")")
-            return FScene(tuple(items))
+            return FScene(self.items(")", lambda: self.parse_binding("a dimension name")))
         if tok.text == "pred":
             self.advance()
             self.expect("(")
-            items = []
-            while not self.peek().kind == ")":
-                name = self.expect("ident", "a dimension name").text
-                other = None
-                if self.peek().kind == "-":
-                    self.advance()
-                    other = self.expect("ident", "a dimension name").text
-                self.expect_keyword("in")
-                self.expect("[")
-                lo = self.parse_expr()
-                self.expect(",")
-                hi = self.parse_expr()
-                self.expect("]")
-                items.append((name, other, lo, hi))
-                if self.peek().kind == ",":
-                    self.advance()
-            self.expect(")")
-            return FPred(tuple(items))
+            return FPred(self.items(")", self.parse_bound))
         self.advance()
         return FRef(tok.text)
+
+    def parse_binding(self, what: str) -> tuple[str, Expr]:
+        """``name = expr``."""
+        name = self.expect("ident", what).text
+        self.expect("=")
+        return name, self.parse_expr()
+
+    def parse_bound(self) -> tuple[str, str | None, Expr, Expr]:
+        """``dim in [lo, hi]`` or ``dim - other in [lo, hi]``."""
+        name = self.expect("ident", "a dimension name").text
+        other = None
+        if self.peek().kind == "-":
+            self.advance()
+            other = self.expect("ident", "a dimension name").text
+        self.expect_keyword("in")
+        self.expect("[")
+        lo = self.parse_expr()
+        self.expect(",")
+        hi = self.parse_expr()
+        self.expect("]")
+        return name, other, lo, hi
 
     # -- declarations ------------------------------------------------------------
 
@@ -627,27 +612,21 @@ class _Parser:
         kw = self.expect_keyword("schema")
         name = self.expect("ident", "a schema name").text
         self.expect("{")
-        dims = []
-        while self.peek().kind != "}":
-            dim = self.expect("ident", "a dimension name").text
-            self.expect(":")
-            unit_tok = self.peek()
-            unit = self.parse_unit()
-            if unit is None:
-                if unit_tok.kind == "ident" and unit_tok.text in _SCHEMA_UNITS:
-                    unit = unit_tok.text
-                    self.advance()
-                else:
-                    raise self.error("expected a unit", tuple(sorted(_SCHEMA_UNITS)))
-            if unit == "km/h":
-                unit = "m/s"
-            if unit == "enum":
-                unit = "enum-code"
-            dims.append((dim, unit))
-            if self.peek().kind == ",":
+        return SchemaDecl(name, self.items("}", self.parse_dimension), at=(kw.line, kw.col))
+
+    def parse_dimension(self) -> tuple[str, str]:
+        """``dim: unit``, the unit in its SI spelling."""
+        dim = self.expect("ident", "a dimension name").text
+        self.expect(":")
+        unit_tok = self.peek()
+        unit = self.parse_unit()
+        if unit is None:
+            if unit_tok.kind == "ident" and unit_tok.text in _SCHEMA_UNITS:
+                unit = unit_tok.text
                 self.advance()
-        self.expect("}")
-        return SchemaDecl(name, tuple(dims), at=(kw.line, kw.col))
+            else:
+                raise self.error("expected a unit", tuple(sorted(_SCHEMA_UNITS)))
+        return dim, {"km/h": "m/s", "enum": "enum-code"}.get(unit, unit)
 
     def parse_model(self) -> ModelDecl:
         kw = self.expect_keyword("model")
@@ -659,15 +638,7 @@ class _Parser:
 
     def parse_arglist(self) -> tuple[tuple[str, Expr], ...]:
         self.expect("(")
-        args = []
-        while self.peek().kind != ")":
-            name = self.expect("ident", "an argument name").text
-            self.expect("=")
-            args.append((name, self.parse_expr()))
-            if self.peek().kind == ",":
-                self.advance()
-        self.expect(")")
-        return tuple(args)
+        return self.items(")", lambda: self.parse_binding("an argument name"))
 
     def parse_param(self) -> ParamDecl:
         self.expect_keyword("param")
@@ -685,12 +656,7 @@ class _Parser:
         elif self.at_keyword("set"):
             self.advance()
             self.expect("{")
-            values = [self.parse_number_with_unit()]
-            while self.peek().kind == ",":
-                self.advance()
-                values.append(self.parse_number_with_unit())
-            self.expect("}")
-            kind, values = "set", tuple(values)
+            kind, values = "set", self.numbers("}")
         else:
             raise self.error("expected a parameter domain", ("range", "set"))
         dist = None
@@ -708,12 +674,7 @@ class _Parser:
                 dist = ("normal", mu, sigma)
             elif dtok.text == "weights":
                 self.expect("(")
-                ws = [self.parse_number_with_unit()]
-                while self.peek().kind == ",":
-                    self.advance()
-                    ws.append(self.parse_number_with_unit())
-                self.expect(")")
-                dist = ("weights", *ws)
+                dist = ("weights", *self.numbers(")"))
             else:
                 raise self.error(
                     "unknown distribution", ("uniform", "normal", "weights")
@@ -729,16 +690,7 @@ class _Parser:
             params.append(self.parse_param())
         self.expect_keyword("start")
         self.expect("{")
-        start = []
-        while self.peek().kind != "}":
-            qual = self.expect("ident", "a schema name").text
-            self.expect(".")
-            dim = self.expect("ident", "a dimension name").text
-            self.expect("=")
-            start.append((qual, dim, self.parse_expr()))
-            if self.peek().kind == ",":
-                self.advance()
-        self.expect("}")
+        start = self.items("}", self.parse_start_item)
         binds = []
         while self.at_keyword("bind"):
             self.advance()
@@ -752,8 +704,14 @@ class _Parser:
         step = self.parse_number_with_unit()
         self.expect("}")
         return LogicalDecl(
-            name, tuple(params), tuple(start), tuple(binds), horizon, step, at=(kw.line, kw.col)
+            name, tuple(params), start, tuple(binds), horizon, step, at=(kw.line, kw.col)
         )
+
+    def parse_start_item(self) -> tuple[str, str, Expr]:
+        """``schema.dim = expr``."""
+        qual = self.expect("ident", "a schema name").text
+        self.expect(".")
+        return (qual, *self.parse_binding("a dimension name"))
 
     def parse_abstract(self) -> AbstractDecl:
         kw = self.expect_keyword("abstract")
@@ -807,18 +765,11 @@ class _Parser:
             return None
         while self.peek().kind != "eof":
             try:
-                if self.at_keyword("schema"):
-                    decls.append(self.parse_schema())
-                elif self.at_keyword("model"):
-                    decls.append(self.parse_model())
-                elif self.at_keyword("logical"):
-                    decls.append(self.parse_logical())
-                elif self.at_keyword("abstract"):
-                    decls.append(self.parse_abstract())
-                elif self.at_keyword("fixture"):
-                    decls.append(self.parse_fixture())
-                else:
+                tok = self.peek()
+                if tok.kind != "ident" or tok.text not in _DECL_KEYWORDS:
                     raise self.error("expected declaration", _DECL_KEYWORDS)
+                # Each keyword's declaration is read by parse_<keyword>.
+                decls.append(getattr(self, f"parse_{tok.text}")())
             except ParseFailure:
                 self.expr_depth = 0
                 self.advance()
@@ -915,18 +866,13 @@ def print_document(doc: SpecDocument) -> str:
         elif isinstance(d, LogicalDecl):
             out.append(f"logical {d.name} {{")
             for p in d.params:
-                if p.kind == "range":
-                    dom = f"range({_fmt_num(p.values[0])}, {_fmt_num(p.values[1])})"
-                else:
-                    dom = "set{" + ", ".join(_fmt_num(v) for v in p.values) + "}"
+                nums = ", ".join(_fmt_num(v) for v in p.values)
+                dom = f"range({nums})" if p.kind == "range" else f"set{{{nums}}}"
                 dist = ""
-                if p.dist is not None:
-                    if p.dist[0] == "uniform":
-                        dist = " ~ uniform"
-                    elif p.dist[0] == "normal":
-                        dist = f" ~ normal({_fmt_num(p.dist[1])}, {_fmt_num(p.dist[2])})"
-                    else:
-                        dist = " ~ weights(" + ", ".join(_fmt_num(w) for w in p.dist[1:]) + ")"
+                if p.dist == ("uniform",):
+                    dist = " ~ uniform"
+                elif p.dist is not None:
+                    dist = f" ~ {p.dist[0]}({', '.join(_fmt_num(v) for v in p.dist[1:])})"
                 out.append(f"  param {p.name}: {dom}{dist}")
             starts = ", ".join(f"{q}.{dim} = {_print_expr(e)}" for q, dim, e in d.start)
             out.append(f"  start {{ {starts} }}")
@@ -991,6 +937,9 @@ def _eval_expr(e: Expr, env: dict[str, float], diags: list[Diagnostic]) -> float
             return lv - rv
         if e.op == "*":
             return lv * rv
+        if rv == 0:
+            diags.append(Diagnostic("RES003", 0, 0, "division by zero"))
+            return 0.0
         return lv / rv
     raise TypeError(e)
 
@@ -1165,35 +1114,44 @@ def resolve(doc: SpecDocument) -> ResolvedSpec:
             diags.append(Diagnostic("RES002", *d.at, f"duplicate declaration {d.name!r}", d.name))
         seen.add(key)
         if isinstance(d, SchemaDecl):
-            spec.schemas[d.name] = schema_of(*d.dims)
+            try:
+                spec.schemas[d.name] = schema_of(*d.dims)
+            except ScenarioError as exc:
+                diags.append(Diagnostic("RES003", *d.at, f"{d.name!r}: {exc}"))
         elif isinstance(d, ModelDecl):
             models[d.name] = d
         elif isinstance(d, FixtureDecl):
             spec.fixtures[d.name] = d.formula
 
     for d in doc.decls:
-        # The helpers below report at 0:0; their diagnostics take the
-        # position of the declaration being resolved.
+        # The helpers below report at 0:0; their diagnostics, and a library
+        # error that building the declaration raises, take the position of
+        # the declaration being resolved.
         first = len(diags)
-        if isinstance(d, LogicalDecl):
-            _resolve_logical(d, spec, models, diags)
-        elif isinstance(d, AbstractDecl):
-            schema = spec.schemas.get(d.use)
-            if schema is None:
-                diags.append(Diagnostic("RES001", *d.at, f"unknown schema {d.use!r}", d.use))
-                continue
-            resolved: dict[str, Formula] = {}
-            world = tuple(
-                _resolve_formula(w, schema, spec.fixtures, diags, resolved) for w in d.world
-            )
-            constraint = _resolve_formula(d.constraint, schema, spec.fixtures, diags, resolved)
-            instance = _bounded_step_instance(d, schema, diags)
-            spec.abstracts[d.name] = AbstractScenario(constraint, world, instance)
+        try:
+            if isinstance(d, LogicalDecl):
+                _resolve_logical(d, spec, models, diags)
+            elif isinstance(d, AbstractDecl):
+                _resolve_abstract(d, spec, diags)
+        except (ScenarioError, ArithmeticError) as exc:
+            diags.append(Diagnostic("RES003", 0, 0, f"{d.name!r}: {exc}"))
         line, col = d.at
         diags[first:] = [dataclasses.replace(x, line=line, col=col) for x in diags[first:]]
     if diags:
         raise ResolutionError(diags)
     return spec
+
+
+def _resolve_abstract(d: AbstractDecl, spec: ResolvedSpec, diags: list[Diagnostic]) -> None:
+    schema = spec.schemas.get(d.use)
+    if schema is None:
+        diags.append(Diagnostic("RES001", 0, 0, f"unknown schema {d.use!r}", d.use))
+        return
+    resolved: dict[str, Formula] = {}
+    world = tuple(_resolve_formula(w, schema, spec.fixtures, diags, resolved) for w in d.world)
+    constraint = _resolve_formula(d.constraint, schema, spec.fixtures, diags, resolved)
+    instance = _bounded_step_instance(d, schema, diags)
+    spec.abstracts[d.name] = AbstractScenario(constraint, world, instance)
 
 
 def _resolve_logical(

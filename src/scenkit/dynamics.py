@@ -41,6 +41,11 @@ CONTRADICTION_TOL = 1e-6
 
 #: Residual bound for the semigroup law on grid-aligned times.
 SEMIGROUP_TOL = 1e-9
+#: The semigroup probe's time grid, its longest time in steps, and the
+#: range its random scenes are drawn from.
+SEMIGROUP_THETA_STEP = 0.1
+SEMIGROUP_MAX_STEPS = 50
+SEMIGROUP_VALUE_RANGE = (-100.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,6 @@ class DeterministicModel:
     theta_max: float
     evolve_fn: Callable[[float, tuple[float, ...]], tuple[float, ...]]
     owns: tuple[str, ...] | None = None
-    params: Mapping[str, float] = field(default_factory=dict)
     state_sampler: Callable[[random.Random], Scene] | None = None
 
     def __post_init__(self):
@@ -272,9 +276,7 @@ def drift(
             vals[i] = v[i] + rate * theta
         return tuple(vals)
 
-    return DeterministicModel(
-        id, schema, theta_max, evolve, owns=tuple(rates), params=dict(rates)
-    )
+    return DeterministicModel(id, schema, theta_max, evolve, owns=tuple(rates))
 
 
 def constant_velocity(
@@ -311,9 +313,7 @@ def constant_acceleration(
         vals[ivy] = v[ivy] + ay * theta
         return tuple(vals)
 
-    return DeterministicModel(
-        id, schema, math.inf, evolve, owns=(x, y, vx, vy), params={"ax": ax, "ay": ay}
-    )
+    return DeterministicModel(id, schema, math.inf, evolve, owns=(x, y, vx, vy))
 
 
 def _require_clock(schema: SceneSchema, clock: str, model_id: str) -> int:
@@ -375,7 +375,6 @@ def stop_at(
         math.inf,
         evolve,
         owns=(x, y, vx, vy, clock),
-        params={"t_stop": t_stop},
         state_sampler=consistent,
     )
 
@@ -497,9 +496,6 @@ def check_semigroup(
     model: DeterministicModel | ModelFamily,
     trials: int = 1000,
     rng_seed: int = 0,
-    theta_step: float = 0.1,
-    max_steps: int = 50,
-    value_range: tuple[float, float] = (-100.0, 100.0),
 ) -> SemigroupReport:
     """Probe the identity and semigroup laws on random grid-aligned times.
 
@@ -510,16 +506,16 @@ def check_semigroup(
     rng = random.Random(rng_seed)
     schema = model.schema
     theta_cap = model.theta_max
-    max_total = min(max_steps, int(theta_cap / theta_step)) if math.isfinite(theta_cap) else max_steps
+    max_total = int(min(SEMIGROUP_MAX_STEPS, theta_cap / SEMIGROUP_THETA_STEP))
     sampler = getattr(model, "state_sampler", None)
     worst_id = 0.0
     worst_semi = 0.0
     worst_case = None
     for _ in range(trials):
-        s = sampler(rng) if sampler is not None else _random_scene(schema, rng, *value_range)
+        s = sampler(rng) if sampler else _random_scene(schema, rng, *SEMIGROUP_VALUE_RANGE)
         n1 = rng.randint(0, max_total)
         n2 = rng.randint(0, max_total - n1)
-        t1, t2 = n1 * theta_step, n2 * theta_step
+        t1, t2 = n1 * SEMIGROUP_THETA_STEP, n2 * SEMIGROUP_THETA_STEP
         worst_id = max(worst_id, scene_distance(model.evolve(0.0, s), s))
         lhs = model.evolve(t2, model.evolve(t1, s))
         rhs = model.evolve(t1 + t2, s)

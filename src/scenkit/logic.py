@@ -85,7 +85,8 @@ class ScenarioLogicInstance:
     candidate next scenes and defines the admissible steps, matched the
     same way. A box world (see ``box_step``) admits steps by ``allows``
     instead: a world sets ``allows`` exactly when it sets no successors.
-    Monitoring does not search box worlds, and ``expand`` refuses them.
+    Monitoring does not search box worlds, and the walks that need
+    successors refuse them.
     The formula is the only acceptance condition. Full-length paths have
     horizon+1 samples. ``markov`` declares that ``successors`` reads only
     the last scene of a prefix, which lets expansion, enumeration and
@@ -181,9 +182,16 @@ def _extend(inst: ScenarioLogicInstance, node: Node, cands: Iterable[Scene]) -> 
     return [out[k] for k in sorted(out)]
 
 
+def _successors(inst: ScenarioLogicInstance, path: Path) -> Sequence[Scene]:
+    """The candidate next scenes of a path; ComplexityError on a box world."""
+    if inst.allows is not None:
+        raise ComplexityError(f"instance {inst.id!r} declares no successors to expand")
+    return inst.successors(path)
+
+
 def _children(inst: ScenarioLogicInstance, node: Node) -> list[Node]:
     """Filtered one-step extensions of a node, ordered by their last scene."""
-    return _extend(inst, node, inst.successors(node[0]))
+    return _extend(inst, node, _successors(inst, node[0]))
 
 
 def _roots(inst: ScenarioLogicInstance, conj: Formula) -> list[Node]:
@@ -218,8 +226,6 @@ def expand(
         )
     if steps == 0:
         return (c,)
-    if inst.allows is not None:
-        raise ComplexityError(f"instance {inst.id!r} declares no successors to expand")
     if inst.one_step_override is not None:
         frontier = [c.samples]
         for _ in range(steps):
@@ -586,7 +592,7 @@ def _random_prefix(
     path: Path = (starts[rng.randrange(len(starts))],)
     depth = rng.randint(0, min(max_depth, max(inst.horizon - 1, 0)))
     for _ in range(depth):
-        cands = list(inst.successors(path))
+        cands = list(_successors(inst, path))
         if not cands:
             break
         path = path + (cands[rng.randrange(len(cands))],)

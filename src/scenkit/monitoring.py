@@ -231,7 +231,6 @@ class StreamMonitor:
         self.explore_budget = explore_budget
         self._samples: list[Scene] = []
         self._verdict = monitor_prefix(None, scenario, explore_budget)
-        self._latched = self._verdict in (Verdict3.TRUE, Verdict3.FALSE)
 
     @property
     def verdict(self) -> Verdict3:
@@ -246,14 +245,12 @@ class StreamMonitor:
         if len(self._samples) >= inst.full_length():
             raise HorizonError("stream already consumed the full horizon")
         self._samples.append(scene)
-        if self._latched:
+        if self._verdict is not Verdict3.UNKNOWN:
             return self._verdict
         traj = Trajectory(
             inst.schema, inst.grid(len(self._samples)), tuple(self._samples)
         )
         self._verdict = monitor_prefix(traj, self.scenario, self.explore_budget)
-        if self._verdict in (Verdict3.TRUE, Verdict3.FALSE):
-            self._latched = True
         return self._verdict
 
 

@@ -42,6 +42,25 @@ def test_validate_reports_diagnostics(tmp_path, capsys):
     assert payload["diagnostics"]
 
 
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("logical l { start { s.x = 1 / 0 } bind drift(x = 1) horizon 1 s step 0.1 s }",
+         "RES003 at 2:1: division by zero"),
+        ("logical l { param r: range(3, 1) start { s.x = r } bind drift(x = 1) "
+         "horizon 1 s step 0.1 s }",
+         "RES003 at 2:1: 'l': axis 'r': lo 3.0 > hi 1.0"),
+    ],
+    ids=["division", "reversed-range"],
+)
+def test_validate_reports_library_errors_as_diagnostics(tmp_path, capsys, text, rendered):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("schema s { x: m }\n" + text)
+    code, payload = run(capsys, "validate", str(bad))
+    assert code == EX_DATAERR
+    assert payload == {"ok": False, "diagnostics": [rendered]}
+
+
 def test_missing_file_is_io_error(capsys):
     code, payload = run(capsys, "validate", "/nonexistent.scn")
     assert code == EX_NOINPUT

@@ -107,6 +107,64 @@ def test_print_document_of_deep_formulas_round_trips():
     assert dsl.print_document(dsl.parse(nexts).document) == nexts + "\n"
 
 
+# Documents at the edges of every bracketed list and every unit spelling,
+# each with the printed document (parsed) or rendered diagnostics (refused).
+# A comma after a list item is optional and a trailing one is allowed;
+# set{} and weights() need a first number and take no trailing comma; a bare
+# m before / is a unit only as m/s.
+_GRAMMAR_EDGES = [
+    ('fixture f = scene(x = 1 y = 2)', 'fixture f = scene(x = 1.0, y = 2.0)\n'),
+    ('fixture f = scene(x = 1, y = 2,)', 'fixture f = scene(x = 1.0, y = 2.0)\n'),
+    ('fixture f = scene(x = 1, y = 2', 'PAR002 at 1:31: expected a dimension name (expected ident)'),
+    ('fixture f = scene(x = 1,', 'PAR002 at 1:25: expected a dimension name (expected ident)'),
+    ('fixture f = scene()', 'fixture f = scene()\n'),
+    ('fixture f = pred(x in [0, 1] y in [0, 2])', 'fixture f = pred(x in [0.0, 1.0], y in [0.0, 2.0])\n'),
+    ('fixture f = pred(x - y in [0, 1],)', 'fixture f = pred(x - y in [0.0, 1.0])\n'),
+    ('fixture f = pred(x in [0, 1]', 'PAR002 at 1:29: expected a dimension name (expected ident)'),
+    ('fixture f = pred(x in [0', 'PAR002 at 1:25: expected , (expected ,)'),
+    ('schema s { x: m y: s }', 'schema s { x: m, y: s }\n'),
+    ('schema s { x: m/s^2, }', 'schema s { x: m/s^2 }\n'),
+    ('schema s { x: m,', 'PAR002 at 1:17: expected a dimension name (expected ident)'),
+    ('schema s { }', 'schema s {  }\n'),
+    ('model d = drift(x = 1 y = 2)', 'model d = drift(x = 1.0, y = 2.0)\n'),
+    ('model d = drift(x = 1,)', 'model d = drift(x = 1.0)\n'),
+    ('model d = drift(x = 1', 'PAR002 at 1:22: expected an argument name (expected ident)'),
+    ('model d = drift(,)', 'PAR001 at 1:17: expected an argument name (expected ident)'),
+    ('logical l { start { s.x = 0 s.y = 1 } bind drift(x = 1) horizon 1 s step 0.1 s }', 'PAR001 at 1:30: expected a schema name (expected ident)'),
+    ('logical l { start { s.x = 0, } bind drift(x = 1) horizon 1 s step 0.1 s }', 'logical l {\n  start { s.x = 0.0 }\n  bind drift(x = 1.0)\n  horizon 1.0 step 0.1\n}\n'),
+    ('logical l { start { s.x = 0', 'PAR002 at 1:28: expected a schema name (expected ident)'),
+    ('logical l { param p: set{} start { s.x = 0 } bind drift(x = 1) horizon 1 s step 0.1 s }', 'PAR001 at 1:26: expected a number (expected number)'),
+    ('logical l { param p: set{1, 2,} start { s.x = 0 } bind drift(x = 1) horizon 1 s step 0.1 s }', 'PAR001 at 1:31: expected a number (expected number)'),
+    ('logical l { param p: set{1 2} start { s.x = 0 } bind drift(x = 1) horizon 1 s step 0.1 s }', 'PAR001 at 1:28: expected } (expected })'),
+    ('logical l { param p: set{1, 2} ~ weights() start { s.x = 0 } bind drift(x = 1) horizon 1 s step 0.1 s }', 'PAR001 at 1:42: expected a number (expected number)'),
+    ('logical l { param p: set{1, 2} ~ weights(1, 3) start { s.x = 0 } bind drift(x = 1) horizon 1 s step 0.1 s }', 'logical l {\n  param p: set{1.0, 2.0} ~ weights(1.0, 3.0)\n  start { s.x = 0.0 }\n  bind drift(x = 1.0)\n  horizon 1.0 step 0.1\n}\n'),
+    ('logical l { param p: set{1, 2} ~ weights(1,', 'PAR002 at 1:44: expected a number (expected number)'),
+    ('logical l { param p: set{-5 km/h, 1 m/s', 'PAR002 at 1:40: expected } (expected })'),
+    ('model d = drift(x = 3 m / 2)', 'PAR001 at 1:25: expected = (expected =)'),
+    ('model d = drift(x = 3 m/s^3)', 'PAR001 at 1:26: expected an argument name (expected ident)'),
+    ('model d = drift(x = 3 m/s^ 2.0)', 'PAR001 at 1:26: expected an argument name (expected ident)'),
+    ('model d = drift(x = 3 s / 2)', 'model d = drift(x = (3.0 / 2.0))\n'),
+    ('model d = drift(x = 36 km/h, y = 2 m/s^2, z = 4 m/s, w = 5 m)', 'model d = drift(x = 10.0, y = 2.0, z = 4.0, w = 5.0)\n'),
+    ('model d = drift(x = 1 km/ 2)', 'PAR001 at 1:25: expected = (expected =)'),
+    ('model d = drift(x = 1 km)', 'PAR001 at 1:25: expected = (expected =)'),
+    ('logical l { param p: range(-36 km/h, 3 m/s^2) ~ normal(1 m, 2 s) start { s.x = 0 } bind drift(x = 1) horizon 1 km/ step 0.1 s }', "PAR001 at 1:112: expected 'step' (expected step)"),
+    ('logical l { param p: range(-36 km/h, 3 m/s^2) ~ normal(1 m, 2 s) start { s.x = 0 } bind drift(x = 1) horizon 1 s step 0.1 s }', 'logical l {\n  param p: range(-10.0, 3.0) ~ normal(1.0, 2.0)\n  start { s.x = 0.0 }\n  bind drift(x = 1.0)\n  horizon 1.0 step 0.1\n}\n'),
+    ('schema s { a: km/h, b: enum, c: dimensionless, d: m/s^2 }', 'schema s { a: m/s, b: enum-code, c: dimensionless, d: m/s^2 }\n'),
+    ('schema s { x: m / }', 'PAR001 at 1:17: expected a dimension name (expected ident)'),
+    ('schema s { x: km }', 'PAR001 at 1:15: expected a unit (expected dimensionless, enum, enum-code, km/h, m, m/s, m/s^2, s)'),
+    ('abstract a { use s horizon 2 s step 36 km/h bound x 3 m bound y 1 m/s^2 constraint pred(x in [0 m, 1 km/h]) }', 'abstract a {\n  use s\n  horizon 2.0 step 10.0\n  bound x 3.0\n  bound y 1.0\n  constraint pred(x in [0.0, 0.2777777777777778])\n}\n'),
+]
+
+
+@pytest.mark.parametrize("text, expected", _GRAMMAR_EDGES)
+def test_grammar_edges(text, expected):
+    result = dsl.parse(text)
+    if result.ok:
+        assert dsl.print_document(result.document) == expected
+    else:
+        assert "\n".join(d.render() for d in result.diagnostics) == expected
+
+
 @pytest.mark.parametrize(
     "text, other",
     [
@@ -315,6 +373,57 @@ def test_resolution_diagnostics_carry_their_declarations_position():
     # Positions are not part of the document.
     doc = dsl.parse(text).document
     assert dsl.parse(dsl.print_document(doc)).document == doc
+
+
+def _logical(params="", start="0", bind="1", horizon="1 s", step="0.1 s"):
+    return (
+        "schema s { x: m }\n"
+        f"logical l {{ {params} start {{ s.x = {start} }} bind drift(x = {bind}) "
+        f"horizon {horizon} step {step} }}"
+    )
+
+
+def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
+    return (
+        "schema s { x: m }\n"
+        f"abstract a {{ use s horizon {horizon} step {step} bound x 1 constraint {constraint} }}"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        (_logical(start="1 / 0"), "RES003 at 2:1: division by zero"),
+        (_logical(bind="1 / (2 - 2)"), "RES003 at 2:1: division by zero"),
+        (_abstract("pred(x in [0, 1 / 0])"), "RES003 at 2:1: division by zero"),
+        (_logical("param r: range(3, 1)", bind="r"), "RES003 at 2:1: 'l': axis 'r': lo 3.0 > hi 1.0"),
+        ("schema s { }", "RES003 at 1:1: 's': a schema needs at least one dimension"),
+        (_logical(step="-0.1 s"), "RES003 at 2:1: 'l': grid step must be positive, got -0.1"),
+        (_logical(horizon="-1 s"), "RES003 at 2:1: 'l': grid count must be >= 1, got -9"),
+        (_abstract("scene(x = inf)"), "RES003 at 2:1: 'a': non-finite value inf in dimension 'x'"),
+        (_logical(step="0 s"), "RES003 at 2:1: 'l': float division by zero"),
+        (_abstract(step="0 s"), "RES003 at 2:1: 'a': float division by zero"),
+        (_abstract(horizon="1e400 s"), "RES003 at 2:1: 'a': cannot convert float infinity to integer"),
+        # The binder's own wording is kept.
+        (_logical(start="inf"), "RES003 at 2:1: scenario 'l': non-finite value inf in dimension 'x'"),
+    ],
+    ids=[
+        "start-division", "bind-division", "pred-division", "reversed-range", "empty-schema",
+        "negative-step", "negative-horizon", "infinite-scene", "zero-step", "abstract-zero-step",
+        "abstract-infinite-horizon", "binder-wording",
+    ],
+)
+def test_library_errors_while_resolving_are_diagnostics(text, rendered):
+    with pytest.raises(dsl.ResolutionError) as err:
+        dsl.load(text)
+    assert [d.render() for d in err.value.diagnostics] == [rendered]
+
+
+def test_a_zero_divisor_at_sampling_time_is_a_resolution_error():
+    scenario = dsl.load(_logical("param r: set{1, 2}", bind="1 / (r - 2)")).logicals["l"]
+    realize(scenario, (1.0,))
+    with pytest.raises(dsl.ResolutionError, match="division by zero"):
+        realize(scenario, (2.0,))
 
 
 def test_doubling_fixture_chain_resolves_to_shared_nodes():

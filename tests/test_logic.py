@@ -36,6 +36,7 @@ from scenkit.formulas import (
 from scenkit.fixtures import planar_instance, reach_or_stop_formula
 from scenkit.logic import (
     AbstractScenario,
+    ScenarioLogicInstance,
     _children,
     _count_dag,
     _residual,
@@ -43,6 +44,7 @@ from scenkit.logic import (
     _unrank,
     binary_branching,
     binary_scenarios,
+    box_step,
     check_axioms,
     count_scenarios,
     delta_step_instance,
@@ -965,3 +967,32 @@ def test_expand_refuses_box_worlds():
         assert expand(A, c, 0) == (c,)
         with pytest.raises(ComplexityError, match=re.escape(repr(inst.id))):
             expand(A, c, 1)
+
+
+_BOX_WALKS = {
+    "enumerate_scenarios": lambda A: enumerate_scenarios(A),
+    "count_scenarios": lambda A: count_scenarios(A),
+    "uniform-leaf": lambda A: sample_abstract(A, 2, "uniform-leaf", 0),
+    "uniform-branch": lambda A: sample_abstract(A, 2, "uniform-branch", 0),
+    "rejection": lambda A: sample_abstract(A, 2, "rejection", 0),
+    "check_axioms": lambda A: check_axioms(A.instance, (A.constraints,), 5),
+    "is_deterministic": lambda A: is_deterministic(A),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(_BOX_WALKS))
+def test_walks_refuse_box_worlds_with_finite_starts(walk, line):
+    # A finite start set gets a box world past the start check; the first
+    # successor query is then refused, not called on None.
+    inst = ScenarioLogicInstance(
+        "box", line, 1.0, 2, (Scene(line, (0.0,)),), None, allows=box_step([(-1, 1)])
+    )
+    with pytest.raises(ComplexityError, match=re.escape(repr(inst.id))):
+        _BOX_WALKS[walk](AbstractScenario(TrueFormula(), (), inst))
+
+
+def test_horizon_zero_box_world_enumerates_its_starts(line):
+    starts = (Scene(line, (0.0,)), Scene(line, (1.0,)))
+    inst = ScenarioLogicInstance("box", line, 1.0, 0, starts, None, allows=box_step([(-1, 1)]))
+    leaves = enumerate_scenarios(AbstractScenario(TrueFormula(), (), inst))
+    assert [t.samples for t in leaves] == [(s,) for s in starts]
