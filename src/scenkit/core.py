@@ -41,9 +41,12 @@ class Dimension:
 
 @dataclass(frozen=True, slots=True)
 class SceneSchema:
-    """Ordered, named dimensions of a scene vector."""
+    """Ordered, named dimensions of a scene vector. Two schemas are equal
+    when their names and units agree in order; equality and hash read one
+    tuple of ``(name, unit)`` pairs."""
 
-    dimensions: tuple[Dimension, ...]
+    dimensions: tuple[Dimension, ...] = field(compare=False)
+    _key: tuple[tuple[str, str], ...] = field(init=False, repr=False)
     _positions: dict[str, int] = field(init=False, compare=False, repr=False)
     _enum_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -57,6 +60,7 @@ class SceneSchema:
         positions = {d.name: i for i, d in enumerate(dims)}
         if len(positions) != len(dims):
             raise SchemaError("dimension names must be unique")
+        object.__setattr__(self, "_key", tuple((d.name, d.unit) for d in dims))
         object.__setattr__(self, "_positions", positions)
         enums = tuple(i for i, d in enumerate(dims) if d.unit == "enum-code")
         object.__setattr__(self, "_enum_indices", enums)
@@ -226,7 +230,7 @@ def scene_distance(a: Scene, b: Scene) -> float:
     """Euclidean distance between two scenes of the same schema (or inf)."""
     _check_same_schema(a.schema, b.schema)
     try:
-        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.values, b.values)))
+        return math.sqrt(sum([(x - y) ** 2 for x, y in zip(a.values, b.values)]))
     except OverflowError:
         return math.inf
 

@@ -1085,15 +1085,17 @@ def _bounded_step_instance(
     for dim in bound_by_dim:
         if not schema.has(dim):
             diags.append(Diagnostic("RES003", 0, 0, f"bound on unknown dimension {dim!r}", dim))
-    horizon = int(round(decl.horizon / decl.step))
+    # The grid a logical declaration would build refuses a step <= 0 and a
+    # negative horizon alike; a zero horizon still means one step.
+    grid = TimeGrid(decl.step, int(round(decl.horizon / decl.step)) + 1)
     slack = 1e-9
     reach = [bound_by_dim.get(name, 0.0) + slack for name in schema.names]
 
     return ScenarioLogicInstance(
         id=f"dsl-{decl.name}",
         schema=schema,
-        step=decl.step,
-        horizon=max(horizon, 1),
+        step=grid.step,
+        horizon=max(grid.count - 1, 1),
         initial_scenes=None,
         successors=None,
         allows=box_step((-r, r) for r in reach),
@@ -1198,6 +1200,7 @@ def _resolve_logical(
             marginals.append(DiscreteWeighted(tuple(p.dist[1:])))
     space = ParameterSpace(tuple(axes))
     dist = ParameterDistribution(tuple(marginals))
+    dist.validate_against(space)
     param_names = [p.name for p in d.params]
     count = int(round(d.horizon / d.step)) + 1
     grid = TimeGrid(d.step, count)

@@ -823,17 +823,18 @@ def quantized_motion_instance(
     ivx, ivy = schema.index(vx), schema.index(vy)
     pairs = tuple(itertools.product(accels, accels))
 
-    def advance(s: Scene, ax: float, ay: float) -> Scene:
-        vals = list(s.values)
-        vals[ix] = s.values[ix] + s.values[ivx] * step
-        vals[iy] = s.values[iy] + s.values[ivy] * step
-        vals[ivx] = s.values[ivx] + ax * step
-        vals[ivy] = s.values[ivy] + ay * step
-        return Scene(schema, tuple(vals))
-
     def successors(samples: Path) -> tuple[Scene, ...]:
-        end = samples[-1]
-        return tuple(advance(end, ax, ay) for ax, ay in pairs)
+        # Every successor shares the end scene's position step.
+        v = samples[-1].values
+        moved = list(v)
+        moved[ix] = v[ix] + v[ivx] * step
+        moved[iy] = v[iy] + v[ivy] * step
+        out = []
+        for ax, ay in pairs:
+            moved[ivx] = v[ivx] + ax * step
+            moved[ivy] = v[ivy] + ay * step
+            out.append(Scene(schema, tuple(moved)))
+        return tuple(out)
 
     return ScenarioLogicInstance(
         id=id,

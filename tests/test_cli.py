@@ -50,8 +50,11 @@ def test_validate_reports_diagnostics(tmp_path, capsys):
         ("logical l { param r: range(3, 1) start { s.x = r } bind drift(x = 1) "
          "horizon 1 s step 0.1 s }",
          "RES003 at 2:1: 'l': axis 'r': lo 3.0 > hi 1.0"),
+        ("logical l { param r: set{1, 2} ~ weights(1) start { s.x = r } bind drift(x = 1) "
+         "horizon 1 s step 0.1 s }",
+         "RES003 at 2:1: 'l': axis 'r': weight count mismatch"),
     ],
-    ids=["division", "reversed-range"],
+    ids=["division", "reversed-range", "weight-count"],
 )
 def test_validate_reports_library_errors_as_diagnostics(tmp_path, capsys, text, rendered):
     bad = tmp_path / "bad.scn"
@@ -59,6 +62,20 @@ def test_validate_reports_library_errors_as_diagnostics(tmp_path, capsys, text, 
     code, payload = run(capsys, "validate", str(bad))
     assert code == EX_DATAERR
     assert payload == {"ok": False, "diagnostics": [rendered]}
+
+
+def test_sample_logical_refuses_a_weight_count_mismatch(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(
+        "schema s { x: m }\nlogical l { param r: set{1, 2} ~ weights(1) start { s.x = r } "
+        "bind drift(x = 1) horizon 1 s step 0.1 s }"
+    )
+    code, payload = run(
+        capsys, "sample-logical", str(bad), "--scenario", "l", "--count", "1", "--seed", "1",
+        "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == EX_DATAERR
+    assert payload == {"ok": False, "diagnostics": ["RES003 at 2:1: 'l': axis 'r': weight count mismatch"]}
 
 
 def test_missing_file_is_io_error(capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -44,6 +45,42 @@ def test_schema_rejects_empty():
 def test_schema_rejects_unknown_unit():
     with pytest.raises(SchemaError):
         schema_of(("x", "furlong"))
+
+
+PLANE_DIMS = (("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
+
+
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        (PLANE_DIMS, PLANE_DIMS, True),
+        (PLANE_DIMS, PLANE_DIMS[::-1], False),
+        (PLANE_DIMS, PLANE_DIMS[:3] + (("vy", "m/s^2"),), False),
+        (PLANE_DIMS, PLANE_DIMS[:3] + (("w", "m/s"),), False),
+        (PLANE_DIMS, PLANE_DIMS[:3], False),
+        ((("lane", "enum"),), (("lane", "enum-code"),), True),
+        ((("a", "m/s²"),), (("a", "m/s^2"),), True),
+    ],
+    ids=["built-apart", "reordered", "unit-changed", "name-changed", "shorter", "enum-alias",
+         "accel-alias"],
+)
+def test_schema_equality_and_hash(a, b, equal):
+    sa, sb = schema_of(*a), schema_of(*b)
+    assert sa is not sb
+    assert (sa == sb) is equal and (sa != sb) is not equal
+    if equal:
+        assert hash(sa) == hash(sb)
+
+
+def test_schema_repr_and_pickle():
+    schema = schema_of(("x", "m"), ("lane", "enum"))
+    assert repr(schema) == (
+        "SceneSchema(dimensions=(Dimension(name='x', unit='m'), "
+        "Dimension(name='lane', unit='enum-code')))"
+    )
+    copy = pickle.loads(pickle.dumps(schema))
+    assert copy == schema and hash(copy) == hash(schema)
+    assert copy.dimensions == schema.dimensions and copy.index("lane") == 1
 
 
 def test_scene_rejects_nan(plane):
@@ -296,6 +333,25 @@ def test_distances_overflow_to_inf(line):
     near = make_trajectory(line, [[0.0], [-1e200]])
     assert trajectory_distance(far, near) == math.inf
     assert trajectory_distance(far, far) == 0.0
+
+
+def _generator_distance(a, b):
+    """``scene_distance`` summed over a generator: the reference it must match."""
+    try:
+        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.values, b.values)))
+    except OverflowError:
+        return math.inf
+
+
+wide = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False) | finite
+
+
+@given(st.lists(st.tuples(wide, wide), min_size=1, max_size=6))
+def test_scene_distance_matches_the_generator_sum(pairs):
+    schema = schema_of(*((f"d{i}", "m") for i in range(len(pairs))))
+    a = Scene(schema, tuple(p[0] for p in pairs))
+    b = Scene(schema, tuple(p[1] for p in pairs))
+    assert scene_distance(a, b).hex() == _generator_distance(a, b).hex()
 
 
 def test_trajectory_distance_grid_mismatch(plane):

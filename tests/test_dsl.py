@@ -404,19 +404,30 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
         (_logical(step="0 s"), "RES003 at 2:1: 'l': float division by zero"),
         (_abstract(step="0 s"), "RES003 at 2:1: 'a': float division by zero"),
         (_abstract(horizon="1e400 s"), "RES003 at 2:1: 'a': cannot convert float infinity to integer"),
+        # An abstract world refuses what a logical grid refuses.
+        (_abstract(step="-0.1 s"), "RES003 at 2:1: 'a': grid step must be positive, got -0.1"),
+        (_abstract(horizon="-1 s"), "RES003 at 2:1: 'a': grid count must be >= 1, got -9"),
+        (_logical("param r: set{1, 2} ~ weights(1)", bind="r"),
+         "RES003 at 2:1: 'l': axis 'r': weight count mismatch"),
         # The binder's own wording is kept.
         (_logical(start="inf"), "RES003 at 2:1: scenario 'l': non-finite value inf in dimension 'x'"),
     ],
     ids=[
         "start-division", "bind-division", "pred-division", "reversed-range", "empty-schema",
         "negative-step", "negative-horizon", "infinite-scene", "zero-step", "abstract-zero-step",
-        "abstract-infinite-horizon", "binder-wording",
+        "abstract-infinite-horizon", "abstract-negative-step", "abstract-negative-horizon",
+        "weight-count", "binder-wording",
     ],
 )
 def test_library_errors_while_resolving_are_diagnostics(text, rendered):
     with pytest.raises(dsl.ResolutionError) as err:
         dsl.load(text)
     assert [d.render() for d in err.value.diagnostics] == [rendered]
+
+
+def test_a_zero_abstract_horizon_is_one_step():
+    inst = dsl.load(_abstract(horizon="0 s")).abstracts["a"].instance
+    assert (inst.step, inst.horizon) == (0.1, 1)
 
 
 def test_a_zero_divisor_at_sampling_time_is_a_resolution_error():

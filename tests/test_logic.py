@@ -15,6 +15,7 @@ from scenkit.errors import (
     HorizonError,
     RangeError,
     RejectionBudgetError,
+    SchemaError,
     UnsatisfiableError,
 )
 from scenkit.formulas import (
@@ -767,6 +768,52 @@ def test_memoized_walks_compute_each_state_once(monkeypatch):
     # Two states per depth below the roots, one successors call each;
     # the per-node walk makes 50 x 11.
     assert len(calls) == 22
+
+
+# --- quantized successors against a per-pair reference ------------------------------
+
+
+def _advance(s, ax, ay, step):
+    """One quantized step from ``s``, each successor built alone."""
+    vals = list(s.values)
+    vals[0] = s.values[0] + s.values[2] * step
+    vals[1] = s.values[1] + s.values[3] * step
+    vals[2] = s.values[2] + ax * step
+    vals[3] = s.values[3] + ay * step
+    return Scene(PLANE, tuple(vals))
+
+
+def _successor_values(successors):
+    """The successors' values as hex strings, or the message of the error."""
+    try:
+        return [tuple(v.hex() for v in s.values) for s in successors()]
+    except SchemaError as exc:
+        return str(exc)
+
+
+_motion = st.floats(min_value=-1e306, max_value=1e306, allow_nan=False)
+
+
+@given(
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=4),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.tuples(_motion, _motion, _motion, _motion),
+)
+def test_quantized_successors_match_the_reference(accels, step, end_values):
+    # Bit for bit and in product order; a position past the largest float
+    # raises the reference's error.
+    end = Scene(PLANE, end_values)
+    inst = quantized_motion_instance(PLANE, accels, step, 3, probe_scenes=(end,))
+    assert _successor_values(lambda: inst.successors((end,))) == _successor_values(
+        lambda: [_advance(end, ax, ay, step) for ax in accels for ay in accels]
+    )
+
+
+def test_quantized_successors_refuse_a_non_finite_position():
+    end = Scene(PLANE, (1e308, 0.0, 1e308, 0.0))
+    inst = quantized_motion_instance(PLANE, (0.0, 1.0), 10.0, 3, probe_scenes=(end,))
+    with pytest.raises(SchemaError, match="non-finite value inf in dimension 'x'"):
+        inst.successors((end,))
 
 
 # --- misc -------------------------------------------------------------------------------------
