@@ -2,9 +2,12 @@
 # Transcript of every scenkit command on the shipped assets: each
 # command's stdout followed by its exit code, then every path the
 # commands left in the work directory, sorted, and the sha256 of every
-# file. Run from the repository root with `scenkit` on PATH:
+# file. Run from the repository root; `scenkit` runs as
+# `python3 -m scenkit.cli` from the checkout's `src`:
 #
 #   sh scripts/cli_transcript.sh | diff scripts/expected/cli_transcript.txt -
+export PYTHONPATH="$(pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+scenkit() { python3 -m scenkit.cli "$@"; }
 assets="$(pwd)/src/scenkit/assets"
 slope="$assets/slope_drive.scn"
 straight="$assets/straight_drive.scn"

@@ -2,10 +2,12 @@
 # Transcript of the inverse-image demo on the shipped slope_drive asset:
 # five seeded draws with `scenkit sample-logical`, their manifest, then
 # `scenkit invert` on each drawn trace at two tolerances, each line
-# followed by its exit code. Run from the repository root with `scenkit`
-# on PATH:
+# followed by its exit code. Run from the repository root; `scenkit` runs
+# as `python3 -m scenkit.cli` from the checkout's `src`:
 #
 #   sh scripts/invert_slope.sh | diff scripts/expected/invert_slope.txt -
+export PYTHONPATH="$(pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+scenkit() { python3 -m scenkit.cli "$@"; }
 spec="$(pwd)/src/scenkit/assets/slope_drive.scn"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

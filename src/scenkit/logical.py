@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Scene, TimeGrid, Trajectory, _scene_values, _sup_distance
 from .dynamics import AttributeLevelScenario, ModelFamily, _walk, evaluate
@@ -39,6 +39,9 @@ class ContinuousAxis:
     hi: float
 
     def __post_init__(self):
+        for v in (self.lo, self.hi):
+            if not math.isfinite(v):
+                raise RangeError(f"axis {self.name!r}: non-finite bound {v}")
         if not (self.lo <= self.hi):
             raise RangeError(f"axis {self.name!r}: lo {self.lo} > hi {self.hi}")
 
@@ -58,6 +61,9 @@ class DiscreteAxis:
             raise RangeError(f"axis {self.name!r}: empty value list")
         if len(set(vals)) != len(vals):
             raise RangeError(f"axis {self.name!r}: duplicate values")
+        for v in vals:
+            if not math.isfinite(v):
+                raise RangeError(f"axis {self.name!r}: non-finite value {v}")
 
     def contains(self, v: float) -> bool:
         return any(abs(v - w) <= DISCRETE_TOL for w in self.values)
@@ -268,6 +274,27 @@ class NotInImage:
     best_residual: float
 
 
+def _columns(bound: AttributeLevelScenario) -> Iterable[tuple[float, ...]]:
+    """The float columns of the value rows ``evaluate(bound)`` makes Scenes
+    of; raises what ``evaluate`` raises, where it raises it."""
+    schema = bound.family.schema
+    # Fast accept; the per-row walk below runs only to name the first fault.
+    try:
+        rows, contradiction = _walk(bound, lambda _, row: row)
+        if contradiction is None and set(map(len, rows)) == {schema.k}:
+            columns = [tuple(map(float, c)) for c in zip(*rows)]
+            if all(all(map(math.isfinite, c)) for c in columns) and all(
+                all(map(float.is_integer, columns[i])) for i in schema._enum_indices
+            ):
+                return columns
+    except Exception:  # noqa: BLE001 - the walk below raises it, or an earlier fault
+        pass
+    rows, contradiction = _walk(bound, _scene_values)
+    if contradiction is not None:
+        evaluate(bound)  # raises realize's TruncationError
+    return zip(*rows)
+
+
 def invert(
     scenario: LogicalScenario,
     target: Trajectory,
@@ -282,12 +309,16 @@ def invert(
     falls below tol/10). Best-effort numerics, not exact solving.
 
     A residual is ``trajectory_distance(realize(scenario, x), target)``
-    measured on the value rows, building no Scene or Trajectory; each row
-    gets the Scene check, so a candidate raises what ``realize`` would,
-    where it would. Residuals may be inf; then the best x is the first.
+    measured on the value rows, building no Scene or Trajectory. A
+    candidate's rows are checked and measured column by column; the
+    per-row Scene check runs only to name a fault, so a candidate raises
+    what ``realize`` would, where it would. Residuals may be inf; then the
+    best x is the first.
     """
     if not (tol > 0):
         raise RangeError("tol must be positive")
+    if coarse < 2:
+        raise RangeError(f"coarse must be >= 2, got {coarse}")
     axes = scenario.space.axes
     # The schema is probed at the first corner, which is in the space;
     # the scan reuses that binding.
@@ -313,10 +344,7 @@ def invert(
                 bound = AttributeLevelScenario(*probe, scenario.grid)
             else:
                 bound = _bind(scenario, x)
-            rows, contradiction = _walk(bound, _scene_values)
-            if contradiction is not None:
-                evaluate(bound)  # raises realize's TruncationError
-            seen[key] = _sup_distance(bound.family.schema, bound.grid, rows, target)
+            seen[key] = _sup_distance(bound.family.schema, bound.grid, _columns(bound), target)
         return seen[key]
 
     grids = []

@@ -53,8 +53,11 @@ def test_validate_reports_diagnostics(tmp_path, capsys):
         ("logical l { param r: set{1, 2} ~ weights(1) start { s.x = r } bind drift(x = 1) "
          "horizon 1 s step 0.1 s }",
          "RES003 at 2:1: 'l': axis 'r': weight count mismatch"),
+        ("logical l { param r: range(1, 1e400) start { s.x = 0 } bind drift(x = r) "
+         "horizon 1 s step 0.1 s }",
+         "RES003 at 2:1: 'l': axis 'r': non-finite bound inf"),
     ],
-    ids=["division", "reversed-range", "weight-count"],
+    ids=["division", "reversed-range", "weight-count", "infinite-range"],
 )
 def test_validate_reports_library_errors_as_diagnostics(tmp_path, capsys, text, rendered):
     bad = tmp_path / "bad.scn"

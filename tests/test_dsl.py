@@ -409,6 +409,11 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
         (_abstract(horizon="-1 s"), "RES003 at 2:1: 'a': grid count must be >= 1, got -9"),
         (_logical("param r: set{1, 2} ~ weights(1)", bind="r"),
          "RES003 at 2:1: 'l': axis 'r': weight count mismatch"),
+        # A parameter axis is finite, so every draw lies in the space.
+        (_logical("param r: range(1, 1e400)", bind="r"),
+         "RES003 at 2:1: 'l': axis 'r': non-finite bound inf"),
+        (_logical("param r: set{1, 1e400}", bind="r"),
+         "RES003 at 2:1: 'l': axis 'r': non-finite value inf"),
         # The binder's own wording is kept.
         (_logical(start="inf"), "RES003 at 2:1: scenario 'l': non-finite value inf in dimension 'x'"),
     ],
@@ -416,7 +421,7 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
         "start-division", "bind-division", "pred-division", "reversed-range", "empty-schema",
         "negative-step", "negative-horizon", "infinite-scene", "zero-step", "abstract-zero-step",
         "abstract-infinite-horizon", "abstract-negative-step", "abstract-negative-horizon",
-        "weight-count", "binder-wording",
+        "weight-count", "infinite-range", "infinite-set", "binder-wording",
     ],
 )
 def test_library_errors_while_resolving_are_diagnostics(text, rendered):

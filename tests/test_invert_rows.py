@@ -1,6 +1,8 @@
-"""``invert`` measures residuals on value rows; these tests hold it to the
-reference search whose residual is ``trajectory_distance(realize(x),
-target)``, bit for bit, and error for error."""
+"""``invert`` measures residuals on value columns; these tests hold it to
+the reference search whose residual is the row-wise sup distance from
+``realize(x)`` to the target, bit for bit, and error for error. The
+row-wise formula is kept here, apart from the code it checks, and
+``trajectory_distance`` is held to it too."""
 
 import itertools
 import math
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from scenkit.core import Scene, TimeGrid, schema_of, trajectory_distance, trajectory_from_values
 from scenkit.dynamics import DeterministicModel, combine, drift, family_of
+from scenkit.errors import GridAlignmentError, SchemaError
 from scenkit.fixtures import slope_drive_scenario
 from scenkit.logical import (
     ContinuousAxis,
@@ -28,6 +31,43 @@ TWO = schema_of(("pos", "m"), ("v", "m/s"))
 LANE = schema_of(("pos", "m"), ("lane", "enum-code"))
 
 
+def rowwise_distance(a, b):
+    """The sup over grid points of the scene distance, one ``sum`` of squares
+    per row, with ``trajectory_distance``'s checks and messages."""
+    if a.schema != b.schema:
+        raise SchemaError("schemas do not match")
+    if a.grid != b.grid:
+        raise GridAlignmentError("trajectories live on different grids")
+    try:
+        return math.sqrt(max([sum([(x - y) ** 2 for x, y in zip(r.values, s.values)])
+                              for r, s in zip(a.samples, b.samples)]))
+    except OverflowError:
+        return math.inf
+
+
+# Both signs; magnitudes up to 1e200, whose squared differences overflow.
+value = (st.floats(min_value=-1e200, max_value=1e200, allow_nan=False)
+         | st.floats(min_value=-10.0, max_value=10.0))
+
+
+@st.composite
+def trajectory_pairs(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=12))
+    schema = schema_of(*((f"d{i}", "m") for i in range(k)))
+    rows = st.lists(st.lists(value, min_size=k, max_size=k), min_size=n, max_size=n)
+    a = trajectory_from_values(schema, 0.1, draw(rows))
+    b = a if draw(st.booleans()) else trajectory_from_values(schema, 0.1, draw(rows))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectory_pairs())
+def test_trajectory_distance_is_the_rowwise_formula(pair):
+    a, b = pair
+    assert trajectory_distance(a, b).hex() == rowwise_distance(a, b).hex()
+
+
 def reference_invert(scenario, target, tol, coarse=16):
     """``invert``'s search, each residual taken from a realized Trajectory."""
     axes = scenario.space.axes
@@ -36,7 +76,7 @@ def reference_invert(scenario, target, tol, coarse=16):
     def residual(x):
         key = tuple(float(v).hex() for v in x)
         if key not in seen:
-            seen[key] = trajectory_distance(realize(scenario, x), target)
+            seen[key] = rowwise_distance(realize(scenario, x), target)
         return seen[key]
 
     grids = []
@@ -146,12 +186,29 @@ def writes_outside():
     return LogicalScenario(space, binder, TimeGrid(0.1, 21))
 
 
+def converted(convert):
+    """A lone member whose rows hold what ``convert`` makes of each float,
+    which ``float`` turns back as the Scene check does."""
+    space = ParameterSpace((ContinuousAxis("a", 0.0, 2.0),))
+
+    def binder(x):
+        model = DeterministicModel(
+            "converted", TWO, math.inf,
+            lambda t, v: (convert(v[0] + x[0] * t), convert(round(10 * x[0] * t))),
+        )
+        return Scene(TWO, (0.5, 0.0)), family_of(model)
+
+    return LogicalScenario(space, binder, TimeGrid(0.1, 21))
+
+
 SCENARIOS = {
     "slope": slope_drive_scenario,
     "geared": geared,
     "two_axis": two_axis,
     "shared_pair": shared_pair,
     "writes_outside": writes_outside,
+    "ints": lambda: converted(round),
+    "strings": lambda: converted(repr),
 }
 
 
@@ -225,11 +282,22 @@ def faulty(kind, k, thr):
             schema, start = TWO, (0.0, 0.0)
             p = custom(TWO, "p", lambda t, v: v[:1] if hit(t) else (v[0] + a * t, v[1]), ("pos",))
             family = combine([p, drift(TWO, {"v": 1.0})], epsilon=0.1)
-        elif kind == "nan_shared":
+        elif kind == "nan_then_raise":
+            # NaN at point k, and the member raises from the point after:
+            # the Scene check at k comes first.
+            def nan_then_raise(t, v):
+                if hit(t) and t > t_fault + STEP / 2:
+                    raise ZeroDivisionError("member fails after its NaN")
+                return (math.nan,) if hit(t) else line(t, v)
+
+            family = family_of(custom(LINE, "p", nan_then_raise))
+        elif kind in ("nan_shared", "nan_shared_merged"):
+            # The last writer's value is the merged row's: q's 0.0, or p's NaN.
             schema, start = TWO, (0.0, 0.0)
             p = custom(TWO, "p", lambda t, v: (v[0] + a * t, math.nan if hit(t) else 0.0))
             q = drift(TWO, {"v": 0.0}, id="q")
-            family = combine([p, q], epsilon=0.1, shared=("v",))
+            members = [p, q] if kind == "nan_shared" else [q, p]
+            family = combine(members, epsilon=0.1, shared=("v",))
         elif kind == "mixed":
             # NaN in an unshared dim from k on, and a contradiction from
             # the point after the threshold's: the first in grid order wins.
@@ -257,8 +325,9 @@ def faulty(kind, k, thr):
     return scenario, target
 
 
-KINDS = ["contradiction", "non_finite", "enum", "length_lone", "length_merged",
-         "nan_shared", "mixed", "domain", "schema", "grid"]
+KINDS = ["contradiction", "non_finite", "nan_then_raise", "enum", "length_lone",
+         "length_merged", "nan_shared", "nan_shared_merged", "mixed", "domain", "schema",
+         "grid"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -277,10 +346,12 @@ def test_every_error_kind_is_named():
     expected = {
         "contradiction": "TruncationError",
         "non_finite": "SchemaError",
+        "nan_then_raise": "SchemaError",
         "enum": "SchemaError",
         "length_lone": "SchemaError",
         "length_merged": "SchemaError",
         "nan_shared": "SchemaError",
+        "nan_shared_merged": "SchemaError",
         "mixed": "SchemaError",
         "domain": "DomainExceededError",
         "schema": "SchemaError",
@@ -298,3 +369,30 @@ def test_truncation_carries_realize_result():
     want = outcome(lambda: reference_invert(scenario, target, 1e-6))
     assert want[1].__name__ == "TruncationError" and want[3]["result"] is not None
     assert outcome(lambda: invert(scenario, target, 1e-6)) == want
+
+
+@pytest.mark.parametrize(
+    "kind, k, message",
+    [
+        ("nan_then_raise", 4, "non-finite value nan in dimension 'pos'"),
+        ("length_lone", COUNT - 1, "scene has 0 values, schema expects 1"),
+        ("enum", COUNT - 1, "enum dimension 'lane' holds non-integer 0.5"),
+        # NaN in a shared dimension: the Scene check's message when the NaN
+        # is in the merged row, else the shared scan's.
+        ("nan_shared_merged", 3, "non-finite value nan in dimension 'v'"),
+        ("nan_shared", 3, "non-finite value in shared dimension 'v'"),
+    ],
+    ids=["nan-before-raise", "last-row-length", "last-row-enum", "nan-shared-merged",
+         "nan-shared-unmerged"],
+)
+def test_a_rejected_candidate_raises_realizes_fault(kind, k, message):
+    scenario, target = faulty(kind, k, 0.5)
+    want = assert_same(scenario, target, 1e-6)
+    assert (want[1], want[2]) == (SchemaError, message)
+
+
+@pytest.mark.parametrize("name", ["ints", "strings"])
+def test_values_that_float_accepts_are_measured_as_realize_converts_them(name):
+    scenario = SCENARIOS[name]()
+    want = assert_same(scenario, realize(scenario, (2.0,)), 1e-6)
+    assert want == (Found, ((2.0).hex(),), (0.0).hex())

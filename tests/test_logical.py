@@ -102,6 +102,24 @@ def test_space_validations():
         ParameterSpace((ContinuousAxis("a", 0, 1), ContinuousAxis("a", 0, 1)))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ContinuousAxis("a", 1.0, math.inf), "axis 'a': non-finite bound inf"),
+        (lambda: ContinuousAxis("a", -math.inf, math.inf), "axis 'a': non-finite bound -inf"),
+        (lambda: ContinuousAxis("a", math.nan, 1.0), "axis 'a': non-finite bound nan"),
+        (lambda: DiscreteAxis("a", (math.nan, 1.0)), "axis 'a': non-finite value nan"),
+        (lambda: DiscreteAxis("a", (1, 1e400)), "axis 'a': non-finite value inf"),
+    ],
+    ids=["continuous-inf", "continuous-both", "continuous-nan", "discrete-nan", "discrete-inf"],
+)
+def test_axes_refuse_non_finite_values(make, message):
+    # A value drawn from an axis must lie in the space and realize.
+    with pytest.raises(RangeError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_distribution_validations():
     with pytest.raises(RangeError):
         DiscreteWeighted((0.5, 0.6))
@@ -206,6 +224,13 @@ def test_sample_count_validation():
 
 
 # --- inversion --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("coarse", [0, 1])
+def test_invert_refuses_a_coarse_scan_below_two_points(coarse):
+    L = slope_drive_scenario()
+    with pytest.raises(RangeError, match=f"coarse must be >= 2, got {coarse}"):
+        invert(L, realize(L, (2.0,)), 1e-6, coarse=coarse)
 
 
 def test_invert_recovers_known_parameter():
