@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """An argument that counts things: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {n}")
+    return n
+
+
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -222,9 +233,11 @@ def _cmd_count_rural(args) -> int:
 def _cmd_synth_rural(args) -> int:
     cfg = rural.RuralConfig(n=args.n, m=args.m)
     grid = rural.suggested_grid(cfg)
-    choices = rural.enumerate_choices(args.n, args.m)
-    if args.limit is not None:
-        choices = choices[: args.limit]
+    if args.limit is None:
+        choices = rural.enumerate_choices(args.n, args.m)
+    else:
+        # Only the choices synthesized are built, so no guard applies.
+        choices = itertools.islice(rural.iter_choices(args.n, args.m), args.limit)
     out = _out_dir(args)
     scenario = rural.rural_formula(cfg, grid)
     accepted = 0
@@ -310,7 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_count, default=None)
     p.set_defaults(func=_cmd_synth_rural)
 
     return parser

@@ -226,13 +226,19 @@ def _check_same_schema(a_schema: SceneSchema, b_schema: SceneSchema) -> None:
         raise SchemaError("schemas do not match")
 
 
+def _values_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """Euclidean distance between two value tuples, inf when a square
+    passes the largest float; schemas are the caller's to check."""
+    try:
+        return math.sqrt(sum([(x - y) ** 2 for x, y in zip(a, b)]))
+    except OverflowError:
+        return math.inf
+
+
 def scene_distance(a: Scene, b: Scene) -> float:
     """Euclidean distance between two scenes of the same schema (or inf)."""
     _check_same_schema(a.schema, b.schema)
-    try:
-        return math.sqrt(sum([(x - y) ** 2 for x, y in zip(a.values, b.values)]))
-    except OverflowError:
-        return math.inf
+    return _values_distance(a.values, b.values)
 
 
 def _sup_distance(schema: SceneSchema, grid: TimeGrid, columns: Iterable, b: Trajectory) -> float:

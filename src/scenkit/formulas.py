@@ -13,6 +13,12 @@ when ``evaluate3`` decides the prefix. The tree walks of ``logic`` and
 ``monitoring``, and monitoring's pass over a given trace, carry
 residuals, so a scene costs one progression instead of a re-walk of
 its prefix. The tests hold ``progress`` to ``evaluate3``.
+
+A scene matches a ``SceneConst`` target, as it matches the start set
+and successors of a logic instance, through ``_scene_matches``: an
+equal value tuple matches without a distance, and otherwise a target
+within ``scene_tol`` by ``scene_distance``. A ``ScenePredicate`` reads
+scene values by index, resolved from its names once per schema.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Scene, scene_distance
+from .core import Scene, _check_same_schema, _values_distance
 from .errors import RangeError
 
 
@@ -65,6 +71,12 @@ class ScenePredicate:
     bounds: tuple[tuple[str, float, float], ...] = ()
     diffs: tuple[tuple[str, str, float, float], ...] = ()
 
+    #: The last schema object read, and ``bounds`` and ``diffs`` with
+    #: their names replaced by its indices, which every equal schema
+    #: shares. Kept outside the fields, and out of pickles, like
+    #: ``Formula._span``.
+    _at = (None, (), ())
+
     def __post_init__(self):
         for name, lo, hi in self.bounds:
             if lo > hi:
@@ -73,13 +85,27 @@ class ScenePredicate:
             if lo > hi:
                 raise RangeError(f"bound on {a}-{b}: lo {lo} > hi {hi}")
 
+    def __getstate__(self):
+        return {"bounds": self.bounds, "diffs": self.diffs}
+
     def holds(self, scene: Scene) -> bool:
-        for name, lo, hi in self.bounds:
-            v = scene[name]
+        """Whether the scene's values meet every bound. The names are
+        resolved to indices once per schema, so a schema lacking one
+        raises SchemaError whatever the values."""
+        schema, bounds, diffs = self._at
+        if scene.schema is not schema:
+            if scene.schema != schema:
+                index = scene.schema.index
+                bounds = tuple((index(n), lo, hi) for n, lo, hi in self.bounds)
+                diffs = tuple((index(a), index(b), lo, hi) for a, b, lo, hi in self.diffs)
+            self.__dict__["_at"] = (scene.schema, bounds, diffs)
+        values = scene.values
+        for i, lo, hi in bounds:
+            v = values[i]
             if v < lo or v > hi:
                 return False
-        for a, b, lo, hi in self.diffs:
-            d = scene[a] - scene[b]
+        for a, b, lo, hi in diffs:
+            d = values[a] - values[b]
             if d < lo or d > hi:
                 return False
         return True
@@ -164,10 +190,48 @@ def conjoin(formulas: Sequence[Formula]) -> Formula:
     return out if out is not None else TrueFormula()
 
 
-def _scene_matches(scene: Scene, target: Scene, tol: float) -> bool:
+def _scene_matches(scene: Scene, candidates: Sequence[Scene], tol: float) -> bool:
+    """Whether ``scene`` matches one of ``candidates``: a candidate with
+    an equal value tuple matches without a distance; otherwise, for
+    ``tol > 0``, one within ``tol`` by ``scene_distance`` matches.
+
+    The decision, and the SchemaError a candidate of another schema
+    raises, are those of testing ``scene_distance(scene, c) <= tol`` on
+    each candidate in order (equal value tuples when ``tol <= 0``, with
+    no schema check). The first pass stops at an equal tuple, which is
+    at distance 0, or at the first candidate of another schema; the
+    second measures the candidates in order and raises at that one.
+    Schemas are compared by identity, and by ``==`` once per schema
+    object."""
+    values = scene.values
     if tol <= 0.0:
-        return scene.values == target.values
-    return scene_distance(scene, target) <= tol
+        for c in candidates:
+            if c.values == values:
+                return True
+        return False
+    schema = scene.schema
+    # ``ok`` is the schema object last found equal to the scene's, and
+    # ``seen`` holds the ids of other ones found equal before it.
+    ok, seen, bad = schema, None, None
+    for c in candidates:
+        s = c.schema
+        if s is not ok:
+            if not (s is schema or seen is not None and id(s) in seen or s == schema):
+                bad = c
+                break
+            if ok is not schema:
+                if seen is None:
+                    seen = set()
+                seen.add(id(ok))
+            ok = s
+        if c.values == values:
+            return True
+    for c in candidates:
+        if c is bad:
+            _check_same_schema(schema, c.schema)
+        if _values_distance(values, c.values) <= tol:
+            return True
+    return False
 
 
 def evaluate3(
@@ -196,7 +260,7 @@ def evaluate3(
     if isinstance(formula, SceneConst):
         if position >= len(samples):
             return Verdict3.UNKNOWN
-        ok = _scene_matches(samples[position], formula.target, scene_tol)
+        ok = _scene_matches(samples[position], (formula.target,), scene_tol)
         return Verdict3.TRUE if ok else Verdict3.FALSE
     if isinstance(formula, (And, Or)):
         # Walk the whole chain of this connective, nested on either side
@@ -332,7 +396,7 @@ def progress(
                 todo.append(f.left)
                 continue
             elif t is SceneConst:
-                r = _TRUE if _scene_matches(scene, f.target, scene_tol) else _FALSE
+                r = _TRUE if _scene_matches(scene, (f.target,), scene_tol) else _FALSE
             elif t is Next:
                 r = settle(f.sub, d) if nxt <= horizon else _FALSE
             elif t is Eventually or t is Always:

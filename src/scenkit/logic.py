@@ -80,7 +80,9 @@ class ScenarioLogicInstance:
 
     The world is what can start and what can follow. ``initial_scenes``
     is the start set, a finite tuple or None for any scene; a start is
-    admissible when it matches one of them up to ``scene_tol``.
+    admissible when it matches one of them: a start with an equal value
+    tuple matches without a distance, and otherwise one within
+    ``scene_tol`` by ``scene_distance`` (``formulas._scene_matches``).
     ``successors`` maps a prefix (tuple of scenes) to the finite set of
     candidate next scenes and defines the admissible steps, matched the
     same way. A box world (see ``box_step``) admits steps by ``allows``
@@ -117,14 +119,12 @@ class ScenarioLogicInstance:
     def allows_initial(self, scene: Scene) -> bool:
         if self.initial_scenes is None:
             return True
-        tol = self.scene_tol
-        return any(_scene_matches(scene, s, tol) for s in self.initial_scenes)
+        return _scene_matches(scene, self.initial_scenes, self.scene_tol)
 
     def allows_step(self, prefix: Path, nxt: Scene) -> bool:
         if self.allows is not None:
             return self.allows(prefix, nxt)
-        tol = self.scene_tol
-        return any(_scene_matches(nxt, s, tol) for s in self.successors(prefix))
+        return _scene_matches(nxt, self.successors(prefix), self.scene_tol)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ class ContinuousAxis:
                 raise RangeError(f"axis {self.name!r}: non-finite bound {v}")
         if not (self.lo <= self.hi):
             raise RangeError(f"axis {self.name!r}: lo {self.lo} > hi {self.hi}")
+        # Draws and invert's grid read lo + (hi - lo) * u.
+        if not math.isfinite(self.hi - self.lo):
+            raise RangeError(f"axis {self.name!r}: width {self.hi} - {self.lo} is not finite")
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi

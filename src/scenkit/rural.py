@@ -121,6 +121,16 @@ class ManeuverChoice:
             raise RangeError("blue_passes parts must be nonnegative")
 
 
+def iter_choices(n: int, m: int) -> Iterator[ManeuverChoice]:
+    """The (overtake order, blue composition, final order) triples, one
+    at a time, in ``enumerate_choices`` order."""
+    count_lower_bound(n, m)  # refuses negative n and m
+    for order in permutations(range(n)):
+        for comp in weak_compositions(m, n + 1):
+            for final in permutations(range(n)):
+                yield ManeuverChoice(order, comp, final)
+
+
 def enumerate_choices(
     n: int, m: int, guard: int = 1_000_000, force: bool = False
 ) -> list[ManeuverChoice]:
@@ -128,12 +138,7 @@ def enumerate_choices(
     total = count_lower_bound(n, m)
     if total > guard and not force:
         raise ComplexityError(f"{total} choices exceed the guard of {guard}")
-    out = []
-    for order in permutations(range(n)):
-        for comp in weak_compositions(m, n + 1):
-            for final in permutations(range(n)):
-                out.append(ManeuverChoice(order, comp, final))
-    return out
+    return list(iter_choices(n, m))
 
 
 # --- schema and schedule ------------------------------------------------------

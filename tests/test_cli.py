@@ -56,8 +56,11 @@ def test_validate_reports_diagnostics(tmp_path, capsys):
         ("logical l { param r: range(1, 1e400) start { s.x = 0 } bind drift(x = r) "
          "horizon 1 s step 0.1 s }",
          "RES003 at 2:1: 'l': axis 'r': non-finite bound inf"),
+        ("logical l { param r: range(-1e308, 1e308) start { s.x = 0 } bind drift(x = r) "
+         "horizon 1 s step 0.1 s }",
+         "RES003 at 2:1: 'l': axis 'r': width 1e+308 - -1e+308 is not finite"),
     ],
-    ids=["division", "reversed-range", "weight-count", "infinite-range"],
+    ids=["division", "reversed-range", "weight-count", "infinite-range", "wide-range"],
 )
 def test_validate_reports_library_errors_as_diagnostics(tmp_path, capsys, text, rendered):
     bad = tmp_path / "bad.scn"
@@ -269,6 +272,26 @@ def test_synth_rural_writes_traces(tmp_path, capsys):
     assert payload["accepted"] == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["traces"]) == 2
+
+
+def test_synth_rural_limit_builds_only_the_choices_it_synthesizes(tmp_path, capsys):
+    # 3,628,800 choices: past enumerate_choices' guard, which --limit skips.
+    code, payload = run(capsys, "synth-rural", "--n", "5", "--m", "5", "--out-dir", str(tmp_path))
+    assert (code, payload["error"]) == (1, "ComplexityError")
+    out = tmp_path / "rural"
+    code, payload = run(
+        capsys, "synth-rural", "--n", "5", "--m", "5", "--out-dir", str(out), "--limit", "1"
+    )
+    assert (code, payload["synthesized"]) == (0, 1)
+    assert json.loads((out / "manifest.json").read_text())["traces"] == ["choice-00000.csv"]
+
+
+@pytest.mark.parametrize("limit", ["-1", "x"])
+def test_synth_rural_limit_is_a_count(tmp_path, capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-rural", "--n", "1", "--m", "1", "--out-dir", str(tmp_path), "--limit", limit])
+    assert exc.value.code == EX_USAGE
+    assert "argument --limit" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -414,6 +414,8 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
          "RES003 at 2:1: 'l': axis 'r': non-finite bound inf"),
         (_logical("param r: set{1, 1e400}", bind="r"),
          "RES003 at 2:1: 'l': axis 'r': non-finite value inf"),
+        (_logical("param r: range(-1e308, 1e308)", bind="r"),
+         "RES003 at 2:1: 'l': axis 'r': width 1e+308 - -1e+308 is not finite"),
         # The binder's own wording is kept.
         (_logical(start="inf"), "RES003 at 2:1: scenario 'l': non-finite value inf in dimension 'x'"),
     ],
@@ -421,7 +423,7 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
         "start-division", "bind-division", "pred-division", "reversed-range", "empty-schema",
         "negative-step", "negative-horizon", "infinite-scene", "zero-step", "abstract-zero-step",
         "abstract-infinite-horizon", "abstract-negative-step", "abstract-negative-horizon",
-        "weight-count", "infinite-range", "infinite-set", "binder-wording",
+        "weight-count", "infinite-range", "infinite-set", "wide-range", "binder-wording",
     ],
 )
 def test_library_errors_while_resolving_are_diagnostics(text, rendered):

@@ -1,9 +1,23 @@
-"""Formula progression against the three-valued evaluator, and deep formulas."""
+"""Formula progression against the three-valued evaluator, deep formulas,
+and scene matching and predicates against their reference readings."""
 
+import math
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenkit.core import Scene, TimeGrid, Trajectory, prefix, schema_of
+from scenkit.core import (
+    Scene,
+    SceneSchema,
+    TimeGrid,
+    Trajectory,
+    prefix,
+    scene_distance,
+    schema_of,
+)
+from scenkit.errors import SchemaError
 from scenkit.formulas import (
     Always,
     And,
@@ -16,6 +30,7 @@ from scenkit.formulas import (
     ScenePredicate,
     TrueFormula,
     Verdict3,
+    _scene_matches,
     evaluate3,
     pred,
     progress,
@@ -135,3 +150,129 @@ def test_trace_formula_progresses_through_a_tree_walk():
     assert leaf.samples == c.samples
     assert expand(scenario, prefix(c, c.grid.t(DEPTH - 4)), 3) == (c,)
     assert monitor_prefix(prefix(c, c.grid.t(DEPTH - 3)), scenario) is Verdict3.UNKNOWN
+
+
+# --- scene matching and predicates ------------------------------------------
+
+PAIR = schema_of(("a", "m"), ("b", "m"))
+# Equal to PAIR but another object, and one with the same names and length
+# but another unit.
+PAIR_TWIN = schema_of(("a", "m"), ("b", "m"))
+PAIR_OTHER = schema_of(("a", "m"), ("b", "s"))
+
+_coords = st.sampled_from((0.0, 1.0, -1.0, 0.5, 1e308, -1e308)) | st.floats(-4.0, 4.0)
+_pairs = st.tuples(_coords, _coords)
+
+
+def _matches_in_order(scene, candidates, tol):
+    """The reference: each candidate's distance tested in order, values
+    alone when ``tol <= 0``."""
+    if tol <= 0.0:
+        return any(c.values == scene.values for c in candidates)
+    return any(scene_distance(scene, c) <= tol for c in candidates)
+
+
+def _outcome(match, scene, candidates, tol):
+    try:
+        return match(scene, candidates, tol)
+    except SchemaError as exc:
+        return "SchemaError", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_scene_matches_decides_and_raises_as_the_in_order_test(data):
+    scene = Scene(PAIR, data.draw(_pairs))
+    rows = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from((PAIR, PAIR, PAIR_TWIN, PAIR_OTHER)),
+                st.just(scene.values) | _pairs,
+            ),
+            max_size=5,
+        )
+    )
+    candidates = tuple(Scene(schema, values) for schema, values in rows)
+    # Tolerances next to a candidate's distance, as well as fixed ones.
+    near = [scene_distance(scene, c) for c in candidates if c.schema == PAIR] or [1.0]
+    beside = st.sampled_from(near).flatmap(
+        lambda d: st.sampled_from((d, math.nextafter(d, math.inf), math.nextafter(d, -math.inf)))
+    )
+    tol = data.draw(st.sampled_from((-1.0, 0.0, 1e-9, 0.5, 1.0, math.inf)) | beside)
+    assert _outcome(_scene_matches, scene, candidates, tol) == _outcome(
+        _matches_in_order, scene, candidates, tol
+    )
+
+
+def test_scene_matches_raises_where_the_in_order_test_raises():
+    scene = Scene(PAIR, (1.0, 2.0))
+    exact, other = Scene(PAIR_TWIN, (1.0, 2.0)), Scene(PAIR_OTHER, (1.0, 2.0))
+    near, far = Scene(PAIR, (1.0, 2.5)), Scene(PAIR, (1e308, -1e308))
+    with pytest.raises(SchemaError):
+        _scene_matches(scene, (other, exact), 1.0)
+    assert _scene_matches(scene, (exact, other), 1.0)
+    # A candidate within tol before the other schema decides first.
+    assert _scene_matches(scene, (far, near, other, exact), 1.0)
+    with pytest.raises(SchemaError):
+        _scene_matches(scene, (far, near, other, exact), 0.1)
+    # With tol <= 0 the values decide alone.
+    assert _scene_matches(scene, (other,), 0.0)
+    assert not _scene_matches(scene, (near, far), 0.0)
+    assert not _scene_matches(scene, (far,), 1e300)
+
+
+def test_scene_matches_compares_each_schema_object_once(monkeypatch):
+    calls = []
+    eq = SceneSchema.__eq__
+    monkeypatch.setattr(SceneSchema, "__eq__", lambda a, b: calls.append(b) or eq(a, b))
+    twin2 = schema_of(("a", "m"), ("b", "m"))
+    candidates = tuple(Scene(s, (float(i), 0.0)) for i in range(1, 7) for s in (PAIR_TWIN, twin2))
+    assert not _scene_matches(Scene(PAIR, (0.0, 0.0)), candidates, 0.5)
+    assert len(calls) == 2
+
+
+XYZ = schema_of(("x", "m"), ("y", "m"), ("z", "m"))
+XYZ_TWIN = schema_of(("x", "m"), ("y", "m"), ("z", "m"))
+ZYX = schema_of(("z", "m"), ("y", "m"), ("x", "m"))
+
+_names = st.sampled_from("xyz")
+_lows = st.integers(-3, 3).map(float)
+_widths = st.sampled_from((0.0, 1.0, 2.0, math.inf))
+_predicates = st.builds(
+    lambda bounds, diffs: ScenePredicate(
+        tuple((n, lo, lo + w) for n, lo, w in bounds),
+        tuple((a, b, lo, lo + w) for a, b, lo, w in diffs),
+    ),
+    st.lists(st.tuples(_names, _lows, _widths), max_size=3),
+    st.lists(st.tuples(_names, _names, _lows, _widths), max_size=2),
+)
+
+
+def _holds_by_name(p, scene):
+    """The reference: every dimension looked up by name."""
+    return all(lo <= scene[n] <= hi for n, lo, hi in p.bounds) and all(
+        lo <= scene[a] - scene[b] <= hi for a, b, lo, hi in p.diffs
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_predicates, st.lists(st.tuples(_coords, _coords, _coords), min_size=1, max_size=6))
+def test_holds_reads_by_index_what_names_read(p, rows):
+    fresh = ScenePredicate(p.bounds, p.diffs)
+    for i, (x, y, z) in enumerate(rows):
+        # One predicate on two schemas that order the same names
+        # differently, and on two equal schema objects.
+        scenes = (Scene(XYZ, (x, y, z)), Scene(ZYX, (z, y, x)), Scene(XYZ_TWIN, (x, y, z)))
+        for scene in scenes[i % 3:] + scenes[: i % 3]:
+            assert p.holds(scene) == _holds_by_name(p, scene)
+    # The resolved indices are not part of the predicate's value.
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert pickle.dumps(p) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_holds_refuses_a_schema_that_lacks_a_name():
+    # The unknown name raises even where an earlier bound already fails.
+    p = ScenePredicate((("x", 5.0, 6.0), ("w", 0.0, 1.0)))
+    with pytest.raises(SchemaError):
+        p.holds(Scene(XYZ, (0.0, 0.0, 0.0)))

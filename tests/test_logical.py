@@ -110,8 +110,14 @@ def test_space_validations():
         (lambda: ContinuousAxis("a", math.nan, 1.0), "axis 'a': non-finite bound nan"),
         (lambda: DiscreteAxis("a", (math.nan, 1.0)), "axis 'a': non-finite value nan"),
         (lambda: DiscreteAxis("a", (1, 1e400)), "axis 'a': non-finite value inf"),
+        # lo + (hi - lo) * u would draw inf.
+        (lambda: ContinuousAxis("a", -1e308, 1e308),
+         "axis 'a': width 1e+308 - -1e+308 is not finite"),
     ],
-    ids=["continuous-inf", "continuous-both", "continuous-nan", "discrete-nan", "discrete-inf"],
+    ids=[
+        "continuous-inf", "continuous-both", "continuous-nan", "discrete-nan", "discrete-inf",
+        "continuous-wide",
+    ],
 )
 def test_axes_refuse_non_finite_values(make, message):
     # A value drawn from an axis must lie in the space and realize.

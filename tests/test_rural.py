@@ -12,6 +12,7 @@ from scenkit.rural import (
     RuralConfig,
     count_lower_bound,
     enumerate_choices,
+    iter_choices,
     kmh_to_ms,
     ms_to_kmh,
     rural_formula,
@@ -67,6 +68,14 @@ def test_enumerate_choices_matches_closed_form():
 def test_enumerate_choices_minimal_cases():
     assert len(enumerate_choices(1, 0)) == 1
     assert len(enumerate_choices(3, 2)) == 360
+
+
+def test_iter_choices_yields_enumerate_order():
+    for n, m in [(0, 2), (1, 1), (3, 2)]:
+        assert list(iter_choices(n, m)) == enumerate_choices(n, m)
+    # Past the guard the first choices are still the first ones.
+    first = next(iter_choices(5, 5))
+    assert first == ManeuverChoice((0, 1, 2, 3, 4), (0, 0, 0, 0, 0, 5), (0, 1, 2, 3, 4))
 
 
 def test_enumerate_choices_guard():
