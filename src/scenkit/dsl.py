@@ -14,7 +14,6 @@ m/s at parse time, so printed documents are always in SI units.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -35,6 +34,7 @@ from .formulas import (
     Eventually,
     FalseFormula,
     Formula,
+    HashConsed,
     Next,
     Or,
     SceneConst,
@@ -175,60 +175,37 @@ def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
 # --- document AST ------------------------------------------------------------
 
 
-class Expr:
-    pass
+class Expr(HashConsed):
+    """An arithmetic expression of the document, hash-consed like its
+    formulas, so a formula keyed by its expressions hashes them in O(1)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ref(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     sub: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bin(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-class FormulaNode:
-    """A formula of the document. Equality and hashing read the tree's
-    preorder, walked with an explicit stack, so nesting costs no Python
-    frames; the node classes are declared with ``eq=False`` so that they
-    keep these."""
-
-    def _preorder(self):
-        """Each node's type and other fields, then its operands'."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield type(node)
-            for name in node.__dataclass_fields__:
-                v = getattr(node, name)
-                if isinstance(v, FormulaNode):
-                    stack.append(v)
-                else:
-                    yield v
-
-    def __eq__(self, other):
-        if not isinstance(other, FormulaNode):
-            return NotImplemented
-        end = object()
-        pairs = itertools.zip_longest(self._preorder(), other._preorder(), fillvalue=end)
-        return not any(x != y for x, y in pairs)
-
-    def __hash__(self):
-        return hash(tuple(self._preorder()))
+class FormulaNode(HashConsed):
+    """A formula of the document. Nodes are hash-consed like the
+    library's formulas (``formulas.HashConsed``), so structurally equal
+    nodes are one object and compare and hash by identity."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,13 @@ PLANAR_STEP = 0.1
 PLANAR_HORIZON = 200  # 20 s at 0.1 s per step
 
 
+_PLANAR = schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
+
+
 def planar_schema() -> SceneSchema:
-    return schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
+    """The drive schema: one object for every fixture, so matching a
+    fixture scene against another compares schemas by identity."""
+    return _PLANAR
 
 
 def drive_start(schema: SceneSchema | None = None) -> Scene:

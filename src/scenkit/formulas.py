@@ -24,7 +24,9 @@ scene values by index, resolved from its names once per schema.
 from __future__ import annotations
 
 import enum
+import inspect
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,23 +40,68 @@ class Verdict3(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class Formula:
-    """A formula node. ``_span`` is its verdict before any scene is seen:
-    at a position d steps before the horizon, with nothing observed from
-    there on, the verdict is FALSE for d < u, TRUE for d >= t and UNKNOWN
-    in between, for ``(u, t) = _span``. Each node computes it from its
-    children's when built, in O(1), and keeps it outside its fields, so
-    equality and hashing ignore it; see ``settle``."""
+#: Every live node of a hash-consed class, keyed by its class and fields.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Consing(type):
+    """A class call returns the live node with equal fields if there is
+    one, and builds, stores and returns a new node only if not."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__dataclass_fields__):
+            bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__call__(*args)
+        return node
+
+
+class HashConsed(metaclass=_Consing):
+    """Base of the formula trees, of the library and of the DSL document
+    (Filliâtre & Conchon, *Type-safe modular hash-consing*, 2006). A node
+    is built at most once for each structure: one table per process,
+    keyed by the class and the field values, returns the live node when
+    there is one, with positional, keyword and default arguments
+    normalised. Operands are nodes, so they key by identity; other
+    fields (predicates, scenes, names, windows) by their own ``==``.
+    Structurally equal nodes are therefore one object, and ``==`` and
+    ``hash`` are those of ``object``: O(1), never recursive. Subclasses
+    are dataclasses declared with ``eq=False``.
+
+    A node keeps the first-built of equal field values (``0.0`` and
+    ``-0.0``, ``2`` and ``2.0``); they compare equal, so no verdict or
+    merge depends on which is kept. The table holds its nodes weakly.
+    Threads that build the same node at the same moment may get two
+    equal nodes, which costs only a missed merge; scenkit starts no
+    threads. Pickling, copying and ``dataclasses.replace`` go through
+    the constructor, so they return the canonical node."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__dataclass_fields__)
+
+
+class Formula(HashConsed):
+    """A formula node, compared and merged by identity (``HashConsed``).
+    ``_span`` is its verdict before any scene is seen: at a position d
+    steps before the horizon, with nothing observed from there on, the
+    verdict is FALSE for d < u, TRUE for d >= t and UNKNOWN in between,
+    for ``(u, t) = _span``. Each node computes it from its children's
+    when built, in O(1), and keeps it outside its fields; see
+    ``settle``."""
 
     _span = (0, math.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueFormula(Formula):
     _span = (0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FalseFormula(Formula):
     _span = (math.inf, math.inf)
 
@@ -116,17 +163,17 @@ def pred(**bounds: tuple[float, float]) -> "Atom":
     return Atom(ScenePredicate(tuple((n, float(lo), float(hi)) for n, (lo, hi) in bounds.items())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     predicate: ScenePredicate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneConst(Formula):
     target: Scene
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
@@ -136,7 +183,7 @@ class And(Formula):
         self.__dict__["_span"] = (ua if ua > ub else ub, ta if ta > tb else tb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
@@ -146,7 +193,7 @@ class Or(Formula):
         self.__dict__["_span"] = (ua if ua < ub else ub, ta if ta < tb else tb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(Formula):
     sub: Formula
 
@@ -155,7 +202,7 @@ class Next(Formula):
         self.__dict__["_span"] = (u + 1, t + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eventually(Formula):
     sub: Formula
     within: int | None = None
@@ -168,7 +215,7 @@ class Eventually(Formula):
         self.__dict__["_span"] = self.sub._span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Always(Formula):
     sub: Formula
     within: int | None = None
@@ -371,62 +418,77 @@ def progress(
     The walk is a loop: And and Or chains are flattened on either side,
     and Next, Eventually and Always hand over the rest of the formula as
     an unchanged node, so a trace formula's residual is its own tail and
-    no chain is walked again. Residuals of long trace formulas are deep;
-    do not hash them or compare them with ``==``.
+    no chain is walked again. Conjunction and disjunction are
+    idempotent, so an And, Or, Eventually or Always node met again in
+    one frame is skipped: a subformula shared in the formula's DAG is
+    progressed once per frame, not once per path to it (Havelund &
+    Roşu, TACAS 2002). Nodes are hash-consed, so shared means identical.
     """
     nxt = position + 1
     d = horizon - nxt
     # One frame per flattened And or Or: the constant that decides it
     # (FALSE for And, TRUE for Or), the operands still to progress
-    # (leftmost last) and the undecided residuals.
-    frames: list[tuple[Formula, list[Formula], list[Formula]]] = []
-    stop, todo, kept = _FALSE, [formula], []
+    # (leftmost last), the undecided residuals, and the And, Or,
+    # Eventually and Always operands met so far: the first one, then a
+    # set of the others, built at the second.
+    frames: list[tuple] = []
+    stop, todo, kept, first, seen = _FALSE, [formula], [], None, None
     while True:
         if todo:
             f = todo.pop()
             t = type(f)
             if t is Atom:
                 r = _TRUE if f.predicate.holds(scene) else _FALSE
-            elif t is And or t is Or:
-                fstop = _FALSE if t is And else _TRUE
-                if fstop is not stop:
-                    frames.append((stop, todo, kept))
-                    stop, todo, kept = fstop, [], []
-                todo.append(f.right)
-                todo.append(f.left)
-                continue
             elif t is SceneConst:
                 r = _TRUE if _scene_matches(scene, (f.target,), scene_tol) else _FALSE
             elif t is Next:
                 r = settle(f.sub, d) if nxt <= horizon else _FALSE
-            elif t is Eventually or t is Always:
-                # The sub now, or (Eventually) and (Always) the rest of
-                # the window from the next position on, if there is one.
-                fstop = _FALSE if t is Always else _TRUE
-                if fstop is not stop:
-                    frames.append((stop, todo, kept))
-                    stop, todo, kept = fstop, [], []
-                todo.append(f.sub)
-                if nxt > horizon:
-                    continue
-                w = f.within
-                r = settle(f if w is None else f.sub if w == 1 else t(f.sub, w - 1), d)
             elif t is TrueFormula:
                 r = _TRUE
             elif t is FalseFormula:
                 r = _FALSE
             else:
-                raise TypeError(f"unknown formula node {f!r}")
+                if first is None:
+                    first = f
+                elif f is first:
+                    continue
+                elif seen is None:
+                    seen = {f}
+                elif f in seen:
+                    continue
+                else:
+                    seen.add(f)
+                if t is And or t is Or:
+                    fstop = _FALSE if t is And else _TRUE
+                    if fstop is not stop:
+                        frames.append((stop, todo, kept, first, seen))
+                        stop, todo, kept, first, seen = fstop, [], [], None, None
+                    todo.append(f.right)
+                    todo.append(f.left)
+                    continue
+                if t is not Eventually and t is not Always:
+                    raise TypeError(f"unknown formula node {f!r}")
+                # The sub now, or (Eventually) and (Always) the rest of
+                # the window from the next position on, if there is one.
+                fstop = _FALSE if t is Always else _TRUE
+                if fstop is not stop:
+                    frames.append((stop, todo, kept, first, seen))
+                    stop, todo, kept, first, seen = fstop, [], [], None, None
+                todo.append(f.sub)
+                if nxt > horizon:
+                    continue
+                w = f.within
+                r = settle(f if w is None else f.sub if w == 1 else t(f.sub, w - 1), d)
         else:
             r = kept[0] if len(kept) == 1 else _join(kept, stop)
             if not frames:
                 return r
-            stop, todo, kept = frames.pop()
+            stop, todo, kept, first, seen = frames.pop()
         # Hand r to its frame; an operand that decides the frame is the
         # frame's residual, handed on to the frame below.
         while r is stop:
             if not frames:
                 return r
-            stop, todo, kept = frames.pop()
+            stop, todo, kept, first, seen = frames.pop()
         if r is not _TRUE and r is not _FALSE:
             kept.append(r)

@@ -19,9 +19,9 @@ Expansion, enumeration, counting and uniform-leaf sampling share one
 walk, ``_count_dag``, which counts the leaves below each state. On a
 Markov instance (successors that read only the last scene) a node's
 completions depend only on its residual, last scene and depth, so equal
-nodes merge and each state is progressed once; residuals are compared
-by hash-consing, not ``==``, and only where two nodes could merge
-(``_States``). Paths are read off the DAG depth-first, a draw unranks
+nodes merge and each state is progressed once (``_States``). Formulas
+are hash-consed, so equal residuals are one object and merge by
+identity. Paths are read off the DAG depth-first, a draw unranks
 its index through the counts, and enumeration's guard bounds the
 accepted leaves before any trajectory is built. The uniform-branch and
 rejection samplers walk the same merged states, computing each state's
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -252,81 +251,30 @@ def box_step(bounds: Iterable[tuple[float, float]]) -> Callable[[Path, Scene], b
     return allows
 
 
-class _Interner:
-    """Canonical ids of formula nodes (hash-consing): structurally equal
-    residuals share an id, and so progress alike. A node's key is its
-    type, its scalar fields and its operands' ids. Keys are built in a
-    loop, once per node: nodes are cached by ``id()`` and held here, so
-    a long trace formula's tail is keyed once, not at every node."""
-
-    def __init__(self):
-        self.seen: dict[int, tuple[int, Formula]] = {}
-        self.ids: dict[tuple, int] = {}
-
-    def __call__(self, formula: Formula) -> int:
-        seen = self.seen
-        todo = [formula]
-        while todo:
-            f = todo[-1]
-            if id(f) in seen:
-                todo.pop()
-                continue
-            fields = [getattr(f, name) for name in type(f).__dataclass_fields__]
-            missing = [v for v in fields if isinstance(v, Formula) and id(v) not in seen]
-            if missing:
-                todo.extend(missing)
-                continue
-            todo.pop()
-            key = (type(f), *(seen[id(v)][0] if isinstance(v, Formula) else v for v in fields))
-            seen[id(f)] = (self.ids.setdefault(key, len(self.ids)), f)
-        return seen[id(formula)][0]
-
-
 class _States:
     """The merge rule for Markov states. A node is ``(path, *residuals)``;
     on a Markov instance its completions depend only on its depth, its
     last scene and its residuals, so nodes equal in all three are one
-    state, and a value stored for one serves every other.
-    Residuals are compared by their interned ids, and interned lazily:
-    only once a second node of one depth ends on the same scene values,
-    so a level whose nodes all end apart is never interned. At most
-    ``cap`` states are stored."""
+    state, and a value stored for one serves every other. Residuals are
+    hash-consed (``formulas.HashConsed``), so equal residuals are one
+    object and a state's key compares them by identity. At most ``cap``
+    states are stored."""
 
     def __init__(self, cap: int):
-        self.intern = _Interner()
         self.cap = cap
-        self.size = 0
-        # (depth, last scene values) -> (residuals, value) while one node
-        # ends there, then {residual ids: value}.
-        self.buckets: dict[tuple, tuple | dict] = {}
-
-    def _ids(self, residuals: tuple) -> tuple:
-        return tuple(map(self.intern, residuals))
+        # (depth, last scene values, *residuals) -> value
+        self.memo: dict[tuple, object] = {}
 
     def lookup(self, node: tuple, make: Callable[[tuple], object]):
         """The value of ``node``'s state. On a miss it is ``make(node)``,
         stored while fewer than ``cap`` states are."""
         path = node[0]
-        key = (len(path), path[-1].values)
-        b = self.buckets.get(key)
-        if b is None:
-            value = make(node)
-            if self.size < self.cap:
-                self.size += 1
-                self.buckets[key] = (node[1:], value)
-            return value
-        if type(b) is tuple:
-            residuals, value = b
-            if all(map(operator.is_, residuals, node[1:])):
-                return value
-            b = self.buckets[key] = {self._ids(residuals): value}
-        ids = self._ids(node[1:])
-        value = b.get(ids)
+        key = (len(path), path[-1].values, *node[1:])
+        value = self.memo.get(key)
         if value is None:
             value = make(node)
-            if self.size < self.cap:
-                self.size += 1
-                b[ids] = value
+            if len(self.memo) < self.cap:
+                self.memo[key] = value
         return value
 
 

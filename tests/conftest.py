@@ -136,6 +136,28 @@ def every_node_formulas(schema: SceneSchema):
     )
 
 
+def shared_formulas(schema: SceneSchema):
+    """Formulas in which one node occurs under several paths: nodes of
+    ``every_node_formulas`` joined as o(a, i(b, a)), o(T a, next T a) and
+    o(T a, T T a), for o and i And or Or and T a windowed or unbounded
+    Eventually or Always."""
+    ops = st.sampled_from([And, Or])
+    temporal = st.builds(
+        lambda t, w: lambda a: t(a, w),
+        st.sampled_from([Eventually, Always]),
+        st.sampled_from([None, 1, 2]),
+    )
+    return st.recursive(
+        every_node_formulas(schema),
+        lambda sub: st.one_of(
+            st.builds(lambda a, b, o, i: o(a, i(b, a)), sub, sub, ops, ops),
+            st.builds(lambda a, t, o: o(t(a), Next(t(a))), sub, temporal, ops),
+            st.builds(lambda a, t, o: o(t(a), t(t(a))), sub, temporal, ops),
+        ),
+        max_leaves=3,
+    )
+
+
 @st.composite
 def worlds_and_words(draw, formulas):
     """A small quantized-motion or delta-step instance, a formula drawn

@@ -1,10 +1,12 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from scenkit import dsl
 from scenkit.formulas import Always, And, Atom, Eventually, Next, SceneConst, TrueFormula
+from scenkit.core import Scene, Trajectory
 from scenkit.fixtures import straight_drive_trajectory
 from scenkit.logical import realize
 from scenkit.monitoring import Verdict, monitor_word
@@ -91,7 +93,8 @@ def test_print_parse_round_trip_on_shipped_fixtures(drive_spec, slope_spec):
 
 
 def test_print_document_of_deep_formulas_round_trips():
-    # The printer, == and hash keep explicit stacks, so nesting is not limited.
+    # The printer keeps an explicit stack and nodes compare by identity,
+    # so nesting is not limited.
     nexts = "fixture f = " + "next " * 3000 + "true"
     mixed = (
         "fixture f = " + "always[<=2] (true or eventually (" * 1500
@@ -194,6 +197,28 @@ def test_formula_node_equality_is_structural():
     assert dsl.FRef("g") != dsl.FRef("h") and dsl.FTrue() != dsl.FFalse()
     assert dsl.FTrue() != "true"
     assert {node: 1}[dsl.parse(dsl.print_document(two)).document.decls[0].formula] == 1
+
+
+def test_equal_document_formulas_are_one_node():
+    text = "fixture f = eventually[<=2] pred(x in [0, 1 + 2]) and next (g or scene(x = -1))"
+    node = dsl.parse(text).document.decls[0].formula
+    assert dsl.parse(text).document.decls[0].formula is node
+    assert dsl.FAnd(
+        dsl.FEventually(
+            dsl.FPred((("x", None, dsl.Num(0.0), dsl.Bin("+", dsl.Num(1.0), dsl.Num(2.0))),)), 2
+        ),
+        dsl.FNext(dsl.FOr(dsl.FRef("g"), dsl.FScene((("x", dsl.Neg(dsl.Num(1.0))),)))),
+    ) is node
+    assert dsl.FEventually(node.left.sub, within=2) is node.left
+    assert dsl.FTrue() is dsl.FTrue() and dsl.FRef("g") is not dsl.FRef("h")
+
+
+def test_deep_document_formulas_hash_and_compare_without_recursion():
+    ors = "fixture f = " + " or ".join(f"g{i}" for i in range(3000))
+    sums = "fixture f = pred(x in [" + " + ".join(["1"] * 3000) + ", inf])"
+    for text in (ors, sums):
+        a, b = (dsl.parse(text).document.decls[0].formula for _ in range(2))
+        assert a is b and a == b and hash(a) == hash(b)
 
 
 # --- resolution --------------------------------------------------------------------
@@ -454,6 +479,24 @@ def test_doubling_fixture_chain_resolves_to_shared_nodes():
         assert isinstance(node, And) and node.left is node.right
         node = node.left
     assert isinstance(node, Atom)
+
+
+def test_doubling_fixture_chain_monitors_in_milliseconds():
+    # f31 names 2**31 leaves, and progression meets each shared node once.
+    lines = ["fixture f0 = always pred(x in [0, 1])"]
+    lines += [f"fixture f{i} = f{i - 1} and f{i - 1}" for i in range(1, 32)]
+    A = dsl.load(_abstract_with("f31", "\n".join(lines))).abstracts["A"]
+    schema = A.instance.schema
+    words = [
+        Trajectory(schema, A.instance.grid(3), tuple(Scene(schema, (x,)) for x in xs))
+        for xs in ((0.0, 0.5, 1.0), (0.0, 0.5, 1.5))
+    ]
+    start = time.perf_counter()
+    # Kept apart from the assertion, whose message would print A.
+    verdicts = [monitor_word(w, A) for w in words]
+    seconds = time.perf_counter() - start
+    assert verdicts == [Verdict.ACCEPTED, Verdict.REJECTED]
+    assert seconds < 1.0
 
 
 def test_param_references_in_start_and_bind():

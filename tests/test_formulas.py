@@ -1,6 +1,8 @@
 """Formula progression against the three-valued evaluator, deep formulas,
 and scene matching and predicates against their reference readings."""
 
+import copy
+import dataclasses
 import math
 import pickle
 
@@ -39,6 +41,7 @@ from scenkit.formulas import (
 from scenkit.logic import (
     AbstractScenario,
     delta_step_instance,
+    binary_branching,
     enumerate_scenarios,
     expand,
     trace_formula,
@@ -55,6 +58,9 @@ _atoms = st.builds(
 )
 _consts = st.builds(lambda v: SceneConst(Scene(LINE, (v,))), st.sampled_from(VALUES))
 _windows = st.one_of(st.none(), st.integers(1, 3))
+_ops = st.sampled_from([And, Or])
+_temporals = st.sampled_from([Eventually, Always])
+# The last three builds reuse a subformula under several paths.
 formulas = st.recursive(
     st.one_of(st.just(TrueFormula()), st.just(FalseFormula()), _atoms, _consts),
     lambda sub: st.one_of(
@@ -63,6 +69,9 @@ formulas = st.recursive(
         st.builds(Next, sub),
         st.builds(Eventually, sub, _windows),
         st.builds(Always, sub, _windows),
+        st.builds(lambda a, b, o, i: o(a, i(b, a)), sub, sub, _ops, _ops),
+        st.builds(lambda a, t, w, o: o(t(a, w), Next(t(a, w))), sub, _temporals, _windows, _ops),
+        st.builds(lambda a, t, w, o: o(t(a, w), t(t(a, w), w)), sub, _temporals, _windows, _ops),
     ),
     max_leaves=10,
 )
@@ -141,6 +150,21 @@ def test_many_world_formulas_monitor_without_recursion():
     ]
 
 
+def test_nested_always_monitors_each_shared_level_once():
+    # Each Always level is handed on as the rest of its window and met
+    # again in the same frame, where it is progressed once.
+    inst = binary_branching(4)
+    zeros = Trajectory(inst.schema, inst.grid(4), tuple(Scene(inst.schema, (0.0,)) for _ in range(4)))
+    for depth in (100, 3_000):
+        f = pred(bit=(0, 0))
+        for _ in range(depth):
+            f = Always(f)
+        assert monitor_word(zeros, AbstractScenario(f, (), inst)) is Verdict.ACCEPTED
+        assert monitor_word(
+            zeros, AbstractScenario(And(f, Eventually(pred(bit=(1, 1)))), (), inst)
+        ) is Verdict.REJECTED
+
+
 def test_trace_formula_progresses_through_a_tree_walk():
     # Each residual of a trace formula is the rest of its chain, handed
     # on without a re-walk; two children per node, one of them pruned.
@@ -150,6 +174,56 @@ def test_trace_formula_progresses_through_a_tree_walk():
     assert leaf.samples == c.samples
     assert expand(scenario, prefix(c, c.grid.t(DEPTH - 4)), 3) == (c,)
     assert monitor_prefix(prefix(c, c.grid.t(DEPTH - 3)), scenario) is Verdict3.UNKNOWN
+
+
+# --- one node per structure ------------------------------------------------
+
+
+def _sample_formula():
+    return And(
+        Eventually(pred(v=(0, 1)), 2),
+        Or(Next(SceneConst(Scene(LINE, (0.5,)))), Always(Or(TrueFormula(), _at(-1.0)))),
+    )
+
+
+def test_equal_formulas_built_apart_are_one_node():
+    f = _sample_formula()
+    assert _sample_formula() is f
+    assert And(f.left, f.right) is f and Or(f.left, f.right) is not f
+    assert Eventually(f) is Eventually(f, None) is Eventually(f, within=None) is Eventually(sub=f)
+    assert Always(f, 2) is not Always(f, 1) and Always(f, 2) is not Eventually(f, 2)
+    assert TrueFormula() is TrueFormula() and TrueFormula() != FalseFormula()
+    # Equal field values are one key: the node keeps the first built.
+    assert Next(SceneConst(Scene(LINE, (-0.0,)))) is Next(SceneConst(Scene(LINE, (0.0,))))
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [
+        lambda f: pickle.loads(pickle.dumps(f)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+    ],
+    ids=["pickle", "copy", "deepcopy", "replace"],
+)
+def test_copies_are_the_canonical_node(copier):
+    f = _sample_formula()
+    assert copier(f) is f
+    assert copier(f.left) is f.left and copier(TrueFormula()) is TrueFormula()
+    assert dataclasses.replace(Always(f, 2), within=None) is Always(f)
+
+
+def test_deep_formulas_hash_and_compare_without_recursion():
+    def chain(n):
+        out = _at(float(n))
+        for i in range(n - 1, -1, -1):
+            out = Or(_at(float(i)), out)
+        return out
+
+    a, b, c = chain(3_000), chain(3_000), chain(2_999)
+    assert a is b and a == b and hash(a) == hash(b)
+    assert a != c and {a: 1}[b] == 1 and c not in {a: 1}
 
 
 # --- scene matching and predicates ------------------------------------------

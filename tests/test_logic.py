@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenkit import dsl
+from scenkit import dsl, logic
 from scenkit.core import Scene, TimeGrid, Trajectory, schema_of, is_prefix
 from scenkit.dynamics import drift, family_of
 from scenkit.errors import (
@@ -24,6 +24,7 @@ from scenkit.formulas import (
     Atom,
     Eventually,
     FalseFormula,
+    Formula,
     Next,
     Or,
     SceneConst,
@@ -66,6 +67,7 @@ from conftest import (
     PLANE,
     every_node_formulas,
     random_step_scenario,
+    shared_formulas,
     small_instances,
     with_dead_ends,
     worlds_and_words,
@@ -460,6 +462,61 @@ def test_count_and_unranking_match_the_enumeration(case, boxed, data):
     _assert_count_and_draws_match_enumeration(A, data.draw(st.integers(0, 2**31)))
 
 
+class _Interner:
+    """Reference identity of formulas, by structure: structurally equal
+    nodes share an id. A node's key is its type, its scalar fields and its
+    operands' ids, built in a loop once per node; nodes are cached by
+    ``id()`` and held here."""
+
+    def __init__(self):
+        self.seen: dict[int, tuple[int, Formula]] = {}
+        self.ids: dict[tuple, int] = {}
+
+    def __call__(self, formula: Formula) -> int:
+        seen = self.seen
+        todo = [formula]
+        while todo:
+            f = todo[-1]
+            if id(f) in seen:
+                todo.pop()
+                continue
+            fields = [getattr(f, name) for name in type(f).__dataclass_fields__]
+            missing = [v for v in fields if isinstance(v, Formula) and id(v) not in seen]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            key = (type(f), *(seen[id(v)][0] if isinstance(v, Formula) else v for v in fields))
+            seen[id(f)] = (self.ids.setdefault(key, len(self.ids)), f)
+        return seen[id(formula)][0]
+
+
+class _InternedStates(logic._States):
+    """The merge rule with residuals keyed by their structural ids
+    instead of their identity."""
+
+    def __init__(self, cap):
+        super().__init__(cap)
+        self.intern = _Interner()
+
+    def lookup(self, node, make):
+        return super().lookup((node[0], *map(self.intern, node[1:])), lambda _: make(node))
+
+
+@given(small_instances(max_horizon=4), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_states_merge_by_identity_as_by_structure(case, boxed, data):
+    inst, _ = case
+    if boxed:
+        inst = with_dead_ends(inst)
+    formulas = st.one_of(every_node_formulas(inst.schema), shared_formulas(inst.schema))
+    A = AbstractScenario(data.draw(formulas), (), inst)
+    dag = _dag(A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic, "_States", _InternedStates)
+        assert _dag(A) == dag
+
+
 @given(every_node_formulas(PLANE), st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_count_and_unranking_match_the_enumeration_of_an_encoding(formula, seed):
@@ -752,7 +809,7 @@ def test_memoized_walks_past_the_memo_cap_draw_the_same(strategy, monkeypatch):
     A = AbstractScenario(constraint, (), inst)
     assert sample_abstract(A, 2, strategy, 5) == _per_node_walk(A, 2, strategy, 5)
     (memo,) = memos
-    assert memo.size == memo.cap == 2 * 9
+    assert len(memo.memo) == memo.cap == 2 * 9
 
 
 def test_memoized_walks_compute_each_state_once(monkeypatch):
