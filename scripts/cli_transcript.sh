@@ -20,11 +20,15 @@ run() {
   echo "exit $?"
 }
 printf 'schema s { x: m }\nlogical broken {\n  horizon 1 s step\n}\n' > broken.scn
+printf 'fixture never = always[<=0] true\n' > window.scn
+printf 'schema s { x: m }\nabstract a { use s horizon 1e400 s step 1e400 s constraint true }\n' > nan_grid.scn
 
 run validate "$slope"
 run validate "$straight"
 run validate broken.scn
 run validate missing.scn
+run validate window.scn
+run validate nan_grid.scn
 
 run sample-logical "$slope" --scenario slope_drive --count 3 --seed 5 --out-dir slope
 run sample-logical "$straight" --scenario straight_drive --count 1 --seed 1 --out-dir straight

@@ -7,6 +7,11 @@ formula fixtures. Parsing is total: any input yields either a document
 or a list of diagnostics with line/column, offending token and expected
 set, never an exception and never a partial document.
 
+A document's formulas are library formulas (``formulas.And`` ...
+``Always``) over three unresolved leaves: ``FScene`` and ``FPred``, which
+need the abstract's schema, and ``FRef``, which names a fixture. A window
+``[<=k]`` takes a whole number k >= 1.
+
 Numbers accept unit suffixes m, s, m/s, m/s^2 and km/h; km/h is converted to
 m/s at parse time, so printed documents are always in SI units.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -26,7 +32,7 @@ from .dynamics import (
     constant_velocity,
     drift,
 )
-from .errors import ScenarioError
+from .errors import RangeError, ScenarioError
 from .formulas import (
     Always,
     And,
@@ -97,7 +103,7 @@ _PUNCT = ("<=", "{", "}", "(", ")", "[", "]", ",", ".", "=", "~", "-", "+", "*",
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "ident" | "number" | punct literal | "eof"
+    kind: str  # "ident" | "number" | "malformed number" | punct literal | "eof"
     text: str
     line: int
     col: int
@@ -145,13 +151,16 @@ def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
                     while j < n and text[j].isdigit():
                         j += 1
             lexeme = text[i:j]
+            kind = "number"
             try:
                 float(lexeme)
             except ValueError:
+                # Not a number token, so the parser never converts it.
+                kind = "malformed number"
                 diags.append(
                     Diagnostic("LEX002", line, col, f"malformed number {lexeme!r}", lexeme)
                 )
-            tokens.append(Token("number", lexeme, line, col))
+            tokens.append(Token(kind, lexeme, line, col))
             col += j - i
             i = j
             continue
@@ -202,65 +211,22 @@ class Bin(Expr):
     right: Expr
 
 
-class FormulaNode(HashConsed):
-    """A formula of the document. Nodes are hash-consed like the
-    library's formulas (``formulas.HashConsed``), so structurally equal
-    nodes are one object and compare and hash by identity."""
-
-
 @dataclass(frozen=True, eq=False)
-class FTrue(FormulaNode):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class FFalse(FormulaNode):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class FScene(FormulaNode):
+class FScene(Formula):
+    """Unresolved leaf of a document formula; resolves to a ``SceneConst``."""
     items: tuple[tuple[str, Expr], ...]
 
 
 @dataclass(frozen=True, eq=False)
-class FPred(FormulaNode):
-    # (dim_or_None, other_dim_or_None, lo, hi): single-dim when other is None,
-    # otherwise a bound on dim - other.
+class FPred(Formula):
+    """Unresolved leaf of a document formula; resolves to an ``Atom``. An
+    item (dim, other, lo, hi) bounds dim, or dim - other unless None."""
     items: tuple[tuple[str, str | None, Expr, Expr], ...]
 
 
 @dataclass(frozen=True, eq=False)
-class FAnd(FormulaNode):
-    left: FormulaNode
-    right: FormulaNode
-
-
-@dataclass(frozen=True, eq=False)
-class FOr(FormulaNode):
-    left: FormulaNode
-    right: FormulaNode
-
-
-@dataclass(frozen=True, eq=False)
-class FNext(FormulaNode):
-    sub: FormulaNode
-
-
-@dataclass(frozen=True, eq=False)
-class FEventually(FormulaNode):
-    sub: FormulaNode
-    within: int | None
-
-
-@dataclass(frozen=True, eq=False)
-class FAlways(FormulaNode):
-    sub: FormulaNode
-    within: int | None
-
-
-@dataclass(frozen=True, eq=False)
-class FRef(FormulaNode):
+class FRef(Formula):
+    """Unresolved leaf of a document formula; resolves to the named fixture."""
     name: str
 
 
@@ -312,15 +278,15 @@ class AbstractDecl:
     horizon: float
     step: float
     bounds: tuple[tuple[str, float], ...]
-    world: tuple[FormulaNode, ...]
-    constraint: FormulaNode
+    world: tuple[Formula, ...]
+    constraint: Formula
     at: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class FixtureDecl:
     name: str
-    formula: FormulaNode
+    formula: Formula
     at: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
@@ -431,8 +397,13 @@ class _Parser:
         return None
 
     def parse_number(self) -> float:
-        """A number and its optional unit, scaled to SI."""
-        value = float(self.expect("number", "a number").text)
+        """A number or ``inf`` (which the printer writes for a literal past
+        the float range) and its optional unit, scaled to SI."""
+        if self.at_keyword("inf"):
+            self.advance()
+            value = math.inf
+        else:
+            value = float(self.expect("number", "a number").text)
         return value * _UNIT_FACTORS.get(self.parse_unit(), 1.0)
 
     def parse_number_with_unit(self) -> float:
@@ -470,19 +441,16 @@ class _Parser:
                 self.expect(")")
             self.expr_depth -= 1
             return e
-        if tok.kind == "number":
+        if tok.kind == "number" or self.at_keyword("inf"):
             return Num(self.parse_number())
         if tok.kind == "ident":
-            if tok.text == "inf":
-                self.advance()
-                return Num(math.inf)
             self.advance()
             return Ref(tok.text)
         raise self.error("expected an expression", ("number", "identifier", "("))
 
     # -- formulas --------------------------------------------------------------
 
-    def parse_formula(self) -> FormulaNode:
+    def parse_formula(self) -> Formula:
         """``or`` over ``and`` over prefixed operands, left-associative.
         Parsed in a loop with one frame per open parenthesis (its pending
         prefix operators and the ``and`` and ``or`` chains built so far),
@@ -499,12 +467,12 @@ class _Parser:
             f = self.parse_formula_primary()
             while True:
                 for op, within in reversed(ops):
-                    f = FNext(f) if op is FNext else op(f, within)
-                conj = f if conj is None else FAnd(conj, f)
+                    f = Next(f) if op is Next else op(f, within)
+                conj = f if conj is None else And(conj, f)
                 if self.at_keyword("and"):
                     self.advance()
                     break
-                disj = conj if disj is None else FOr(disj, conj)
+                disj = conj if disj is None else Or(disj, conj)
                 conj = None
                 if self.at_keyword("or"):
                     self.advance()
@@ -516,13 +484,17 @@ class _Parser:
                 ops, conj, disj = frames.pop()
 
     def parse_within(self) -> int | None:
+        """``[<=k]`` for a whole number k >= 1, or nothing."""
         if self.peek().kind != "[":
             return None
         self.advance()
         self.expect("<=")
-        tok = self.expect("number", "a step bound")
+        k = float(self.peek().text) if self.peek().kind == "number" else 0.0
+        if not (k >= 1 and k.is_integer()):
+            raise self.error("expected a whole number of steps >= 1", ("number",))
+        self.advance()
         self.expect("]")
-        return int(float(tok.text))
+        return int(k)
 
     def parse_formula_unary(self) -> list[tuple[type, int | None]]:
         """The prefix operators before an operand, outermost first, each
@@ -531,14 +503,14 @@ class _Parser:
         while True:
             if self.at_keyword("next"):
                 self.advance()
-                ops.append((FNext, None))
+                ops.append((Next, None))
             elif self.at_keyword("eventually") or self.at_keyword("always"):
-                op = FEventually if self.advance().text == "eventually" else FAlways
+                op = Eventually if self.advance().text == "eventually" else Always
                 ops.append((op, self.parse_within()))
             else:
                 return ops
 
-    def parse_formula_primary(self) -> FormulaNode:
+    def parse_formula_primary(self) -> Formula:
         """An operand other than a parenthesized formula."""
         tok = self.peek()
         if tok.kind != "ident":
@@ -547,10 +519,10 @@ class _Parser:
             )
         if tok.text == "true":
             self.advance()
-            return FTrue()
+            return TrueFormula()
         if tok.text == "false":
             self.advance()
-            return FFalse()
+            return FalseFormula()
         if tok.text == "scene":
             self.advance()
             self.expect("(")
@@ -781,39 +753,62 @@ def _fmt_num(v: float) -> str:
     return repr(v)
 
 
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _print_expr(e: Expr) -> str:
+    """Source text of ``e``, parenthesizing an operand only where its
+    operator binds more loosely than its parent's (or as loosely, on the
+    right) and a binary operand of unary minus, so it nests no deeper than
+    the parsed text. A chain's left spine is walked in a loop."""
+    spine = []
+    while isinstance(e, Bin):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Num):
-        return _fmt_num(e.value)
-    if isinstance(e, Ref):
-        return e.name
-    if isinstance(e, Neg):
-        return f"-{_print_expr(e.sub)}"
-    if isinstance(e, Bin):
-        return f"({_print_expr(e.left)} {e.op} {_print_expr(e.right)})"
-    raise TypeError(e)
+        parts = [_fmt_num(e.value)]
+    elif isinstance(e, Ref):
+        parts = [e.name]
+    elif isinstance(e, Neg):
+        sub = _print_expr(e.sub)
+        parts = [f"-({sub})" if isinstance(e.sub, Bin) else f"-{sub}"]
+    else:
+        raise TypeError(e)
+    # Each left operand in parentheses wraps all that is printed so far.
+    opens = 0
+    for b in reversed(spine):
+        if isinstance(b.left, Bin) and _PRECEDENCE[b.left.op] < _PRECEDENCE[b.op]:
+            opens += 1
+            parts.append(")")
+        right = _print_expr(b.right)
+        if isinstance(b.right, Bin) and _PRECEDENCE[b.right.op] <= _PRECEDENCE[b.op]:
+            right = f"({right})"
+        parts.append(f" {b.op} {right}")
+    return "(" * opens + "".join(parts)
 
 
-def _print_formula(f: FormulaNode) -> str:
+def _print_formula(f: Formula) -> str:
     """Source text of ``f``, from an explicit stack: nesting costs no frames."""
     out: list[str] = []
-    stack: list[FormulaNode | str] = [f]
+    stack: list[Formula | str] = [f]
     while stack:
         f = stack.pop()
         if isinstance(f, str):
             out.append(f)
-        elif isinstance(f, (FAnd, FOr)):
-            op = " and " if isinstance(f, FAnd) else " or "
+        elif isinstance(f, (And, Or)):
+            op = " and " if isinstance(f, And) else " or "
             stack += [")", f.right, op, f.left, "("]
-        elif isinstance(f, FNext):
+        elif isinstance(f, Next):
             out.append("next ")
             stack.append(f.sub)
-        elif isinstance(f, (FEventually, FAlways)):
-            word = "eventually" if isinstance(f, FEventually) else "always"
+        elif isinstance(f, (Eventually, Always)):
+            word = "eventually" if isinstance(f, Eventually) else "always"
             bound = f"[<={f.within}]" if f.within is not None else ""
             out.append(f"{word}{bound} ")
             stack.append(f.sub)
-        elif isinstance(f, (FTrue, FFalse)):
-            out.append("true" if isinstance(f, FTrue) else "false")
+        elif isinstance(f, (TrueFormula, FalseFormula)):
+            out.append("true" if isinstance(f, TrueFormula) else "false")
         elif isinstance(f, FScene):
             inner = ", ".join(f"{n} = {_print_expr(e)}" for n, e in f.items)
             out.append(f"scene({inner})")
@@ -892,33 +887,35 @@ class ResolvedSpec:
     logicals: dict[str, LogicalScenario] = field(default_factory=dict)
     distributions: dict[str, ParameterDistribution] = field(default_factory=dict)
     abstracts: dict[str, AbstractScenario] = field(default_factory=dict)
-    fixtures: dict[str, FormulaNode] = field(default_factory=dict)
+    fixtures: dict[str, Formula] = field(default_factory=dict)
 
 
 def _eval_expr(e: Expr, env: dict[str, float], diags: list[Diagnostic]) -> float:
+    """The value of ``e``; a chain's left spine is walked in a loop."""
+    spine = []
+    while isinstance(e, Bin):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Ref):
-        if e.name not in env:
+        value = e.value
+    elif isinstance(e, Ref):
+        if e.name in env:
+            value = env[e.name]
+        else:
             diags.append(Diagnostic("RES001", 0, 0, f"unresolved reference {e.name!r}", e.name))
-            return 0.0
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -_eval_expr(e.sub, env, diags)
-    if isinstance(e, Bin):
-        lv = _eval_expr(e.left, env, diags)
-        rv = _eval_expr(e.right, env, diags)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if rv == 0:
+            value = 0.0
+    elif isinstance(e, Neg):
+        value = -_eval_expr(e.sub, env, diags)
+    else:
+        raise TypeError(e)
+    for b in reversed(spine):
+        rv = _eval_expr(b.right, env, diags)
+        if b.op == "/" and rv == 0:
             diags.append(Diagnostic("RES003", 0, 0, "division by zero"))
-            return 0.0
-        return lv / rv
-    raise TypeError(e)
+            value = 0.0
+        else:
+            value = _ARITHMETIC[b.op](value, rv)
+    return value
 
 
 def _build_model(
@@ -953,21 +950,23 @@ def _build_model(
 
 
 def _resolve_formula(
-    node: FormulaNode,
+    node: Formula,
     schema: SceneSchema,
-    fixtures: dict[str, FormulaNode],
+    fixtures: dict[str, Formula],
     diags: list[Diagnostic],
     resolved: dict[str, Formula],
 ) -> Formula:
-    """Resolve ``node`` with an explicit stack, so nesting costs no Python
-    frames. Each fixture is resolved once per abstract and kept in
-    ``resolved``, so a fixture referenced many times becomes one shared node;
-    a fixture met again while its own body is being resolved is a cycle,
-    reported once (RES001) and read as true."""
+    """Resolve ``node``'s leaves and rebuild the connectives above them,
+    with an explicit stack, so nesting costs no Python frames; ``true``
+    and ``false`` stay as they are. Each fixture is resolved once per
+    abstract and kept in ``resolved``, so a fixture referenced many times
+    becomes one shared node; a fixture met again while its own body is
+    being resolved is a cycle, reported once (RES001) and read as true."""
     out: list[Formula] = []
     active: set[str] = set()
-    # A task is a node to visit, a node whose children are on ``out`` to
-    # build, or the name of a fixture whose body is on top of ``out``.
+    # A task is a node to visit, a connective's class, other fields and
+    # operand count to build from the operands on top of ``out``, or the
+    # name of a fixture whose body is on top of ``out``.
     stack: list[tuple[str, Any]] = [("visit", node)]
     while stack:
         task, n = stack.pop()
@@ -975,18 +974,10 @@ def _resolve_formula(
             active.discard(n)
             resolved.setdefault(n, out[-1])
         elif task == "build":
-            if isinstance(n, (FAnd, FOr)):
-                right = out.pop()
-                out.append((And if isinstance(n, FAnd) else Or)(out.pop(), right))
-            elif isinstance(n, FNext):
-                out.append(Next(out.pop()))
-            else:
-                op = Eventually if isinstance(n, FEventually) else Always
-                out.append(op(out.pop(), n.within))
-        elif isinstance(n, (FAnd, FOr)):
-            stack += [("build", n), ("visit", n.right), ("visit", n.left)]
-        elif isinstance(n, (FNext, FEventually, FAlways)):
-            stack += [("build", n), ("visit", n.sub)]
+            cls, rest, k = n
+            out[-k:] = [cls(*out[-k:], *rest)]
+        elif isinstance(n, (FScene, FPred)):
+            out.append(_resolve_atom(n, schema, diags))
         elif isinstance(n, FRef):
             if n.name not in fixtures:
                 diags.append(
@@ -1005,15 +996,19 @@ def _resolve_formula(
                 active.add(n.name)
                 stack += [("fixture", n.name), ("visit", fixtures[n.name])]
         else:
-            out.append(_resolve_atom(n, schema, diags))
+            # A node reduces to its class and fields (``HashConsed``), and
+            # a connective's k operands are its first fields.
+            cls, fields = n.__reduce__()
+            k = sum(isinstance(v, Formula) for v in fields)
+            if k:
+                stack.append(("build", (cls, fields[k:], k)))
+                stack += [("visit", v) for v in reversed(fields[:k])]
+            else:
+                out.append(n)
     return out[0]
 
 
-def _resolve_atom(node: FormulaNode, schema: SceneSchema, diags: list[Diagnostic]) -> Formula:
-    if isinstance(node, FTrue):
-        return TrueFormula()
-    if isinstance(node, FFalse):
-        return FalseFormula()
+def _resolve_atom(node: FScene | FPred, schema: SceneSchema, diags: list[Diagnostic]) -> Formula:
     if isinstance(node, FScene):
         given = {n: _eval_expr(e, {}, diags) for n, e in node.items}
         missing = [n for n in schema.names if n not in given]
@@ -1030,24 +1025,31 @@ def _resolve_atom(node: FormulaNode, schema: SceneSchema, diags: list[Diagnostic
             )
             return TrueFormula()
         return SceneConst(Scene(schema, tuple(given[n] for n in schema.names)))
-    if isinstance(node, FPred):
-        bounds = []
-        diffs = []
-        for name, other, lo_e, hi_e in node.items:
-            lo = _eval_expr(lo_e, {}, diags)
-            hi = _eval_expr(hi_e, {}, diags)
-            for dim in (name, other) if other else (name,):
-                if not schema.has(dim):
-                    diags.append(
-                        Diagnostic("RES003", 0, 0, f"unknown dimension {dim!r} in pred()", dim)
-                    )
-                    return TrueFormula()
-            if other is None:
-                bounds.append((name, lo, hi))
-            else:
-                diffs.append((name, other, lo, hi))
-        return Atom(ScenePredicate(tuple(bounds), tuple(diffs)))
-    raise TypeError(node)
+    bounds = []
+    diffs = []
+    for name, other, lo_e, hi_e in node.items:
+        lo = _eval_expr(lo_e, {}, diags)
+        hi = _eval_expr(hi_e, {}, diags)
+        for dim in (name, other) if other else (name,):
+            if not schema.has(dim):
+                diags.append(
+                    Diagnostic("RES003", 0, 0, f"unknown dimension {dim!r} in pred()", dim)
+                )
+                return TrueFormula()
+        if other is None:
+            bounds.append((name, lo, hi))
+        else:
+            diffs.append((name, other, lo, hi))
+    return Atom(ScenePredicate(tuple(bounds), tuple(diffs)))
+
+
+def _grid(horizon: float, step: float) -> TimeGrid:
+    """The grid of a logical scenario and of an abstract world alike; it
+    refuses a step <= 0, a negative horizon and a ratio that is NaN."""
+    ratio = horizon / step
+    if math.isnan(ratio):
+        raise RangeError(f"horizon {horizon} over step {step} is not a number")
+    return TimeGrid(step, int(round(ratio)) + 1)
 
 
 def _bounded_step_instance(
@@ -1062,9 +1064,8 @@ def _bounded_step_instance(
     for dim in bound_by_dim:
         if not schema.has(dim):
             diags.append(Diagnostic("RES003", 0, 0, f"bound on unknown dimension {dim!r}", dim))
-    # The grid a logical declaration would build refuses a step <= 0 and a
-    # negative horizon alike; a zero horizon still means one step.
-    grid = TimeGrid(decl.step, int(round(decl.horizon / decl.step)) + 1)
+    # A zero horizon still means one step.
+    grid = _grid(decl.horizon, decl.step)
     slack = 1e-9
     reach = [bound_by_dim.get(name, 0.0) + slack for name in schema.names]
 
@@ -1179,8 +1180,7 @@ def _resolve_logical(
     dist = ParameterDistribution(tuple(marginals))
     dist.validate_against(space)
     param_names = [p.name for p in d.params]
-    count = int(round(d.horizon / d.step)) + 1
-    grid = TimeGrid(d.step, count)
+    grid = _grid(d.horizon, d.step)
     start_items = tuple((dim, e) for _, dim, e in d.start)
     binds = d.binds
 

@@ -48,7 +48,8 @@ from .formulas import FalseFormula, Formula, TrueFormula, Verdict3, progress, se
 from .logic import AbstractScenario, Node, Path, ScenarioLogicInstance, _check_conforms
 
 #: Node budget of the one search below a prefix: one budget per call,
-#: shared by the starts of the empty prefix. Exhaustion yields UNKNOWN.
+#: shared by the starts of the empty prefix, read when the search starts.
+#: Exhaustion yields UNKNOWN.
 DEFAULT_EXPLORE_BUDGET = 100_000
 
 
@@ -110,15 +111,16 @@ def monitor_word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport
     return _word_report(c, scenario)
 
 
-def _decide(inst: ScenarioLogicInstance, roots: list[Node], budget: int) -> Verdict3:
+def _decide(inst: ScenarioLogicInstance, roots: list[Node]) -> Verdict3:
     """Bounded depth-first search over the (path, residual) nodes below
     ``roots``. A FALSE residual is a rejection, and so is a dead end
     below an undecided one; an acceptance is a path that reaches full
     length. Below a TRUE residual every completion is accepted, so the
     search there only looks for one: its dead ends are skipped, and once
     an acceptance is seen no TRUE node is expanded. UNKNOWN as soon as
-    both have been seen, past ``budget`` nodes, or up front when an
-    undecided root's tree is obviously larger than the budget."""
+    both have been seen, past ``DEFAULT_EXPLORE_BUDGET`` nodes, or up
+    front when an undecided root's tree is obviously larger than that."""
+    budget = DEFAULT_EXPLORE_BUDGET
     full = inst.full_length()
     stack = [node for node in roots if not isinstance(node[1], FalseFormula)]
     reject = len(stack) < len(roots)
@@ -164,11 +166,7 @@ def _decide(inst: ScenarioLogicInstance, roots: list[Node], budget: int) -> Verd
     return Verdict3.TRUE if accept else Verdict3.FALSE
 
 
-def monitor_prefix(
-    c: Trajectory | None,
-    scenario: AbstractScenario,
-    explore_budget: int = DEFAULT_EXPLORE_BUDGET,
-) -> Verdict3:
+def monitor_prefix(c: Trajectory | None, scenario: AbstractScenario) -> Verdict3:
     """Three-valued verdict for a partial trace.
 
     TRUE when a horizon-length completion exists and every one is
@@ -178,11 +176,11 @@ def monitor_prefix(
     bounded depth-first search below the prefix decides (``_decide``):
     below a TRUE residual it looks for one completion, and below an
     undecided one it looks for an acceptance and a rejection, where a
-    dead end counts as a rejection. ``explore_budget`` bounds the nodes
-    of that one search, shared by the starts of the empty prefix; past
-    it, or when the tree below an undecided start is obviously larger,
-    the verdict is UNKNOWN. Worlds the successors do not cover are not
-    searched (see the module docstring).
+    dead end counts as a rejection. ``DEFAULT_EXPLORE_BUDGET`` bounds the
+    nodes of that one search, shared by the starts of the empty prefix;
+    past it, or when the tree below an undecided start is obviously
+    larger, the verdict is UNKNOWN. Worlds the successors do not cover
+    are not searched (see the module docstring).
 
     ``c=None`` stands for the empty prefix (nothing observed yet).
     """
@@ -212,7 +210,7 @@ def monitor_prefix(
             ((s,), progress(residual, s, 0, inst.horizon, inst.scene_tol))
             for s in inst.initial_scenes
         ]
-    return _decide(inst, roots, explore_budget)
+    return _decide(inst, roots)
 
 
 class StreamMonitor:
@@ -222,15 +220,10 @@ class StreamMonitor:
     fed so far; TRUE and FALSE are terminal.
     """
 
-    def __init__(
-        self,
-        scenario: AbstractScenario,
-        explore_budget: int = DEFAULT_EXPLORE_BUDGET,
-    ):
+    def __init__(self, scenario: AbstractScenario):
         self.scenario = scenario
-        self.explore_budget = explore_budget
         self._samples: list[Scene] = []
-        self._verdict = monitor_prefix(None, scenario, explore_budget)
+        self._verdict = monitor_prefix(None, scenario)
 
     @property
     def verdict(self) -> Verdict3:
@@ -250,9 +243,9 @@ class StreamMonitor:
         traj = Trajectory(
             inst.schema, inst.grid(len(self._samples)), tuple(self._samples)
         )
-        self._verdict = monitor_prefix(traj, self.scenario, self.explore_budget)
+        self._verdict = monitor_prefix(traj, self.scenario)
         return self._verdict
 
 
-def monitor_stream(scenario: AbstractScenario, **kwargs) -> StreamMonitor:
-    return StreamMonitor(scenario, **kwargs)
+def monitor_stream(scenario: AbstractScenario) -> StreamMonitor:
+    return StreamMonitor(scenario)

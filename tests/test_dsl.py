@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from pathlib import Path
@@ -5,7 +6,17 @@ from pathlib import Path
 import pytest
 
 from scenkit import dsl
-from scenkit.formulas import Always, And, Atom, Eventually, Next, SceneConst, TrueFormula
+from scenkit.formulas import (
+    Always,
+    And,
+    Atom,
+    Eventually,
+    FalseFormula,
+    Next,
+    Or,
+    SceneConst,
+    TrueFormula,
+)
 from scenkit.core import Scene, Trajectory
 from scenkit.fixtures import straight_drive_trajectory
 from scenkit.logical import realize
@@ -146,7 +157,7 @@ _GRAMMAR_EDGES = [
     ('model d = drift(x = 3 m / 2)', 'PAR001 at 1:25: expected = (expected =)'),
     ('model d = drift(x = 3 m/s^3)', 'PAR001 at 1:26: expected an argument name (expected ident)'),
     ('model d = drift(x = 3 m/s^ 2.0)', 'PAR001 at 1:26: expected an argument name (expected ident)'),
-    ('model d = drift(x = 3 s / 2)', 'model d = drift(x = (3.0 / 2.0))\n'),
+    ('model d = drift(x = 3 s / 2)', 'model d = drift(x = 3.0 / 2.0)\n'),
     ('model d = drift(x = 36 km/h, y = 2 m/s^2, z = 4 m/s, w = 5 m)', 'model d = drift(x = 10.0, y = 2.0, z = 4.0, w = 5.0)\n'),
     ('model d = drift(x = 1 km/ 2)', 'PAR001 at 1:25: expected = (expected =)'),
     ('model d = drift(x = 1 km)', 'PAR001 at 1:25: expected = (expected =)'),
@@ -156,6 +167,18 @@ _GRAMMAR_EDGES = [
     ('schema s { x: m / }', 'PAR001 at 1:17: expected a dimension name (expected ident)'),
     ('schema s { x: km }', 'PAR001 at 1:15: expected a unit (expected dimensionless, enum, enum-code, km/h, m, m/s, m/s^2, s)'),
     ('abstract a { use s horizon 2 s step 36 km/h bound x 3 m bound y 1 m/s^2 constraint pred(x in [0 m, 1 km/h]) }', 'abstract a {\n  use s\n  horizon 2.0 step 10.0\n  bound x 3.0\n  bound y 1.0\n  constraint pred(x in [0.0, 0.2777777777777778])\n}\n'),
+    # A window is a whole number of steps >= 1.
+    ('fixture f = eventually[<=1e3] always[<=2.0] true', 'fixture f = eventually[<=1000] always[<=2] true\n'),
+    ('fixture f = always[<=0] true', 'PAR001 at 1:22: expected a whole number of steps >= 1 (expected number)'),
+    ('fixture f = always[<=2.7] true', 'PAR001 at 1:22: expected a whole number of steps >= 1 (expected number)'),
+    ('fixture f = always[<=1e400] true', 'PAR001 at 1:22: expected a whole number of steps >= 1 (expected number)'),
+    ('fixture f = always[<=-1] true', 'PAR001 at 1:22: expected a whole number of steps >= 1 (expected number)'),
+    ('fixture f = always[<=1.2.3] true', "LEX002 at 1:22: malformed number '1.2.3'\nPAR001 at 1:22: expected a whole number of steps >= 1 (expected number)"),
+    ('fixture f = always[<=', 'PAR002 at 1:22: expected a whole number of steps >= 1 (expected number)'),
+    # Arithmetic prints with the fewest parentheses that parse back to it.
+    ('model d = drift(x = 1 - (2 - 3) - 4 * (5 / 6) / (7 * 8), y = ((1 + 2) * 3 + 4) * 5, z = -(1 + 2) * --3 - -4)',
+     'model d = drift(x = 1.0 - (2.0 - 3.0) - 4.0 * (5.0 / 6.0) / (7.0 * 8.0), y = ((1.0 + 2.0) * 3.0 + 4.0) * 5.0, z = -(1.0 + 2.0) * --3.0 - -4.0)\n'),
+    ('model d = drift(x = 1.2.3)', "LEX002 at 1:21: malformed number '1.2.3'\nPAR001 at 1:21: expected an expression (expected number, identifier, ()"),
 ]
 
 
@@ -188,14 +211,14 @@ def test_deep_documents_compare_and_hash_without_recursion_error(text, other):
 def test_formula_node_equality_is_structural():
     two = dsl.parse("fixture f = eventually[<=2] pred(x in [0, 1]) and next g").document
     node = two.decls[0].formula
-    assert node == dsl.FAnd(
-        dsl.FEventually(dsl.FPred((("x", None, dsl.Num(0.0), dsl.Num(1.0)),)), 2),
-        dsl.FNext(dsl.FRef("g")),
+    assert node == And(
+        Eventually(dsl.FPred((("x", None, dsl.Num(0.0), dsl.Num(1.0)),)), 2),
+        Next(dsl.FRef("g")),
     )
-    assert node != dsl.FOr(node.left, node.right)
-    assert dsl.FEventually(dsl.FTrue(), 2) != dsl.FEventually(dsl.FTrue(), None)
-    assert dsl.FRef("g") != dsl.FRef("h") and dsl.FTrue() != dsl.FFalse()
-    assert dsl.FTrue() != "true"
+    assert node != Or(node.left, node.right)
+    assert Eventually(TrueFormula(), 2) != Eventually(TrueFormula(), None)
+    assert dsl.FRef("g") != dsl.FRef("h") and TrueFormula() != FalseFormula()
+    assert TrueFormula() != "true"
     assert {node: 1}[dsl.parse(dsl.print_document(two)).document.decls[0].formula] == 1
 
 
@@ -203,14 +226,14 @@ def test_equal_document_formulas_are_one_node():
     text = "fixture f = eventually[<=2] pred(x in [0, 1 + 2]) and next (g or scene(x = -1))"
     node = dsl.parse(text).document.decls[0].formula
     assert dsl.parse(text).document.decls[0].formula is node
-    assert dsl.FAnd(
-        dsl.FEventually(
+    assert And(
+        Eventually(
             dsl.FPred((("x", None, dsl.Num(0.0), dsl.Bin("+", dsl.Num(1.0), dsl.Num(2.0))),)), 2
         ),
-        dsl.FNext(dsl.FOr(dsl.FRef("g"), dsl.FScene((("x", dsl.Neg(dsl.Num(1.0))),)))),
+        Next(Or(dsl.FRef("g"), dsl.FScene((("x", dsl.Neg(dsl.Num(1.0))),)))),
     ) is node
-    assert dsl.FEventually(node.left.sub, within=2) is node.left
-    assert dsl.FTrue() is dsl.FTrue() and dsl.FRef("g") is not dsl.FRef("h")
+    assert Eventually(node.left.sub, within=2) is node.left
+    assert TrueFormula() is TrueFormula() and dsl.FRef("g") is not dsl.FRef("h")
 
 
 def test_deep_document_formulas_hash_and_compare_without_recursion():
@@ -328,6 +351,20 @@ def test_arithmetic_at_the_depth_bound_loads_and_prints():
         assert dsl._eval_expr(item[2], {}, []) == value
 
 
+@pytest.mark.parametrize("terms", [102, 3000])
+def test_long_arithmetic_chains_load_and_round_trip(terms):
+    # A chain is walked in a loop, and printed without the parentheses
+    # that the parser bounds.
+    text = _abstract_with("f", f"fixture f = pred(x in [0, {' + '.join(['1'] * terms)}])")
+    doc = dsl.parse(text).document
+    printed = dsl.print_document(doc)
+    again = dsl.parse(printed)
+    assert again.ok and again.document == doc
+    assert dsl.print_document(again.document) == printed
+    atom = dsl.load(text).abstracts["A"].constraints
+    assert atom.predicate.bounds == (("x", 0.0, float(terms)),)
+
+
 def test_deeply_nested_fixtures_parse_without_recursion():
     # Parentheses and prefix operators are parsed in a loop, not one
     # call per level.
@@ -429,6 +466,10 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
         (_logical(step="0 s"), "RES003 at 2:1: 'l': float division by zero"),
         (_abstract(step="0 s"), "RES003 at 2:1: 'a': float division by zero"),
         (_abstract(horizon="1e400 s"), "RES003 at 2:1: 'a': cannot convert float infinity to integer"),
+        (_abstract(horizon="1e400 s", step="1e400 s"),
+         "RES003 at 2:1: 'a': horizon inf over step inf is not a number"),
+        (_logical(horizon="1e400 s", step="1e400 s"),
+         "RES003 at 2:1: 'l': horizon inf over step inf is not a number"),
         # An abstract world refuses what a logical grid refuses.
         (_abstract(step="-0.1 s"), "RES003 at 2:1: 'a': grid step must be positive, got -0.1"),
         (_abstract(horizon="-1 s"), "RES003 at 2:1: 'a': grid count must be >= 1, got -9"),
@@ -447,7 +488,8 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
     ids=[
         "start-division", "bind-division", "pred-division", "reversed-range", "empty-schema",
         "negative-step", "negative-horizon", "infinite-scene", "zero-step", "abstract-zero-step",
-        "abstract-infinite-horizon", "abstract-negative-step", "abstract-negative-horizon",
+        "abstract-infinite-horizon", "abstract-nan-grid", "logical-nan-grid",
+        "abstract-negative-step", "abstract-negative-horizon",
         "weight-count", "infinite-range", "infinite-set", "wide-range", "binder-wording",
     ],
 )
@@ -552,6 +594,45 @@ def test_parser_is_total_on_random_bytes():
         text = "".join(rng.choice(pool) for _ in range(n))
         result = dsl.parse(text)
         assert (result.document is None) == bool(result.diagnostics) or result.ok
+
+
+_SCHEMA = "schema s { x: m, y: m }\n"
+_LOGICAL = _SCHEMA + "logical l { %s start { s.x = %s, s.y = 0 } bind drift(x = %s) horizon %s s step %s s }"
+# Each template has one slot per %s, filled from the literals below.
+_DECLARATION_TEMPLATES = [
+    "fixture f = eventually[<=%s] always[<=%s] true",
+    _SCHEMA + "abstract a { use s horizon %s s step %s s constraint true }",
+    _SCHEMA + "abstract a { use s horizon 1 s step 1 s bound x %s bound y %s constraint true }",
+    _SCHEMA + "abstract a { use s horizon 1 s step 1 s constraint pred(x in [%s, %s]) }",
+    _SCHEMA + "abstract a { use s horizon 1 s step 1 s constraint pred(x - y in [%s, %s]) }",
+    _SCHEMA + "abstract a { use s horizon 1 s step 1 s constraint scene(x = %s, y = %s) }",
+    _SCHEMA + "abstract a { use s horizon 1 s step 1 s constraint always[<=%s] scene(x = %s, y = 0) }",
+    _LOGICAL % ("", "%s", "%s", "1", "0.5"),
+    _LOGICAL % ("", "0", "1", "%s", "%s"),
+    _LOGICAL % ("param p: range(%s, %s)", "p", "p", "1", "0.5"),
+    _LOGICAL % ("param p: set{%s, 1} ~ weights(%s, 1)", "p", "p", "1", "0.5"),
+    _LOGICAL % ("param p: range(0, 1) ~ normal(%s, %s)", "p", "p", "1", "0.5"),
+]
+_EDGE_LITERALS = ["0", "-1", "2.5", "1e308", "1e400", "9" * 400, "inf", "1.2.3"]
+
+
+def test_parser_is_total_on_grammar_shaped_documents():
+    # Every declaration that takes a number, with every edge literal in
+    # each of its slots: parse never raises, an accepted document prints
+    # back to itself, and resolution fails only by diagnostics.
+    for template in _DECLARATION_TEMPLATES:
+        for literals in itertools.product(_EDGE_LITERALS, repeat=template.count("%s")):
+            text = template % literals
+            result = dsl.parse(text)
+            assert result.ok != bool(result.diagnostics), text
+            if not result.ok:
+                continue
+            printed = dsl.print_document(result.document)
+            assert dsl.parse(printed).document == result.document, text
+            try:
+                dsl.resolve(result.document)
+            except dsl.ResolutionError:
+                pass
 
 
 def test_parser_is_total_on_arbitrary_unicode():

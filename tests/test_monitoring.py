@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenkit import dsl
+from scenkit import dsl, monitoring
 from scenkit.core import Scene, Trajectory, prefix, schema_of
 from scenkit.errors import HorizonError, LengthError
 from scenkit.formulas import (
@@ -230,6 +230,22 @@ def test_settled_child_without_completion_is_no_acceptance():
     assert monitor_prefix(None, A) is Verdict3.FALSE
     assert monitor_prefix(bit_prefix(inst, [0]), A) is Verdict3.FALSE
     assert StreamMonitor(A).verdict is Verdict3.FALSE
+
+
+def test_search_past_the_node_budget_is_unknown(monkeypatch):
+    # The start has one successor, so the fan-out guess lets the search
+    # run; below it 2**17 completions, all accepted, need more nodes
+    # than the budget.
+    schema = binary_branching(1).schema
+    zero, one = Scene(schema, (0.0,)), Scene(schema, (1.0,))
+    inst = ScenarioLogicInstance(
+        id="late-branching", schema=schema, step=1.0, horizon=18,
+        initial_scenes=(zero,), successors=lambda p: (zero,) if len(p) == 1 else (zero, one),
+    )
+    A = AbstractScenario(Always(Atom(ScenePredicate((("bit", 0.0, 1.0),)))), (), inst)
+    assert monitor_prefix(None, A) is Verdict3.UNKNOWN
+    monkeypatch.setattr(monitoring, "DEFAULT_EXPLORE_BUDGET", 10**6)
+    assert monitor_prefix(None, A) is Verdict3.TRUE
 
 
 def completions(inst, path):
