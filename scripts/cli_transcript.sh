@@ -22,6 +22,9 @@ run() {
 printf 'schema s { x: m }\nlogical broken {\n  horizon 1 s step\n}\n' > broken.scn
 printf 'fixture never = always[<=0] true\n' > window.scn
 printf 'schema s { x: m }\nabstract a { use s horizon 1e400 s step 1e400 s constraint true }\n' > nan_grid.scn
+printf 'schema s { x: m } abstract a { use s horizon 1 s step 1 s constraint always pred(x in [0 * inf, 0 * inf]) }\n' > nan_pred.scn
+printf 'schema s { x: m, y: m } logical l { start { s.x = 0, s.y = 0 } bind constant_velocity(vz = 3) horizon 1 s step 1 s }\n' > factory_args.scn
+printf 'schema s { x: m } abstract a { use s horizon 1.5 s step 1 s constraint true }\n' > half_step.scn
 
 run validate "$slope"
 run validate "$straight"
@@ -29,6 +32,9 @@ run validate broken.scn
 run validate missing.scn
 run validate window.scn
 run validate nan_grid.scn
+run validate nan_pred.scn
+run validate factory_args.scn
+run validate half_step.scn
 
 run sample-logical "$slope" --scenario slope_drive --count 3 --seed 5 --out-dir slope
 run sample-logical "$straight" --scenario straight_drive --count 1 --seed 1 --out-dir straight

@@ -39,16 +39,30 @@ class Dimension:
         object.__setattr__(self, "unit", unit)
 
 
-@dataclass(frozen=True, slots=True)
-class SceneSchema:
-    """Ordered, named dimensions of a scene vector. Two schemas are equal
-    when their names and units agree in order; equality and hash read one
-    tuple of ``(name, unit)`` pairs."""
+#: Every schema built, keyed by its normalised dimensions.
+_SCHEMAS: dict[tuple[Dimension, ...], SceneSchema] = {}
 
-    dimensions: tuple[Dimension, ...] = field(compare=False)
-    _key: tuple[tuple[str, str], ...] = field(init=False, repr=False)
-    _positions: dict[str, int] = field(init=False, compare=False, repr=False)
-    _enum_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+class _Interned(type):
+    """A schema call returns the first-built schema with equal dimensions."""
+
+    def __call__(cls, *args, **kwargs):
+        schema = super().__call__(*args, **kwargs)
+        return _SCHEMAS.setdefault(schema.dimensions, schema)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class SceneSchema(metaclass=_Interned):
+    """Ordered, named dimensions of a scene vector. Schemas with the same
+    ``(name, unit)`` pairs, alias units normalised, are one object: building
+    one returns the first built, kept in a plain table (a run builds few;
+    ``setdefault`` keeps threads from making two). So equality and hash are
+    identity and every schema check is ``is``; pickling, copying and
+    ``dataclasses.replace`` go through the constructor."""
+
+    dimensions: tuple[Dimension, ...]
+    _positions: dict[str, int] = field(init=False, repr=False)
+    _enum_indices: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(
@@ -60,10 +74,12 @@ class SceneSchema:
         positions = {d.name: i for i, d in enumerate(dims)}
         if len(positions) != len(dims):
             raise SchemaError("dimension names must be unique")
-        object.__setattr__(self, "_key", tuple((d.name, d.unit) for d in dims))
         object.__setattr__(self, "_positions", positions)
         enums = tuple(i for i, d in enumerate(dims) if d.unit == "enum-code")
         object.__setattr__(self, "_enum_indices", enums)
+
+    def __reduce__(self):
+        return SceneSchema, (self.dimensions,)
 
     @property
     def k(self) -> int:
@@ -179,7 +195,7 @@ class Trajectory:
             )
         schema = self.schema
         for s in samples:
-            if s.schema is not schema and s.schema != schema:
+            if s.schema is not schema:
                 raise SchemaError("sample schema differs from trajectory schema")
 
     @property
@@ -222,7 +238,7 @@ class Trajectory:
 
 
 def _check_same_schema(a_schema: SceneSchema, b_schema: SceneSchema) -> None:
-    if a_schema is not b_schema and a_schema != b_schema:
+    if a_schema is not b_schema:
         raise SchemaError("schemas do not match")
 
 

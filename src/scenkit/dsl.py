@@ -877,7 +877,12 @@ class ResolutionError(ScenarioError):
         self.diagnostics = tuple(diagnostics)
 
 
-_MODEL_FACTORIES = ("constant_velocity", "constant_acceleration", "drift")
+#: Each model factory and the arguments it takes; None: any schema dimension.
+_MODEL_FACTORIES = {
+    "constant_velocity": (("vx", "vy"), constant_velocity),
+    "constant_acceleration": (("ax", "ay"), constant_acceleration),
+    "drift": (None, drift),
+}
 
 
 @dataclass
@@ -925,28 +930,19 @@ def _build_model(
     diags: list[Diagnostic],
     model_id: str,
 ) -> DeterministicModel | None:
-    if factory == "constant_velocity":
-        return constant_velocity(
-            schema, vx=args.get("vx", 0.0), vy=args.get("vy", 0.0), id=model_id
-        )
-    if factory == "constant_acceleration":
-        return constant_acceleration(
-            schema, ax=args.get("ax", 0.0), ay=args.get("ay", 0.0), id=model_id
-        )
-    if factory == "drift":
-        bad = [k for k in args if not schema.has(k)]
-        if bad:
-            diags.append(
-                Diagnostic("RES003", 0, 0, f"drift on unknown dimensions {bad}", str(bad))
-            )
-            return None
-        return drift(schema, args, id=model_id)
-    diags.append(
-        Diagnostic(
-            "RES001", 0, 0, f"unknown model factory {factory!r}", factory, _MODEL_FACTORIES
-        )
-    )
-    return None
+    if factory not in _MODEL_FACTORIES:
+        message = f"unknown model factory {factory!r}"
+        diags.append(Diagnostic("RES001", 0, 0, message, factory, tuple(_MODEL_FACTORIES)))
+        return None
+    takes, build = _MODEL_FACTORIES[factory]
+    bad = [k for k in args if k not in (schema.names if takes is None else takes)]
+    if bad:
+        what = "on unknown dimensions" if takes is None else "does not take"
+        diags.append(Diagnostic("RES003", 0, 0, f"{factory} {what} {bad}", str(bad)))
+        return None
+    # A factory's own arguments default to 0; drift takes its rates as given.
+    given = (args,) if takes is None else (args.get(k, 0.0) for k in takes)
+    return build(schema, *given, id=model_id)
 
 
 def _resolve_formula(
@@ -1045,11 +1041,14 @@ def _resolve_atom(node: FScene | FPred, schema: SceneSchema, diags: list[Diagnos
 
 def _grid(horizon: float, step: float) -> TimeGrid:
     """The grid of a logical scenario and of an abstract world alike; it
-    refuses a step <= 0, a negative horizon and a ratio that is NaN."""
+    refuses a step <= 0, a negative horizon, a ratio that is NaN and a
+    horizon that is not a whole number of steps."""
     ratio = horizon / step
     if math.isnan(ratio):
         raise RangeError(f"horizon {horizon} over step {step} is not a number")
-    return TimeGrid(step, int(round(ratio)) + 1)
+    grid = TimeGrid(step, int(round(ratio)) + 1)
+    grid.index_of(horizon)
+    return grid
 
 
 def _bounded_step_instance(

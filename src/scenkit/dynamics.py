@@ -78,7 +78,7 @@ class DeterministicModel:
         return self.schema.names if self.owns is None else self.owns
 
     def _check(self, theta: float, scene: Scene) -> None:
-        if scene.schema is not self.schema and scene.schema != self.schema:
+        if scene.schema is not self.schema:
             raise SchemaError(f"scene schema does not match model {self.id!r}")
         if theta < 0 or theta > self.theta_max:
             raise RangeError(f"theta {theta} outside [0, {self.theta_max}]")
@@ -145,7 +145,7 @@ def combine(
         raise SchemaError("a family needs at least one member")
     schema = members[0].schema
     for m in members[1:]:
-        if m.schema != schema:
+        if m.schema is not schema:
             raise SchemaError("family members disagree on the schema")
     if not (epsilon > 0):
         raise RangeError("epsilon must be positive")
@@ -175,7 +175,7 @@ class AttributeLevelScenario:
     grid: TimeGrid
 
     def __post_init__(self):
-        if self.start.schema != self.family.schema:
+        if self.start.schema is not self.family.schema:
             raise SchemaError("starting scene does not conform to the family schema")
 
 

@@ -18,13 +18,10 @@ PLANAR_STEP = 0.1
 PLANAR_HORIZON = 200  # 20 s at 0.1 s per step
 
 
-_PLANAR = schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
-
-
 def planar_schema() -> SceneSchema:
-    """The drive schema: one object for every fixture, so matching a
-    fixture scene against another compares schemas by identity."""
-    return _PLANAR
+    """The drive schema. Equal schemas are one object, so every call
+    returns the same one and fixture schemas compare by identity."""
+    return schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
 
 
 def drive_start(schema: SceneSchema | None = None) -> Scene:

@@ -118,18 +118,18 @@ class ScenePredicate:
     bounds: tuple[tuple[str, float, float], ...] = ()
     diffs: tuple[tuple[str, str, float, float], ...] = ()
 
-    #: The last schema object read, and ``bounds`` and ``diffs`` with
-    #: their names replaced by its indices, which every equal schema
-    #: shares. Kept outside the fields, and out of pickles, like
-    #: ``Formula._span``.
+    #: The last schema read, and ``bounds`` and ``diffs`` with their
+    #: names replaced by its indices. Kept outside the fields, and out of
+    #: pickles, like ``Formula._span``.
     _at = (None, (), ())
 
     def __post_init__(self):
+        # ``not lo <= hi`` also refuses a NaN bound.
         for name, lo, hi in self.bounds:
-            if lo > hi:
+            if not lo <= hi:
                 raise RangeError(f"bound on {name!r}: lo {lo} > hi {hi}")
         for a, b, lo, hi in self.diffs:
-            if lo > hi:
+            if not lo <= hi:
                 raise RangeError(f"bound on {a}-{b}: lo {lo} > hi {hi}")
 
     def __getstate__(self):
@@ -137,14 +137,14 @@ class ScenePredicate:
 
     def holds(self, scene: Scene) -> bool:
         """Whether the scene's values meet every bound. The names are
-        resolved to indices once per schema, so a schema lacking one
-        raises SchemaError whatever the values."""
+        resolved to indices once per schema; equal schemas are one object,
+        so a scene costs one ``is``. A schema lacking a name raises
+        SchemaError whatever the values."""
         schema, bounds, diffs = self._at
         if scene.schema is not schema:
-            if scene.schema != schema:
-                index = scene.schema.index
-                bounds = tuple((index(n), lo, hi) for n, lo, hi in self.bounds)
-                diffs = tuple((index(a), index(b), lo, hi) for a, b, lo, hi in self.diffs)
+            index = scene.schema.index
+            bounds = tuple((index(n), lo, hi) for n, lo, hi in self.bounds)
+            diffs = tuple((index(a), index(b), lo, hi) for a, b, lo, hi in self.diffs)
             self.__dict__["_at"] = (scene.schema, bounds, diffs)
         values = scene.values
         for i, lo, hi in bounds:
@@ -248,8 +248,7 @@ def _scene_matches(scene: Scene, candidates: Sequence[Scene], tol: float) -> boo
     no schema check). The first pass stops at an equal tuple, which is
     at distance 0, or at the first candidate of another schema; the
     second measures the candidates in order and raises at that one.
-    Schemas are compared by identity, and by ``==`` once per schema
-    object."""
+    Equal schemas are one object, so each schema check is ``is``."""
     values = scene.values
     if tol <= 0.0:
         for c in candidates:
@@ -257,25 +256,13 @@ def _scene_matches(scene: Scene, candidates: Sequence[Scene], tol: float) -> boo
                 return True
         return False
     schema = scene.schema
-    # ``ok`` is the schema object last found equal to the scene's, and
-    # ``seen`` holds the ids of other ones found equal before it.
-    ok, seen, bad = schema, None, None
     for c in candidates:
-        s = c.schema
-        if s is not ok:
-            if not (s is schema or seen is not None and id(s) in seen or s == schema):
-                bad = c
-                break
-            if ok is not schema:
-                if seen is None:
-                    seen = set()
-                seen.add(id(ok))
-            ok = s
+        if c.schema is not schema:
+            break
         if c.values == values:
             return True
     for c in candidates:
-        if c is bad:
-            _check_same_schema(schema, c.schema)
+        _check_same_schema(schema, c.schema)
         if _values_distance(values, c.values) <= tol:
             return True
     return False

@@ -140,7 +140,7 @@ class AbstractScenario:
 
 def _check_conforms(scenario: AbstractScenario, c: Trajectory) -> None:
     inst = scenario.instance
-    if c.schema != inst.schema:
+    if c.schema is not inst.schema:
         raise SchemaError("trajectory schema does not match the logic instance")
     # A one-point grid has no step to compare.
     if c.grid.count > 1 and abs(c.grid.step - inst.step) > ALIGN_TOL * inst.step:

@@ -327,7 +327,7 @@ def invert(
     # the scan reuses that binding.
     corner = tuple(float(a.lo if isinstance(a, ContinuousAxis) else a.values[0]) for a in axes)
     probe = scenario.binder(corner)
-    if target.schema != probe[0].schema:
+    if target.schema is not probe[0].schema:
         raise SchemaError("target trajectory schema does not match the scenario")
     n_cont = sum(isinstance(a, ContinuousAxis) for a in axes)
     if n_cont > MAX_INVERT_AXES and not force:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterator
 
 from .core import Scene, SceneSchema, TimeGrid, Trajectory
@@ -77,20 +77,19 @@ class RuralConfig:
 # --- combinatorics -----------------------------------------------------------
 
 
+def _compositions(m: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """``weak_compositions``, lazily and in the same lexicographic order:
+    each part is a gap between bars placed among ``m + parts - 1`` slots."""
+    for bars in combinations(range(m + parts - 1), parts - 1):
+        edges = (-1, *bars, m + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
 def weak_compositions(m: int, parts: int) -> list[tuple[int, ...]]:
     """All ordered tuples of `parts` nonnegative integers summing to m."""
     if m < 0 or parts < 1:
         raise RangeError("need m >= 0 and parts >= 1")
-
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for head in range(remaining + 1):
-            for tail in rec(remaining - head, slots - 1):
-                yield (head,) + tail
-
-    return list(rec(m, parts))
+    return list(_compositions(m, parts))
 
 
 def count_lower_bound(n: int, m: int) -> int:
@@ -126,7 +125,7 @@ def iter_choices(n: int, m: int) -> Iterator[ManeuverChoice]:
     at a time, in ``enumerate_choices`` order."""
     count_lower_bound(n, m)  # refuses negative n and m
     for order in permutations(range(n)):
-        for comp in weak_compositions(m, n + 1):
+        for comp in _compositions(m, n + 1):
             for final in permutations(range(n)):
                 yield ManeuverChoice(order, comp, final)
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scenkit.core import (
+    Dimension,
     Scene,
     SceneSchema,
     TimeGrid,
@@ -19,6 +22,7 @@ from scenkit.core import (
     trajectory_from_values,
 )
 from scenkit.errors import GridAlignmentError, RangeError, SchemaError
+from scenkit.traceio import read_schema, write_schema
 
 from conftest import make_trajectory
 
@@ -66,10 +70,41 @@ PLANE_DIMS = (("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
 )
 def test_schema_equality_and_hash(a, b, equal):
     sa, sb = schema_of(*a), schema_of(*b)
-    assert sa is not sb
+    assert (sa is sb) is equal
     assert (sa == sb) is equal and (sa != sb) is not equal
     if equal:
         assert hash(sa) == hash(sb)
+
+
+ALIASED = schema_of(("x", "m"), ("a", "m/s²"), ("lane", "enum"))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: schema_of(("x", "m"), ("a", "m/s^2"), ("lane", "enum-code")),
+        lambda: schema_of(("x", "m"), ("a", "m/s²"), ("lane", "enum")),
+        lambda: SceneSchema((("x", "m"), ("a", "m/s²"), ("lane", "enum"))),
+        lambda: SceneSchema(dimensions=(Dimension("x", "m"), ("a", "m/s^2"), ("lane", "enum"))),
+        *(
+            lambda protocol=protocol: pickle.loads(pickle.dumps(ALIASED, protocol))
+            for protocol in range(6)
+        ),
+        lambda: copy.copy(ALIASED),
+        lambda: copy.deepcopy(ALIASED),
+        lambda: dataclasses.replace(ALIASED),
+        lambda: dataclasses.replace(ALIASED, dimensions=(("x", "m"), ("a", "m/s²"), ("lane", "enum"))),
+    ],
+    ids=["apart", "aliases", "raw-tuples", "keyword", "pickle-0", "pickle-1", "pickle-2",
+         "pickle-3", "pickle-4", "pickle-5", "copy", "deepcopy", "replace", "replace-raw"],
+)
+def test_equal_schemas_are_one_object(build):
+    assert build() is ALIASED
+
+
+def test_a_trace_sidecar_reads_back_the_same_schema(tmp_path):
+    write_schema(ALIASED, tmp_path / "s.schema.json")
+    assert read_schema(tmp_path / "s.schema.json") is ALIASED
 
 
 def test_schema_repr_and_pickle():

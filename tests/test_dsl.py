@@ -12,6 +12,7 @@ from scenkit.formulas import (
     Atom,
     Eventually,
     FalseFormula,
+    Formula,
     Next,
     Or,
     SceneConst,
@@ -247,6 +248,23 @@ def test_deep_document_formulas_hash_and_compare_without_recursion():
 # --- resolution --------------------------------------------------------------------
 
 
+def test_a_second_load_holds_its_own_schema(drive_spec):
+    first, second = dsl.load(drive_spec), dsl.load(drive_spec)
+    plane = second.schemas["plane"]
+    assert first.schemas["plane"] is plane
+    # The second load gets back the first load's scene(...) nodes, and
+    # their targets hold the second load's schema.
+    reach = second.abstracts["reach"].constraints
+    assert reach is first.abstracts["reach"].constraints
+    stack, targets = [reach], []
+    while stack:
+        f = stack.pop()
+        if isinstance(f, SceneConst):
+            targets.append(f.target)
+        stack += [v for v in f.__reduce__()[1] if isinstance(v, Formula)]
+    assert len(targets) == 3 and all(t.schema is plane for t in targets)
+
+
 def test_resolution_reports_unknown_schema():
     with pytest.raises(dsl.ResolutionError) as err:
         dsl.load("abstract A { use nowhere horizon 1 s step 0.5 s constraint true }")
@@ -452,6 +470,14 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
     )
 
 
+def _factory(bind):
+    return (
+        "schema s { x: m, y: m, vx: m/s, vy: m/s }\n"
+        "logical l { start { s.x = 0, s.y = 0, s.vx = 0, s.vy = 0 } "
+        f"bind {bind} horizon 1 s step 0.1 s }}"
+    )
+
+
 @pytest.mark.parametrize(
     "text, rendered",
     [
@@ -484,6 +510,21 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
          "RES003 at 2:1: 'l': axis 'r': width 1e+308 - -1e+308 is not finite"),
         # The binder's own wording is kept.
         (_logical(start="inf"), "RES003 at 2:1: scenario 'l': non-finite value inf in dimension 'x'"),
+        # A NaN bound is an empty interval.
+        (_abstract("always pred(x in [0 * inf, 0 * inf])"),
+         "RES003 at 2:1: 'a': bound on 'x': lo nan > hi nan"),
+        (_abstract("pred(x - x in [0, 0 * inf])"), "RES003 at 2:1: 'a': bound on x-x: lo 0.0 > hi nan"),
+        # A factory takes only its own arguments.
+        (_factory("constant_velocity(vz = 3, speed = 9)"),
+         "RES003 at 2:1: constant_velocity does not take ['vz', 'speed']"),
+        (_factory("constant_acceleration(ax = 1, vx = 2)"),
+         "RES003 at 2:1: constant_acceleration does not take ['vx']"),
+        (_factory("drift(x = 1, q = 2)"), "RES003 at 2:1: drift on unknown dimensions ['q']"),
+        # A horizon is a whole number of steps.
+        (_logical(horizon="1.5 s", step="1 s"), "RES003 at 2:1: 'l': time 1.5 is not aligned to step 1.0"),
+        (_logical(horizon="2.7 s", step="1 s"), "RES003 at 2:1: 'l': time 2.7 is not aligned to step 1.0"),
+        (_abstract(horizon="0.5 s", step="1 s"), "RES003 at 2:1: 'a': time 0.5 is not aligned to step 1.0"),
+        (_abstract(horizon="2.5 s", step="1 s"), "RES003 at 2:1: 'a': time 2.5 is not aligned to step 1.0"),
     ],
     ids=[
         "start-division", "bind-division", "pred-division", "reversed-range", "empty-schema",
@@ -491,6 +532,8 @@ def _abstract(constraint="true", horizon="1 s", step="0.1 s"):
         "abstract-infinite-horizon", "abstract-nan-grid", "logical-nan-grid",
         "abstract-negative-step", "abstract-negative-horizon",
         "weight-count", "infinite-range", "infinite-set", "wide-range", "binder-wording",
+        "nan-bound", "nan-diff", "velocity-arguments", "acceleration-arguments", "drift-arguments",
+        "logical-half-step", "logical-off-grid", "abstract-half-step", "abstract-off-grid",
     ],
 )
 def test_library_errors_while_resolving_are_diagnostics(text, rendered):

@@ -19,7 +19,7 @@ from scenkit.core import (
     scene_distance,
     schema_of,
 )
-from scenkit.errors import SchemaError
+from scenkit.errors import RangeError, SchemaError
 from scenkit.formulas import (
     Always,
     And,
@@ -229,8 +229,8 @@ def test_deep_formulas_hash_and_compare_without_recursion():
 # --- scene matching and predicates ------------------------------------------
 
 PAIR = schema_of(("a", "m"), ("b", "m"))
-# Equal to PAIR but another object, and one with the same names and length
-# but another unit.
+# Built apart from PAIR, so PAIR itself, and one with the same names and
+# length but another unit.
 PAIR_TWIN = schema_of(("a", "m"), ("b", "m"))
 PAIR_OTHER = schema_of(("a", "m"), ("b", "s"))
 
@@ -302,7 +302,7 @@ def test_scene_matches_compares_each_schema_object_once(monkeypatch):
     twin2 = schema_of(("a", "m"), ("b", "m"))
     candidates = tuple(Scene(s, (float(i), 0.0)) for i in range(1, 7) for s in (PAIR_TWIN, twin2))
     assert not _scene_matches(Scene(PAIR, (0.0, 0.0)), candidates, 0.5)
-    assert len(calls) == 2
+    assert calls == []
 
 
 XYZ = schema_of(("x", "m"), ("y", "m"), ("z", "m"))
@@ -335,7 +335,7 @@ def test_holds_reads_by_index_what_names_read(p, rows):
     fresh = ScenePredicate(p.bounds, p.diffs)
     for i, (x, y, z) in enumerate(rows):
         # One predicate on two schemas that order the same names
-        # differently, and on two equal schema objects.
+        # differently, and on XYZ built a second time.
         scenes = (Scene(XYZ, (x, y, z)), Scene(ZYX, (z, y, x)), Scene(XYZ_TWIN, (x, y, z)))
         for scene in scenes[i % 3:] + scenes[: i % 3]:
             assert p.holds(scene) == _holds_by_name(p, scene)
@@ -343,6 +343,23 @@ def test_holds_reads_by_index_what_names_read(p, rows):
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
     assert pickle.dumps(p) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(p)) == p
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ScenePredicate((("x", 1.0, 0.0),)), "bound on 'x': lo 1.0 > hi 0.0"),
+        (lambda: ScenePredicate((), (("x", "y", 1.0, 0.0),)), "bound on x-y: lo 1.0 > hi 0.0"),
+        (lambda: pred(x=(math.nan, 0.0)), "bound on 'x': lo nan > hi 0.0"),
+        (lambda: pred(x=(0.0, math.nan)), "bound on 'x': lo 0.0 > hi nan"),
+        (lambda: ScenePredicate((), (("x", "y", math.nan, math.nan),)), "bound on x-y: lo nan > hi nan"),
+    ],
+    ids=["reversed", "reversed-diff", "nan-lo", "nan-hi", "nan-diff"],
+)
+def test_predicate_refuses_an_empty_interval(build, message):
+    with pytest.raises(RangeError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_holds_refuses_a_schema_that_lacks_a_name():

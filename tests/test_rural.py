@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -41,6 +42,21 @@ def test_weak_compositions_of_zero():
 @pytest.mark.parametrize("parts", range(1, 9))
 def test_weak_composition_count_matches_binomial(m, parts):
     assert len(weak_compositions(m, parts)) == math.comb(m + parts - 1, parts - 1)
+
+
+@pytest.mark.parametrize("m", range(0, 7))
+@pytest.mark.parametrize("parts", range(1, 6))
+def test_weak_compositions_are_in_lexicographic_order(m, parts):
+    every = itertools.product(range(m + 1), repeat=parts)
+    assert weak_compositions(m, parts) == [c for c in every if sum(c) == m]
+
+
+def test_first_choices_of_configurations_too_large_to_build():
+    first = next(iter_choices(3, 10**6))
+    assert first == ManeuverChoice((0, 1, 2), (0, 0, 0, 10**6), (0, 1, 2))
+    first = next(iter_choices(1200, 1))
+    assert first.blue_passes == (0,) * 1200 + (1,)
+    assert first.overtake_order == first.final_order == tuple(range(1200))
 
 
 def test_weak_composition_rejects_negative():
