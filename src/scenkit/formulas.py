@@ -15,10 +15,11 @@ residuals, so a scene costs one progression instead of a re-walk of
 its prefix. The tests hold ``progress`` to ``evaluate3``.
 
 A scene matches a ``SceneConst`` target, as it matches the start set
-and successors of a logic instance, through ``_scene_matches``: an
-equal value tuple matches without a distance, and otherwise a target
-within ``scene_tol`` by ``scene_distance``. A ``ScenePredicate`` reads
-scene values by index, resolved from its names once per schema.
+and the successors' value tuples of a logic instance, through
+``_values_match``: an equal value tuple matches without a distance, and
+otherwise a target within ``scene_tol`` by ``scene_distance``. A
+``ScenePredicate`` reads scene values by index, resolved from its names
+once per schema.
 """
 
 from __future__ import annotations
@@ -237,35 +238,33 @@ def conjoin(formulas: Sequence[Formula]) -> Formula:
     return out if out is not None else TrueFormula()
 
 
-def _scene_matches(scene: Scene, candidates: Sequence[Scene], tol: float) -> bool:
-    """Whether ``scene`` matches one of ``candidates``: a candidate with
-    an equal value tuple matches without a distance; otherwise, for
-    ``tol > 0``, one within ``tol`` by ``scene_distance`` matches.
-
-    The decision, and the SchemaError a candidate of another schema
-    raises, are those of testing ``scene_distance(scene, c) <= tol`` on
-    each candidate in order (equal value tuples when ``tol <= 0``, with
-    no schema check). The first pass stops at an equal tuple, which is
-    at distance 0, or at the first candidate of another schema; the
-    second measures the candidates in order and raises at that one.
-    Equal schemas are one object, so each schema check is ``is``."""
-    values = scene.values
+def _values_match(
+    values: tuple[float, ...], candidates: Sequence[tuple[float, ...]], tol: float
+) -> bool:
+    """Whether a valid scene's ``values`` match one of ``candidates``,
+    value tuples in its schema's order: an equal tuple, looked for first,
+    and otherwise, for ``tol > 0``, one within ``tol`` by ``scene_distance``.
+    That decides as testing each candidate in order as a Scene, where one
+    that is no valid Scene never matches: another length, NaN or an
+    infinity (an infinite distance counts only for a finite candidate,
+    one past the largest float away)."""
+    if values in candidates:
+        return True
     if tol <= 0.0:
-        for c in candidates:
-            if c.values == values:
-                return True
         return False
-    schema = scene.schema
     for c in candidates:
-        if c.schema is not schema:
-            break
-        if c.values == values:
-            return True
-    for c in candidates:
-        _check_same_schema(schema, c.schema)
-        if _values_distance(values, c.values) <= tol:
+        d = _values_distance(values, c)
+        if d <= tol and len(c) == len(values) and (d < math.inf or all(map(math.isfinite, c))):
             return True
     return False
+
+
+def _const_matches(scene: Scene, target: Scene, tol: float) -> bool:
+    """``_values_match`` for a ``SceneConst`` target; for ``tol > 0``,
+    SchemaError on another schema, as ``scene_distance`` raises."""
+    if tol > 0.0:
+        _check_same_schema(scene.schema, target.schema)
+    return _values_match(scene.values, (target.values,), tol)
 
 
 def evaluate3(
@@ -294,7 +293,7 @@ def evaluate3(
     if isinstance(formula, SceneConst):
         if position >= len(samples):
             return Verdict3.UNKNOWN
-        ok = _scene_matches(samples[position], (formula.target,), scene_tol)
+        ok = _const_matches(samples[position], formula.target, scene_tol)
         return Verdict3.TRUE if ok else Verdict3.FALSE
     if isinstance(formula, (And, Or)):
         # Walk the whole chain of this connective, nested on either side
@@ -427,7 +426,7 @@ def progress(
             if t is Atom:
                 r = _TRUE if f.predicate.holds(scene) else _FALSE
             elif t is SceneConst:
-                r = _TRUE if _scene_matches(scene, (f.target,), scene_tol) else _FALSE
+                r = _TRUE if _const_matches(scene, f.target, scene_tol) else _FALSE
             elif t is Next:
                 r = settle(f.sub, d) if nxt <= horizon else _FALSE
             elif t is TrueFormula:

@@ -60,7 +60,7 @@ from .formulas import (
     Next,
     SceneConst,
     TrueFormula,
-    _scene_matches,
+    _values_match,
     conjoin,
     progress,
     settle,
@@ -68,6 +68,7 @@ from .formulas import (
 from .logical import DiscreteAxis, derive_seed, realize
 
 Path = tuple[Scene, ...]
+Values = tuple[float, ...]  # a scene's values in its schema's order
 
 #: Bound on a DAG's states, and enumerate's default bound on its leaves.
 ENUMERATION_GUARD = 10_000_000
@@ -79,13 +80,16 @@ class ScenarioLogicInstance:
 
     The world is what can start and what can follow. ``initial_scenes``
     is the start set, a finite tuple or None for any scene; a start is
-    admissible when it matches one of them: a start with an equal value
-    tuple matches without a distance, and otherwise one within
-    ``scene_tol`` by ``scene_distance`` (``formulas._scene_matches``).
-    ``successors`` maps a prefix (tuple of scenes) to the finite set of
-    candidate next scenes and defines the admissible steps, matched the
-    same way. A box world (see ``box_step``) admits steps by ``allows``
-    instead: a world sets ``allows`` exactly when it sets no successors.
+    admissible when its values match one of theirs: an equal tuple
+    matches without a distance, and otherwise one within ``scene_tol``
+    by ``scene_distance`` (``formulas._values_match``). ``successors``
+    maps a prefix (tuple of scenes) to the finite set of candidate next
+    value tuples, in schema order; a step is admitted when its values
+    match one the same way, and no candidate becomes a Scene. A
+    candidate holding NaN or an infinity never matches, and a walk that
+    builds it as a child raises SchemaError. A box world (see
+    ``box_step``) admits steps by ``allows`` instead: a world sets
+    ``allows`` exactly when it sets no successors.
     Monitoring does not search box worlds, and the walks that need
     successors refuse them.
     The formula is the only acceptance condition. Full-length paths have
@@ -99,7 +103,7 @@ class ScenarioLogicInstance:
     step: float
     horizon: int
     initial_scenes: tuple[Scene, ...] | None
-    successors: Callable[[Path], Sequence[Scene]] | None
+    successors: Callable[[Path], Sequence[Values]] | None
     allows: Callable[[Path, Scene], bool] | None = None
     scene_tol: float = 0.0
     one_step_override: Callable[["AbstractScenario", Path], Sequence[Path]] | None = None
@@ -118,12 +122,13 @@ class ScenarioLogicInstance:
     def allows_initial(self, scene: Scene) -> bool:
         if self.initial_scenes is None:
             return True
-        return _scene_matches(scene, self.initial_scenes, self.scene_tol)
+        starts = [s.values for s in self.initial_scenes]
+        return _values_match(scene.values, starts, self.scene_tol)
 
     def allows_step(self, prefix: Path, nxt: Scene) -> bool:
         if self.allows is not None:
             return self.allows(prefix, nxt)
-        return _scene_matches(nxt, self.successors(prefix), self.scene_tol)
+        return _values_match(nxt.values, self.successors(prefix), self.scene_tol)
 
 
 @dataclass(frozen=True)
@@ -168,21 +173,22 @@ def _sorted_unique(paths: list[Path]) -> list[Path]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _extend(inst: ScenarioLogicInstance, node: Node, cands: Iterable[Scene]) -> list[Node]:
+def _extend(inst: ScenarioLogicInstance, node: Node, cands: Iterable[Values]) -> list[Node]:
     """The node extended by each candidate whose residual is not FALSE,
-    distinct and ordered by the candidate."""
+    distinct and ordered by the candidate; each is built as a Scene."""
     samples, residual = node
     position = len(samples)
     out = {}
-    for cand in cands:
+    for values in cands:
+        cand = Scene(inst.schema, values)
         r = progress(residual, cand, position, inst.horizon, inst.scene_tol)
         if not isinstance(r, FalseFormula):
             out[cand.values] = (samples + (cand,), r)
     return [out[k] for k in sorted(out)]
 
 
-def _successors(inst: ScenarioLogicInstance, path: Path) -> Sequence[Scene]:
-    """The candidate next scenes of a path; ComplexityError on a box world."""
+def _successors(inst: ScenarioLogicInstance, path: Path) -> Sequence[Values]:
+    """The candidate next values of a path; ComplexityError on a box world."""
     if inst.allows is not None:
         raise ComplexityError(f"instance {inst.id!r} declares no successors to expand")
     return inst.successors(path)
@@ -199,7 +205,8 @@ def _roots(inst: ScenarioLogicInstance, conj: Formula) -> list[Node]:
         raise ComplexityError(
             f"instance {inst.id!r} declares no finite initial scene set"
         )
-    return _extend(inst, ((), settle(conj, inst.horizon)), inst.initial_scenes)
+    starts = [s.values for s in inst.initial_scenes]
+    return _extend(inst, ((), settle(conj, inst.horizon)), starts)
 
 
 def _to_trajectory(inst: ScenarioLogicInstance, samples: Path) -> Trajectory:
@@ -540,10 +547,10 @@ def _random_prefix(
     path: Path = (starts[rng.randrange(len(starts))],)
     depth = rng.randint(0, min(max_depth, max(inst.horizon - 1, 0)))
     for _ in range(depth):
-        cands = list(_successors(inst, path))
+        cands = _successors(inst, path)
         if not cands:
             break
-        path = path + (cands[rng.randrange(len(cands))],)
+        path = path + (Scene(inst.schema, cands[rng.randrange(len(cands))]),)
     return path
 
 
@@ -657,15 +664,14 @@ def binary_branching(n: int) -> ScenarioLogicInstance:
     if n < 1:
         raise RangeError("n must be >= 1")
     schema = SceneSchema((("bit", "dimensionless"),))
-    zero = Scene(schema, (0.0,))
-    one = Scene(schema, (1.0,))
+    bits = ((0.0,), (1.0,))
     return ScenarioLogicInstance(
         id=f"binary-branching-{n}",
         schema=schema,
         step=1.0,
         horizon=n - 1,
-        initial_scenes=(zero, one),
-        successors=lambda samples: (zero, one),
+        initial_scenes=tuple(Scene(schema, v) for v in bits),
+        successors=lambda samples: bits,
         markov=True,
     )
 
@@ -693,15 +699,14 @@ def encode_logical(scenario) -> ScenarioLogicInstance:
     horizon = trajectories[0].grid.count - 1
     initials = _sorted_unique([(t.samples[0],) for t in trajectories])
 
-    def successors(samples: Path) -> tuple[Scene, ...]:
+    def successors(samples: Path) -> tuple[Values, ...]:
         ln = len(samples)
         key = tuple(s.values for s in samples)
-        nxt = {}
+        nxt = set()
         for t in trajectories:
             if ln < len(t.samples) and tuple(s.values for s in t.samples[:ln]) == key:
-                cand = t.samples[ln]
-                nxt[cand.values] = cand
-        return tuple(nxt[k] for k in sorted(nxt))
+                nxt.add(t.samples[ln].values)
+        return tuple(sorted(nxt))
 
     return ScenarioLogicInstance(
         id=f"encoding-of-{scenario.name}",
@@ -729,12 +734,9 @@ def delta_step_instance(
         if len(d) != schema.k:
             raise SchemaError("delta length does not match the schema")
 
-    def successors(samples: Path) -> tuple[Scene, ...]:
-        end = samples[-1]
-        return tuple(
-            Scene(schema, tuple(v + dv for v, dv in zip(end.values, d)))
-            for d in deltas
-        )
+    def successors(samples: Path) -> tuple[Values, ...]:
+        end = samples[-1].values
+        return tuple(tuple(v + dv for v, dv in zip(end, d)) for d in deltas)
 
     return ScenarioLogicInstance(
         id=id,
@@ -771,7 +773,7 @@ def quantized_motion_instance(
     ivx, ivy = schema.index(vx), schema.index(vy)
     pairs = tuple(itertools.product(accels, accels))
 
-    def successors(samples: Path) -> tuple[Scene, ...]:
+    def successors(samples: Path) -> tuple[Values, ...]:
         # Every successor shares the end scene's position step.
         v = samples[-1].values
         moved = list(v)
@@ -781,7 +783,7 @@ def quantized_motion_instance(
         for ax, ay in pairs:
             moved[ivx] = v[ivx] + ax * step
             moved[ivy] = v[ivy] + ay * step
-            out.append(Scene(schema, tuple(moved)))
+            out.append(tuple(moved))
         return tuple(out)
 
     return ScenarioLogicInstance(

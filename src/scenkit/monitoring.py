@@ -17,14 +17,18 @@ formula's own, UNKNOWN while it is undecided.
 
 A given trace is decided in one forward pass: each scene is admitted
 (the start set for the first, the successors or ``allows`` after that)
-and the formula is progressed by it (see ``formulas.progress``). The
-pass stops at the first inadmissible scene or the first FALSE residual,
-which is the word problem's violation index, and otherwise hands its
-residual to the prefix problem. One bounded depth-first search below the
-prefix decides the rest. It starts from that residual and carries one in
-every node, so a node costs one scene. A FALSE residual is a rejection;
-an acceptance is a path that reaches full length, so TRUE needs a
-completion to exist. A dead end (a path short of full length with no
+and the formula is progressed by it (see ``formulas.progress``).
+Successors yield value tuples, and a scene is admitted by comparing its
+values with them (``formulas._values_match``), so the pass builds no
+Scene. The pass stops at the first inadmissible scene or the first
+FALSE residual, which is the word problem's violation index, and
+otherwise hands its residual to the prefix problem. One bounded
+depth-first search below the prefix decides the rest. It starts from
+that residual and carries one in every node, so a node costs one scene:
+each candidate it progresses is built as a Scene, and a candidate
+holding NaN or an infinity raises SchemaError there. A FALSE residual is
+a rejection; an acceptance is a path that reaches full length, so TRUE
+needs a completion to exist. A dead end (a path short of full length with no
 successors) below an undecided residual counts against TRUE; one below
 a TRUE residual does not, since every completion there is accepted and
 the search only looks for one. So in a world with dead ends a TRUE
@@ -43,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Scene, Trajectory
-from .errors import HorizonError, LengthError
+from .errors import HorizonError, LengthError, SchemaError
 from .formulas import FalseFormula, Formula, TrueFormula, Verdict3, progress, settle
 from .logic import AbstractScenario, Node, Path, ScenarioLogicInstance, _check_conforms
 
@@ -149,7 +153,8 @@ def _decide(inst: ScenarioLogicInstance, roots: list[Node]) -> Verdict3:
             if not kids and not settled:
                 reject = True
             trues = []
-            for cand in kids:
+            for values in kids:
+                cand = Scene(inst.schema, values)
                 r = progress(residual, cand, position, inst.horizon, inst.scene_tol)
                 if isinstance(r, FalseFormula):
                     reject = True
@@ -222,7 +227,7 @@ class StreamMonitor:
 
     def __init__(self, scenario: AbstractScenario):
         self.scenario = scenario
-        self._samples: list[Scene] = []
+        self._samples: Path = ()
         self._verdict = monitor_prefix(None, scenario)
 
     @property
@@ -234,16 +239,18 @@ class StreamMonitor:
         return len(self._samples)
 
     def step(self, scene: Scene) -> Verdict3:
+        """Feed the next scene and return the verdict; a step that raises
+        (past the horizon, another schema, a failed search) changes nothing."""
         inst = self.scenario.instance
         if len(self._samples) >= inst.full_length():
             raise HorizonError("stream already consumed the full horizon")
-        self._samples.append(scene)
-        if self._verdict is not Verdict3.UNKNOWN:
-            return self._verdict
-        traj = Trajectory(
-            inst.schema, inst.grid(len(self._samples)), tuple(self._samples)
-        )
-        self._verdict = monitor_prefix(traj, self.scenario)
+        if scene.schema is not inst.schema:
+            raise SchemaError("sample schema differs from trajectory schema")
+        samples = self._samples + (scene,)
+        if self._verdict is Verdict3.UNKNOWN:
+            traj = Trajectory(inst.schema, inst.grid(len(samples)), samples)
+            self._verdict = monitor_prefix(traj, self.scenario)
+        self._samples = samples
         return self._verdict
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterator
 
 from .core import Scene, SceneSchema, TimeGrid, Trajectory
@@ -79,10 +79,17 @@ class RuralConfig:
 
 def _compositions(m: int, parts: int) -> Iterator[tuple[int, ...]]:
     """``weak_compositions``, lazily and in the same lexicographic order:
-    each part is a gap between bars placed among ``m + parts - 1`` slots."""
-    for bars in combinations(range(m + parts - 1), parts - 1):
-        edges = (-1, *bars, m + parts - 1)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+    the next moves one unit from the last nonzero part but the first to
+    the part before it, and the rest of that part to the last part."""
+    comp = [0] * (parts - 1) + [m]
+    while True:
+        yield tuple(comp)
+        k = parts - 1
+        while k and not comp[k]:
+            k -= 1
+        if not k:
+            return
+        comp[k - 1], comp[k], comp[-1] = comp[k - 1] + 1, 0, comp[k] - 1
 
 
 def weak_compositions(m: int, parts: int) -> list[tuple[int, ...]]:

@@ -105,7 +105,7 @@ def with_dead_ends(inst):
     step = inst.successors
     return dataclasses.replace(
         inst,
-        successors=lambda p: tuple(s for s in step(p) if max(map(abs, s.values)) <= 2.0),
+        successors=lambda p: tuple(v for v in step(p) if max(map(abs, v)) <= 2.0),
     )
 
 
@@ -168,7 +168,7 @@ def worlds_and_words(draw, formulas):
     anywhere = vec.map(lambda v: Scene(schema, v))
     path = (draw(st.one_of(st.sampled_from(inst.initial_scenes), anywhere)),)
     for _ in range(horizon):
-        on_track = st.sampled_from(inst.successors(path))
+        on_track = st.sampled_from(inst.successors(path)).map(lambda v: Scene(schema, v))
         path += (draw(st.one_of(on_track, on_track, anywhere)),)
     A = AbstractScenario(draw(formulas(schema.names)), (), inst)
     return A, Trajectory(schema, inst.grid(len(path)), path)

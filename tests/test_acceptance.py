@@ -236,7 +236,7 @@ def test_criterion_08_monitor_soundness():
         )
         while len(path) < inst.full_length():
             cands = tuple(inst.successors(path))
-            path = path + (cands[rng.randrange(len(cands))],)
+            path = path + (Scene(inst.schema, cands[rng.randrange(len(cands))]),)
             cur = monitor_prefix(
                 Trajectory(inst.schema, inst.grid(len(path)), path), A
             )

@@ -3,6 +3,7 @@ and scene matching and predicates against their reference readings."""
 
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -32,7 +33,6 @@ from scenkit.formulas import (
     ScenePredicate,
     TrueFormula,
     Verdict3,
-    _scene_matches,
     evaluate3,
     pred,
     progress,
@@ -40,6 +40,7 @@ from scenkit.formulas import (
 )
 from scenkit.logic import (
     AbstractScenario,
+    ScenarioLogicInstance,
     delta_step_instance,
     binary_branching,
     enumerate_scenarios,
@@ -236,6 +237,14 @@ PAIR_OTHER = schema_of(("a", "m"), ("b", "s"))
 
 _coords = st.sampled_from((0.0, 1.0, -1.0, 0.5, 1e308, -1e308)) | st.floats(-4.0, 4.0)
 _pairs = st.tuples(_coords, _coords)
+# Value tuples a successor relation may yield: also NaN, infinities and
+# the wrong length.
+_non_finite = st.sampled_from((math.nan, math.inf, -math.inf))
+_raw_pairs = (
+    _pairs
+    | st.tuples(_coords | _non_finite, _coords | _non_finite)
+    | st.lists(_coords, min_size=1, max_size=3).map(tuple)
+)
 
 
 def _matches_in_order(scene, candidates, tol):
@@ -246,62 +255,95 @@ def _matches_in_order(scene, candidates, tol):
     return any(scene_distance(scene, c) <= tol for c in candidates)
 
 
-def _outcome(match, scene, candidates, tol):
+def _outcome(match, *args):
     try:
-        return match(scene, candidates, tol)
+        return match(*args)
     except SchemaError as exc:
         return "SchemaError", str(exc)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_scene_matches_decides_and_raises_as_the_in_order_test(data):
-    scene = Scene(PAIR, data.draw(_pairs))
-    rows = data.draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from((PAIR, PAIR, PAIR_TWIN, PAIR_OTHER)),
-                st.just(scene.values) | _pairs,
-            ),
-            max_size=5,
-        )
-    )
-    candidates = tuple(Scene(schema, values) for schema, values in rows)
-    # Tolerances next to a candidate's distance, as well as fixed ones.
-    near = [scene_distance(scene, c) for c in candidates if c.schema == PAIR] or [1.0]
+def _tolerances(scene, candidates):
+    """Tolerances next to a candidate's distance, as well as fixed ones."""
+    near = [scene_distance(scene, c) for c in candidates] or [1.0]
     beside = st.sampled_from(near).flatmap(
         lambda d: st.sampled_from((d, math.nextafter(d, math.inf), math.nextafter(d, -math.inf)))
     )
-    tol = data.draw(st.sampled_from((-1.0, 0.0, 1e-9, 0.5, 1.0, math.inf)) | beside)
-    assert _outcome(_scene_matches, scene, candidates, tol) == _outcome(
-        _matches_in_order, scene, candidates, tol
+    return st.sampled_from((-1.0, 0.0, 1e-9, 0.5, 1.0, math.inf)) | beside
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_value_admission_decides_as_the_in_order_test(data):
+    # The reference builds each candidate's Scene in order and tests its
+    # distance; a candidate that is no valid Scene (NaN, an infinity, the
+    # wrong length) never matches.
+    scene = Scene(PAIR, data.draw(_pairs))
+    candidates = tuple(data.draw(st.lists(st.just(scene.values) | _raw_pairs, max_size=5)))
+    valid = []
+    for c in candidates:
+        try:
+            valid.append(Scene(PAIR, c))
+        except SchemaError:
+            pass
+    tol = data.draw(_tolerances(scene, valid))
+    inst = ScenarioLogicInstance(
+        "pairs", PAIR, 1.0, 1, (scene,), lambda p: candidates, scene_tol=tol
     )
+    assert inst.allows_step((scene,), scene) == _matches_in_order(scene, valid, tol)
 
 
-def test_scene_matches_raises_where_the_in_order_test_raises():
+@pytest.mark.parametrize("tol", (0.0, 0.5, math.inf))
+def test_a_candidate_that_is_no_valid_scene_never_matches(tol):
+    scene = Scene(PAIR, (1.0, 2.0))
+    odd = ((math.nan, 2.0), (1.0, math.inf), (-math.inf, 2.0), (math.inf, -math.inf), (1.0,))
+    inst = ScenarioLogicInstance("pairs", PAIR, 1.0, 1, (scene,), lambda p: odd, scene_tol=tol)
+    assert not inst.allows_step((scene,), scene)
+    # A finite candidate past the largest float away is at distance inf.
+    far = Scene(PAIR, (1e308, -1e308))
+    inst = dataclasses.replace(inst, successors=lambda p: (*odd, far.values))
+    assert inst.allows_step((scene,), scene) is (tol == math.inf)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_scene_const_decides_and_raises_as_the_in_order_test(data):
+    scene = Scene(PAIR, data.draw(_pairs))
+    schema = data.draw(st.sampled_from((PAIR, PAIR, PAIR_TWIN, PAIR_OTHER)))
+    target = Scene(schema, data.draw(st.just(scene.values) | _pairs))
+    tol = data.draw(_tolerances(scene, [target] if schema is PAIR else []))
+    want = _outcome(_matches_in_order, scene, (target,), tol)
+    const = SceneConst(target)
+    assert _outcome(lambda: progress(const, scene, 0, 0, tol) is TrueFormula()) == want
+    assert _outcome(lambda: evaluate3(const, (scene,), 0, 0, tol) is Verdict3.TRUE) == want
+
+
+def test_scene_const_raises_where_the_in_order_test_raises():
     scene = Scene(PAIR, (1.0, 2.0))
     exact, other = Scene(PAIR_TWIN, (1.0, 2.0)), Scene(PAIR_OTHER, (1.0, 2.0))
     near, far = Scene(PAIR, (1.0, 2.5)), Scene(PAIR, (1e308, -1e308))
+
+    def holds(target, tol):
+        return progress(SceneConst(target), scene, 0, 0, tol) is TrueFormula()
+
     with pytest.raises(SchemaError):
-        _scene_matches(scene, (other, exact), 1.0)
-    assert _scene_matches(scene, (exact, other), 1.0)
-    # A candidate within tol before the other schema decides first.
-    assert _scene_matches(scene, (far, near, other, exact), 1.0)
-    with pytest.raises(SchemaError):
-        _scene_matches(scene, (far, near, other, exact), 0.1)
+        holds(other, 1.0)
+    assert holds(exact, 1.0)
+    assert holds(near, 1.0)
+    assert not holds(near, 0.1)
     # With tol <= 0 the values decide alone.
-    assert _scene_matches(scene, (other,), 0.0)
-    assert not _scene_matches(scene, (near, far), 0.0)
-    assert not _scene_matches(scene, (far,), 1e300)
+    assert holds(other, 0.0)
+    assert not holds(near, 0.0)
+    assert not holds(far, 1e300)
 
 
-def test_scene_matches_compares_each_schema_object_once(monkeypatch):
+def test_scene_const_compares_each_schema_object_once(monkeypatch):
+    twin2 = schema_of(("a", "m"), ("b", "m"))
+    consts = [SceneConst(Scene(s, (float(i), 0.0))) for i in range(1, 7) for s in (PAIR_TWIN, twin2)]
+    f = functools.reduce(Or, consts)
     calls = []
     eq = SceneSchema.__eq__
     monkeypatch.setattr(SceneSchema, "__eq__", lambda a, b: calls.append(b) or eq(a, b))
-    twin2 = schema_of(("a", "m"), ("b", "m"))
-    candidates = tuple(Scene(s, (float(i), 0.0)) for i in range(1, 7) for s in (PAIR_TWIN, twin2))
-    assert not _scene_matches(Scene(PAIR, (0.0, 0.0)), candidates, 0.5)
+    assert progress(f, Scene(PAIR, (0.0, 0.0)), 0, 0, 0.5) is FalseFormula()
     assert calls == []
 
 

@@ -60,7 +60,13 @@ from scenkit.logic import (
     trace_formula,
 )
 from scenkit.logical import DiscreteAxis, LogicalScenario, ParameterSpace, derive_seed, realize
-from scenkit.monitoring import Verdict, WordReport, monitor_word, monitor_word_report
+from scenkit.monitoring import (
+    Verdict,
+    WordReport,
+    monitor_prefix,
+    monitor_word,
+    monitor_word_report,
+)
 from scenkit.rural import RuralConfig, rural_formula
 
 from conftest import (
@@ -638,7 +644,7 @@ def test_non_markov_copy_enumerates_and_expands_the_same_leaves(case, data):
     assert enumerate_scenarios(B) == enumerate_scenarios(A)
     prefix = (data.draw(st.sampled_from(inst.initial_scenes)),)
     for _ in range(data.draw(st.integers(0, inst.horizon))):
-        prefix += (data.draw(st.sampled_from(inst.successors(prefix))),)
+        prefix += (Scene(inst.schema, data.draw(st.sampled_from(inst.successors(prefix)))),)
     c = Trajectory(inst.schema, inst.grid(len(prefix)), prefix)
     steps = data.draw(st.integers(0, inst.horizon - (len(prefix) - 1)))
     assert expand(B, c, steps) == expand(A, c, steps)
@@ -741,7 +747,7 @@ def test_memoized_walks_draw_what_the_per_node_walk_draws(
         step = inst.successors
         inst = dataclasses.replace(
             inst,
-            successors=lambda p: tuple(s for s in step(p) if max(map(abs, s.values)) <= 2.0),
+            successors=lambda p: tuple(v for v in step(p) if max(map(abs, v)) <= 2.0),
         )
     inst = dataclasses.replace(inst, markov=markov)
     formulas = every_node_formulas(inst.schema)
@@ -857,20 +863,29 @@ _motion = st.floats(min_value=-1e306, max_value=1e306, allow_nan=False)
     st.tuples(_motion, _motion, _motion, _motion),
 )
 def test_quantized_successors_match_the_reference(accels, step, end_values):
-    # Bit for bit and in product order; a position past the largest float
-    # raises the reference's error.
+    # Bit for bit and in product order; built as Scenes, a position past
+    # the largest float raises the reference's error.
     end = Scene(PLANE, end_values)
     inst = quantized_motion_instance(PLANE, accels, step, 3, probe_scenes=(end,))
-    assert _successor_values(lambda: inst.successors((end,))) == _successor_values(
+    assert _successor_values(
+        lambda: [Scene(PLANE, v) for v in inst.successors((end,))]
+    ) == _successor_values(
         lambda: [_advance(end, ax, ay, step) for ax in accels for ay in accels]
     )
 
 
 def test_quantized_successors_refuse_a_non_finite_position():
+    # The relation yields the infinite position as values; a walk that
+    # builds it as a child raises, and admission never matches it.
     end = Scene(PLANE, (1e308, 0.0, 1e308, 0.0))
     inst = quantized_motion_instance(PLANE, (0.0, 1.0), 10.0, 3, probe_scenes=(end,))
-    with pytest.raises(SchemaError, match="non-finite value inf in dimension 'x'"):
-        inst.successors((end,))
+    assert {v[0] for v in inst.successors((end,))} == {float("inf")}
+    A = AbstractScenario(TrueFormula(), (), inst)
+    start = Trajectory(PLANE, inst.grid(1), (end,))
+    for walk in (lambda: expand(A, start, 1), lambda: monitor_prefix(start, A)):
+        with pytest.raises(SchemaError, match="non-finite value inf in dimension 'x'"):
+            walk()
+    assert not inst.allows_step((end,), end)
 
 
 # --- misc -------------------------------------------------------------------------------------
@@ -925,8 +940,8 @@ def _all_extensions(inst, prefix, steps):
     if steps == 0:
         return [prefix]
     out = []
-    for cand in inst.successors(prefix):
-        out.extend(_all_extensions(inst, prefix + (cand,), steps - 1))
+    for values in inst.successors(prefix):
+        out.extend(_all_extensions(inst, prefix + (Scene(inst.schema, values),), steps - 1))
     return out
 
 
@@ -1000,7 +1015,7 @@ def test_expand_matches_brute_force_in_order(A, data):
     inst = A.instance
     prefix = (data.draw(st.sampled_from(inst.initial_scenes)),)
     for _ in range(data.draw(st.integers(0, inst.horizon))):
-        prefix += (data.draw(st.sampled_from(inst.successors(prefix))),)
+        prefix += (Scene(inst.schema, data.draw(st.sampled_from(inst.successors(prefix)))),)
     steps = data.draw(st.integers(0, inst.horizon - (len(prefix) - 1)))
     c = Trajectory(inst.schema, inst.grid(len(prefix)), prefix)
     paths = [p for p in _all_extensions(inst, prefix, steps) if _survives(A, p, len(prefix))]

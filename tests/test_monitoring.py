@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from scenkit import dsl, monitoring
 from scenkit.core import Scene, Trajectory, prefix, schema_of
-from scenkit.errors import HorizonError, LengthError
+from scenkit.errors import HorizonError, LengthError, SchemaError
 from scenkit.formulas import (
     Always,
     And,
@@ -69,6 +70,19 @@ def test_reach_scenario_word_verdicts():
     assert monitor_word(straight_drive_trajectory(), A) is Verdict.ACCEPTED
     assert monitor_word(stop_at_origin_trajectory(), A) is Verdict.ACCEPTED
     assert monitor_word(wrong_start_trajectory(), A) is Verdict.REJECTED
+
+
+def test_word_monitoring_builds_no_scene(monkeypatch):
+    # Each step is admitted by comparing its values with the successors'
+    # value tuples, so no candidate becomes a Scene.
+    A = reach_or_stop_scenario()
+    words = (stop_at_origin_trajectory(), straight_drive_trajectory())
+    built = []
+    post_init = Scene.__post_init__
+    monkeypatch.setattr(Scene, "__post_init__", lambda self: built.append(self) or post_init(self))
+    for word in words:
+        assert monitor_word(word, A) is Verdict.ACCEPTED
+    assert built == []
 
 
 def test_word_requires_full_length():
@@ -208,7 +222,7 @@ def bit_world(edges):
     return ScenarioLogicInstance(
         id="bits", schema=schema, step=1.0, horizon=2,
         initial_scenes=(Scene(schema, (0.0,)),),
-        successors=lambda p: tuple(Scene(schema, (float(v),)) for v in edges[p[-1].values[0]]),
+        successors=lambda p: tuple((float(v),) for v in edges[p[-1].values[0]]),
     )
 
 
@@ -240,7 +254,8 @@ def test_search_past_the_node_budget_is_unknown(monkeypatch):
     zero, one = Scene(schema, (0.0,)), Scene(schema, (1.0,))
     inst = ScenarioLogicInstance(
         id="late-branching", schema=schema, step=1.0, horizon=18,
-        initial_scenes=(zero,), successors=lambda p: (zero,) if len(p) == 1 else (zero, one),
+        initial_scenes=(zero,),
+        successors=lambda p: (zero.values,) if len(p) == 1 else (zero.values, one.values),
     )
     A = AbstractScenario(Always(Atom(ScenePredicate((("bit", 0.0, 1.0),)))), (), inst)
     assert monitor_prefix(None, A) is Verdict3.UNKNOWN
@@ -252,7 +267,8 @@ def completions(inst, path):
     """Every full-length path through the successors that extends ``path``."""
     if len(path) == inst.full_length():
         return [path]
-    return [q for s in inst.successors(path) for q in completions(inst, path + (s,))]
+    return [q for v in inst.successors(path)
+            for q in completions(inst, path + (Scene(inst.schema, v),))]
 
 
 def brute_force_verdict(A, path):
@@ -281,8 +297,8 @@ def test_prefix_verdicts_match_brute_force_over_the_completions(case, boxed, dat
     frontier = [(s,) for s in inst.initial_scenes]
     while frontier:
         prefixes += frontier
-        frontier = [p + (s,) for p in frontier if len(p) < inst.full_length()
-                    for s in inst.successors(p)]
+        frontier = [p + (Scene(inst.schema, v),) for p in frontier if len(p) < inst.full_length()
+                    for v in inst.successors(p)]
     for path in prefixes:
         got = monitor_prefix(bit_prefix_like(inst, path) if path else None, A)
         want = brute_force_verdict(A, path)
@@ -312,7 +328,7 @@ def walk_verdicts(A, rng):
     verdicts = [monitor_prefix(bit_prefix_like(inst, path), A)]
     while len(path) < inst.full_length():
         cands = tuple(inst.successors(path))
-        path = path + (cands[rng.randrange(len(cands))],)
+        path = path + (Scene(inst.schema, cands[rng.randrange(len(cands))]),)
         verdicts.append(monitor_prefix(bit_prefix_like(inst, path), A))
     return verdicts
 
@@ -354,7 +370,7 @@ def test_stream_matches_prefix_monitor_pointwise():
         path = (inst.initial_scenes[0],)
         while len(path) < inst.full_length():
             cands = tuple(inst.successors(path))
-            path = path + (cands[rng.randrange(len(cands))],)
+            path = path + (Scene(inst.schema, cands[rng.randrange(len(cands))]),)
         mon = monitor_stream(A)
         for i, scene in enumerate(path):
             got = mon.step(scene)
@@ -392,6 +408,48 @@ def test_stream_horizon_guard():
     mon.step(zero)
     with pytest.raises(HorizonError):
         mon.step(zero)
+
+
+def test_stream_refuses_a_scene_of_another_schema_and_stays_as_it_was():
+    inst = binary_branching(3)
+    A = AbstractScenario(Eventually(Atom(ScenePredicate((("bit", 1.0, 1.0),)))), (), inst)
+    zero, one = Scene(inst.schema, (0.0,)), Scene(inst.schema, (1.0,))
+    other = Scene(schema_of(("bit", "m")), (0.0,))
+    mon = StreamMonitor(A)
+    assert mon.step(zero) is Verdict3.UNKNOWN
+    with pytest.raises(SchemaError):
+        mon.step(other)
+    assert (mon.fed, mon.verdict) == (1, Verdict3.UNKNOWN)
+    assert mon.step(one) is Verdict3.TRUE
+    # A latched verdict refuses it too.
+    with pytest.raises(SchemaError):
+        mon.step(other)
+    assert (mon.fed, mon.verdict) == (2, Verdict3.TRUE)
+    assert mon.step(zero) is Verdict3.TRUE
+    assert mon.fed == 3
+
+
+def test_stream_step_that_raises_leaves_the_monitor_as_it_was():
+    # Below a 1 the world yields a NaN, which the search builds as a
+    # child once the tree below the prefix is small enough to search: at
+    # the fifth zero, 16 steps before the horizon.
+    schema = binary_branching(1).schema
+    zero = Scene(schema, (0.0,))
+    inst = ScenarioLogicInstance(
+        id="nan-below-one", schema=schema, step=1.0, horizon=20, initial_scenes=(zero,),
+        successors=lambda p: ((0.0,), (1.0,)) if p[-1].values[0] == 0.0 else ((math.nan,),),
+    )
+    A = AbstractScenario(Eventually(Atom(ScenePredicate((("bit", 2.0, 2.0),)))), (), inst)
+    mon = StreamMonitor(A)
+    while True:
+        fed = mon.fed
+        try:
+            assert mon.step(zero) is Verdict3.UNKNOWN
+        except SchemaError as exc:
+            assert "non-finite value nan" in str(exc)
+            break
+    assert fed == 4
+    assert (mon.fed, mon.verdict) == (fed, Verdict3.UNKNOWN)
 
 
 # --- worlds the successors do not cover, and first violations -----------------------
@@ -457,7 +515,7 @@ def test_violation_index_is_the_first_false_prefix_on_step_words():
             path = (inst.initial_scenes[rng.randrange(len(inst.initial_scenes))],)
             while len(path) < inst.full_length():
                 cands = tuple(inst.successors(path))
-                path = path + (cands[rng.randrange(len(cands))],)
+                path = path + (Scene(inst.schema, cands[rng.randrange(len(cands))]),)
             report = monitor_word_report(bit_prefix_like(inst, path), A)
             if report.verdict is Verdict.REJECTED:
                 assert report.violation_index == linear_first_false(A, path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -44,16 +45,33 @@ def test_weak_composition_count_matches_binomial(m, parts):
     assert len(weak_compositions(m, parts)) == math.comb(m + parts - 1, parts - 1)
 
 
+def _bar_placements(m, parts):
+    """Weak compositions read off every placement of parts - 1 bars among
+    m + parts - 1 slots, in ``itertools.combinations`` order."""
+    for bars in itertools.combinations(range(m + parts - 1), parts - 1):
+        edges = (-1, *bars, m + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
 @pytest.mark.parametrize("m", range(0, 7))
 @pytest.mark.parametrize("parts", range(1, 6))
 def test_weak_compositions_are_in_lexicographic_order(m, parts):
     every = itertools.product(range(m + 1), repeat=parts)
     assert weak_compositions(m, parts) == [c for c in every if sum(c) == m]
+    assert weak_compositions(m, parts) == list(_bar_placements(m, parts))
 
 
 def test_first_choices_of_configurations_too_large_to_build():
     first = next(iter_choices(3, 10**6))
     assert first == ManeuverChoice((0, 1, 2), (0, 0, 0, 10**6), (0, 1, 2))
+    # No pool of the m + 3 slots is built: that alone takes tens of
+    # milliseconds at m = 10**6.
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        next(iter_choices(3, 10**6))
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.01
     first = next(iter_choices(1200, 1))
     assert first.blue_passes == (0,) * 1200 + (1,)
     assert first.overtake_order == first.final_order == tuple(range(1200))
