@@ -49,8 +49,15 @@ run monitor "$straight" --scenario reach --trace straight/sample-00000.csv
 run monitor "$straight" --scenario reach --trace prefix.csv
 run monitor "$straight" --scenario reach --trace choices/sample-00000.csv
 run monitor "$straight" --scenario reach --trace missing.csv
+sed '4s/^[^,]*/0.1x/' straight/sample-00000.csv > bad_cell.csv
+sed '4s/^[^,]*/nan/' straight/sample-00000.csv > nan_time.csv
+run monitor "$straight" --scenario reach --trace bad_cell.csv
+run monitor "$straight" --scenario reach --trace nan_time.csv
 
 run invert "$slope" --scenario slope_drive --trace slope/sample-00001.csv --tol 1e-6
+cp slope/sample-00001.csv bad_sidecar.csv
+printf '{"dimensions": [{"name": "x"}]}\n' > bad_sidecar.csv.schema.json
+run invert "$slope" --scenario slope_drive --trace bad_sidecar.csv --tol 1e-6
 run encode-logical "$straight" --scenario speed_choices
 run demo-spec-complexity --n 40
 run count-rural --n 3 --m 2

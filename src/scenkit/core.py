@@ -104,26 +104,6 @@ def schema_of(*dims: tuple[str, str]) -> SceneSchema:
     return SceneSchema(tuple(Dimension(n, u) for n, u in dims))
 
 
-def _scene_values(schema: SceneSchema, values: Sequence[float]) -> tuple[float, ...]:
-    """``values`` as a valid Scene's float tuple: the right length, finite,
-    integral on enum dimensions. ``logical.invert`` checks rows with it."""
-    vals = tuple(map(float, values))
-    if len(vals) != len(schema.dimensions):
-        raise SchemaError(f"scene has {len(vals)} values, schema expects {schema.k}")
-    # Fast accept; the loop below runs only to name the first fault.
-    enums = schema._enum_indices
-    if all(map(math.isfinite, vals)) and (
-        not enums or all(vals[i].is_integer() for i in enums)
-    ):
-        return vals
-    for d, v in zip(schema.dimensions, vals):
-        if not math.isfinite(v):
-            raise SchemaError(f"non-finite value {v!r} in dimension {d.name!r}")
-        if d.unit == "enum-code" and v != int(v):
-            raise SchemaError(f"enum dimension {d.name!r} holds non-integer {v!r}")
-    return vals
-
-
 @dataclass(frozen=True, slots=True)
 class Scene:
     """One snapshot: a real vector conforming to a schema."""
@@ -132,7 +112,22 @@ class Scene:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _scene_values(self.schema, self.values))
+        """``values`` as floats: as many as dimensions, finite, enums integral."""
+        schema, vals = self.schema, tuple(map(float, self.values))
+        if len(vals) != len(schema.dimensions):
+            raise SchemaError(f"scene has {len(vals)} values, schema expects {schema.k}")
+        object.__setattr__(self, "values", vals)
+        # Fast accept; the loop below runs only to name the first fault.
+        enums = schema._enum_indices
+        if all(map(math.isfinite, vals)) and (
+            not enums or all(vals[i].is_integer() for i in enums)
+        ):
+            return
+        for d, v in zip(schema.dimensions, vals):
+            if not math.isfinite(v):
+                raise SchemaError(f"non-finite value {v!r} in dimension {d.name!r}")
+            if d.unit == "enum-code" and v != int(v):
+                raise SchemaError(f"enum dimension {d.name!r} holds non-integer {v!r}")
 
     def __getitem__(self, name: str) -> float:
         return self.values[self.schema.index(name)]

@@ -7,11 +7,11 @@ applies several models side by side, each writing the dimensions it
 owns; families are truncated just before the first time two members
 contradict each other on a shared dimension.
 
-A model's ``evolve_fn(theta, values)`` maps a value tuple to a tuple of
-``schema.k`` floats; a value a member writes outside the dimensions it
-owns is discarded, not validated. Only ``evolve`` and ``evaluate`` build
-Scenes, one per call or grid point; ``logical.invert`` measures the
-grid loop's value rows themselves.
+A model's ``evolve_fn(thetas, values)`` evolves a value tuple over many
+times at once, returning one column per owned dimension. ``evaluate``
+calls each member once over the grid's times and builds the Scenes from
+the merged columns, which ``logical.invert`` measures as they are; a
+point evolution is the same call with one time.
 
 Absolute-time behaviors (stop_at, waypoint_follower) stay semigroup-valid
 by reading and advancing a clock dimension of the scene, which makes the
@@ -24,6 +24,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .core import Scene, SceneSchema, TimeGrid, Trajectory, scene_distance
@@ -57,22 +58,25 @@ class DeterministicModel:
     means the model writes every dimension. State-driven models whose laws
     hold only on their reachable scenes provide ``state_sampler`` so
     randomized law checks draw consistent states.
-    ``evolve_fn(theta, values)`` returns a tuple of ``schema.k`` floats;
-    ``evolve`` validates all of it as a Scene, a family only what it owns.
+    ``evolve_fn(thetas, values)`` returns one column per owned dimension,
+    in ``owned_names()`` order, each with one value per theta; columns of
+    another shape raise SchemaError naming the model.
     """
 
     id: str
     schema: SceneSchema
     theta_max: float
-    evolve_fn: Callable[[float, tuple[float, ...]], tuple[float, ...]]
+    evolve_fn: Callable[[Sequence[float], tuple[float, ...]], Sequence[Sequence[float]]]
     owns: tuple[str, ...] | None = None
     state_sampler: Callable[[random.Random], Scene] | None = None
+    #: The schema indices of the dimensions it writes, in column order.
+    _owned: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.owns is not None:
-            for name in self.owns:
-                if not self.schema.has(name):
-                    raise SchemaError(f"model {self.id!r} owns unknown dim {name!r}")
+        for name in self.owned_names():
+            if not self.schema.has(name):
+                raise SchemaError(f"model {self.id!r} owns unknown dim {name!r}")
+        object.__setattr__(self, "_owned", tuple(map(self.schema.index, self.owned_names())))
 
     def owned_names(self) -> tuple[str, ...]:
         return self.schema.names if self.owns is None else self.owns
@@ -83,9 +87,19 @@ class DeterministicModel:
         if theta < 0 or theta > self.theta_max:
             raise RangeError(f"theta {theta} outside [0, {self.theta_max}]")
 
+    def _columns(self, thetas: Sequence[float], values: tuple) -> Sequence[Sequence[float]]:
+        """``evolve_fn(thetas, values)``, checked for its shape."""
+        columns, n, k = self.evolve_fn(thetas, values), len(thetas), len(self._owned)
+        if len(columns) != k:
+            raise SchemaError(f"model {self.id!r} returned {len(columns)} columns for {k} owned dims")
+        for c in columns:
+            if len(c) != n:
+                raise SchemaError(f"model {self.id!r} returned a column of {len(c)} for {n} times")
+        return columns
+
     def evolve(self, theta: float, scene: Scene) -> Scene:
         self._check(theta, scene)
-        return Scene(self.schema, self.evolve_fn(theta, scene.values))
+        return _evolve((self,), theta, scene)
 
 
 @dataclass(frozen=True)
@@ -95,13 +109,6 @@ class ModelFamily:
     members: tuple[DeterministicModel, ...]
     epsilon: float
     shared: tuple[str, ...] = ()
-    #: Per member, the schema indices of the dimensions it writes.
-    _owned: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        index = self.schema.index
-        owned = tuple(tuple(map(index, m.owned_names())) for m in self.members)
-        object.__setattr__(self, "_owned", owned)
 
     @property
     def schema(self) -> SceneSchema:
@@ -115,18 +122,26 @@ class ModelFamily:
         """Combined evolution: each member writes its owned dims."""
         for m in self.members:
             m._check(theta, scene)
-        outputs = [m.evolve_fn(theta, scene.values) for m in self.members]
-        return Scene(self.schema, self._merge(scene.values, outputs))
+        return _evolve(self.members, theta, scene)
 
-    def _merge(self, base: tuple, outputs: Sequence[tuple]) -> tuple[float, ...]:
-        """``base`` with each member's owned dims taken from its output."""
-        vals = list(base)
-        for m, out, idx in zip(self.members, outputs, self._owned):
-            if len(out) != len(vals):
-                raise SchemaError(f"model {m.id!r} returned {len(out)} of {len(vals)} values")
-            for i in idx:
-                vals[i] = out[i]
-        return tuple(vals)
+
+def _merged(
+    members: Sequence[DeterministicModel], thetas: Sequence[float], base: tuple
+) -> tuple[list[Sequence[float]], list[Sequence[Sequence[float]]]]:
+    """The value columns of ``members`` evolved from ``base`` over ``thetas``,
+    each dimension from its last writer and unowned ones held at ``base``;
+    and each member's own columns."""
+    merged: list[Sequence[float]] = [(v,) * len(thetas) for v in base]
+    outputs = [m._columns(thetas, base) for m in members]
+    for m, columns in zip(members, outputs):
+        for i, column in zip(m._owned, columns):
+            merged[i] = column
+    return merged, outputs
+
+
+def _evolve(members: Sequence[DeterministicModel], theta: float, scene: Scene) -> Scene:
+    merged, _ = _merged(members, (theta,), scene.values)
+    return Scene(scene.schema, tuple(column[0] for column in merged))
 
 
 def combine(
@@ -189,42 +204,31 @@ class TruncatedResult:
 
 
 def _walk(
-    scenario: AttributeLevelScenario, make: Callable[[SceneSchema, tuple], object]
-) -> tuple[list, tuple[str, float] | None]:
-    """The one grid loop: ``make(schema, row)`` of the family's merged value
-    row per grid point up to the first contradiction, and that contradiction
-    as (dimension, time) or None. The contradicting row is made too. A lone
-    member that writes every dimension gives its output as the row."""
+    scenario: AttributeLevelScenario,
+) -> tuple[list[Sequence[float]], tuple[int, str, bool] | None]:
+    """The one grid loop, calling each member once over the grid's times:
+    the merged value columns, and the first row where the writers of a
+    shared dimension are non-finite or contradict, as (row, dimension,
+    whether they were finite), or None."""
     family, grid = scenario.family, scenario.grid
     if grid.duration > family.theta_max:
         raise DomainExceededError(
             f"grid duration {grid.duration} exceeds the family domain",
             t_sup=family.theta_max,
         )
-    schema, step, base = family.schema, grid.step, scenario.start.values
-    if len(family.members) == 1 and len(set(family._owned[0])) == schema.k:
-        f = family.members[0].evolve_fn
-        return [make(schema, f(i * step, base)) for i in range(grid.count)], None
-    # (name, index, writer positions) per shared dim with several writers.
-    scans = []
+    thetas = [i * grid.step for i in range(grid.count)]
+    merged, outputs = _merged(family.members, thetas, scenario.start.values)
+    stop, fault = grid.count, None
     for name in family.shared:
-        writers = [j for j, m in enumerate(family.members) if name in m.owned_names()]
-        if len(writers) > 1:
-            scans.append((name, schema.index(name), writers))
-    fns = [m.evolve_fn for m in family.members]
-    rows = []
-    for i in range(grid.count):
-        theta = i * step
-        outputs = [f(theta, base) for f in fns]
-        row = make(schema, family._merge(base, outputs))
-        for name, d, writers in scans:
-            vals = [outputs[j][d] for j in writers]
-            if not all(map(math.isfinite, vals)):
-                raise SchemaError(f"non-finite value in shared dimension {name!r}")
-            if max(vals) - min(vals) > CONTRADICTION_TOL:
-                return rows, (name, theta)
-        rows.append(row)
-    return rows, None
+        d = family.schema.index(name)
+        writers = [out[m._owned.index(d)] for m, out in zip(family.members, outputs) if d in m._owned]
+        # Only rows before an earlier dimension's fault are scanned.
+        for i, vals in zip(range(stop if len(writers) > 1 else 0), zip(*writers)):
+            finite = all(map(math.isfinite, vals))
+            if not finite or max(vals) - min(vals) > CONTRADICTION_TOL:
+                stop, fault = i, (i, name, finite)
+                break
+    return merged, fault
 
 
 def evaluate(
@@ -233,25 +237,33 @@ def evaluate(
     """Run the family from the starting scene over the requested grid.
 
     Deterministic: identical inputs produce bit-identical trajectories.
-    Each grid point's value row becomes one Scene, validated once by its
-    constructor. A grid that outruns the family's declared time domain
-    raises DomainExceededError. A member contradiction before the grid
-    end raises TruncationError, unless allow_truncation is set, in which
-    case the truncated trajectory is returned in a TruncatedResult. A
-    contradiction at the first grid point leaves nothing to return: it
-    raises TruncationError with ``result`` None either way.
+    Each member is called once over the grid, so a member that raises
+    raises for the whole grid. Each row up to the shared-dimension scan's
+    first fault becomes one Scene, validated once by its constructor
+    before the fault is raised. A grid that outruns the family's declared
+    time domain raises DomainExceededError. A member contradiction before
+    the grid end raises TruncationError, unless allow_truncation is set,
+    in which case the truncated trajectory is returned in a
+    TruncatedResult. A contradiction at the first grid point leaves
+    nothing to return: it raises TruncationError with ``result`` None
+    either way.
     """
-    samples, contradiction = _walk(scenario, Scene)
+    columns, fault = _walk(scenario)
     family, grid = scenario.family, scenario.grid
-    if contradiction is None:
-        return Trajectory(family.schema, grid, tuple(samples))
-    name, theta = contradiction
+    schema, rows = family.schema, zip(*columns)
+    if fault is None:
+        return Trajectory(schema, grid, tuple(Scene(schema, row) for row in rows))
+    i, name, finite = fault
+    samples = [Scene(schema, row) for row in islice(rows, i + 1)][:i]
+    if not finite:
+        raise SchemaError(f"non-finite value in shared dimension {name!r}")
+    theta = i * grid.step
     message = f"members contradict on {name!r} at t={theta}"
     if not samples:
         raise TruncationError(message, None)
     keep_until = theta - family.epsilon
     keep = min(max(1, 1 + math.floor(keep_until / grid.step + 1e-9)), len(samples))
-    truncated = Trajectory(family.schema, TimeGrid(grid.step, keep), tuple(samples[:keep]))
+    truncated = Trajectory(schema, TimeGrid(grid.step, keep), tuple(samples[:keep]))
     result = TruncatedResult(truncated, theta, t_sup=keep_until)
     if allow_truncation:
         return result
@@ -270,11 +282,8 @@ def drift(
     """Constant-rate motion on named dimensions; exact semigroup."""
     idx = [(schema.index(name), rate) for name, rate in rates.items()]
 
-    def evolve(theta: float, v: tuple) -> tuple:
-        vals = list(v)
-        for i, rate in idx:
-            vals[i] = v[i] + rate * theta
-        return tuple(vals)
+    def evolve(thetas: Sequence[float], v: tuple) -> list:
+        return [[v[i] + rate * theta for theta in thetas] for i, rate in idx]
 
     return DeterministicModel(id, schema, theta_max, evolve, owns=tuple(rates))
 
@@ -305,13 +314,13 @@ def constant_acceleration(
     ix, iy = schema.index(x), schema.index(y)
     ivx, ivy = schema.index(vx), schema.index(vy)
 
-    def evolve(theta: float, v: tuple) -> tuple:
-        vals = list(v)
-        vals[ix] = v[ix] + v[ivx] * theta + 0.5 * ax * theta * theta
-        vals[iy] = v[iy] + v[ivy] * theta + 0.5 * ay * theta * theta
-        vals[ivx] = v[ivx] + ax * theta
-        vals[ivy] = v[ivy] + ay * theta
-        return tuple(vals)
+    def evolve(thetas: Sequence[float], v: tuple) -> tuple:
+        return (
+            [v[ix] + v[ivx] * theta + 0.5 * ax * theta * theta for theta in thetas],
+            [v[iy] + v[ivy] * theta + 0.5 * ay * theta * theta for theta in thetas],
+            [v[ivx] + ax * theta for theta in thetas],
+            [v[ivy] + ay * theta for theta in thetas],
+        )
 
     return DeterministicModel(id, schema, math.inf, evolve, owns=(x, y, vx, vy))
 
@@ -348,17 +357,17 @@ def stop_at(
     ix, iy = schema.index(x), schema.index(y)
     ivx, ivy = schema.index(vx), schema.index(vy)
 
-    def evolve(theta: float, v: tuple) -> tuple:
+    def evolve(thetas: Sequence[float], v: tuple) -> tuple:
         tau = v[ic]
-        moving = min(theta, max(0.0, t_stop - tau))
-        vals = list(v)
-        vals[ix] = v[ix] + v[ivx] * moving
-        vals[iy] = v[iy] + v[ivy] * moving
-        if tau + theta >= t_stop:
-            vals[ivx] = 0.0
-            vals[ivy] = 0.0
-        vals[ic] = tau + theta
-        return tuple(vals)
+        moving = [min(theta, max(0.0, t_stop - tau)) for theta in thetas]
+        stopped = [tau + theta >= t_stop for theta in thetas]
+        return (
+            [v[ix] + v[ivx] * m for m in moving],
+            [v[iy] + v[ivy] * m for m in moving],
+            [0.0 if s else v[ivx] for s in stopped],
+            [0.0 if s else v[ivy] for s in stopped],
+            [tau + theta for theta in thetas],
+        )
 
     def consistent(rng: random.Random) -> Scene:
         tau = rng.uniform(0.0, 2.0 * t_stop)
@@ -402,9 +411,6 @@ def waypoint_follower(
         if not (t1 > t0):
             raise RangeError("waypoint times must be strictly increasing")
     ic = _require_clock(schema, clock, id)
-    ix, iy = schema.index(x), schema.index(y)
-    ivx = schema.index(vx) if vx is not None else None
-    ivy = schema.index(vy) if vy is not None else None
     ts = [k[0] for k in knots]
     slopes = [
         ((x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0))
@@ -421,42 +427,30 @@ def waypoint_follower(
         sx, sy = slopes[seg]
         return x0 + (tau - t0) * sx, y0 + (tau - t0) * sy, sx, sy
 
-    def evolve(theta: float, v: tuple) -> tuple:
-        tau = v[ic] + theta
-        px, py, sx, sy = plan(tau)
-        vals = list(v)
-        vals[ix], vals[iy] = px, py
-        if ivx is not None:
-            vals[ivx] = sx
-        if ivy is not None:
-            vals[ivy] = sy
-        vals[ic] = tau
-        return tuple(vals)
+    def evolve(thetas: Sequence[float], v: tuple) -> list:
+        taus = [v[ic] + theta for theta in thetas]
+        px, py, sx, sy = zip(*map(plan, taus))
+        return [px, py] + [c for c, name in ((sx, vx), (sy, vy)) if name is not None] + [taus]
 
     def consistent(rng: random.Random) -> Scene:
         tau = rng.uniform(0.0, ts[-1] + 5.0)
         vals = [rng.uniform(-100.0, 100.0) for _ in range(schema.k)]
         vals[ic] = 0.0  # the state reached from clock 0 at time tau
-        return Scene(schema, evolve(tau, tuple(vals)))
+        return model.evolve(tau, Scene(schema, tuple(vals)))
 
-    owned = [x, y, clock]
-    if vx is not None:
-        owned.insert(2, vx)
-    if vy is not None:
-        owned.insert(3, vy)
-    return DeterministicModel(
-        id, schema, math.inf, evolve, owns=tuple(owned), state_sampler=consistent
+    owned = (x, y) + tuple(n for n in (vx, vy) if n is not None) + (clock,)
+    model = DeterministicModel(
+        id, schema, math.inf, evolve, owns=owned, state_sampler=consistent
     )
+    return model
 
 
 def clock_model(schema: SceneSchema, clock: str = "clock", id: str = "clock") -> DeterministicModel:
     """Advances the clock dimension; for families with no other clock owner."""
     ic = _require_clock(schema, clock, id)
 
-    def evolve(theta: float, v: tuple) -> tuple:
-        vals = list(v)
-        vals[ic] = v[ic] + theta
-        return tuple(vals)
+    def evolve(thetas: Sequence[float], v: tuple) -> tuple:
+        return ([v[ic] + theta for theta in thetas],)
 
     return DeterministicModel(id, schema, math.inf, evolve, owns=(clock,))
 

@@ -10,15 +10,16 @@ batched across workers.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .core import Scene, TimeGrid, Trajectory, _scene_values, _sup_distance
+from .core import Scene, TimeGrid, Trajectory, _sup_distance
 from .dynamics import AttributeLevelScenario, ModelFamily, _walk, evaluate
 from .errors import ComplexityError, OutOfSpaceError, RangeError, SchemaError
 
@@ -277,25 +278,21 @@ class NotInImage:
     best_residual: float
 
 
-def _columns(bound: AttributeLevelScenario) -> Iterable[tuple[float, ...]]:
-    """The float columns of the value rows ``evaluate(bound)`` makes Scenes
-    of; raises what ``evaluate`` raises, where it raises it."""
-    schema = bound.family.schema
-    # Fast accept; the per-row walk below runs only to name the first fault.
-    try:
-        rows, contradiction = _walk(bound, lambda _, row: row)
-        if contradiction is None and set(map(len, rows)) == {schema.k}:
-            columns = [tuple(map(float, c)) for c in zip(*rows)]
-            if all(all(map(math.isfinite, c)) for c in columns) and all(
-                all(map(float.is_integer, columns[i])) for i in schema._enum_indices
-            ):
-                return columns
-    except Exception:  # noqa: BLE001 - the walk below raises it, or an earlier fault
-        pass
-    rows, contradiction = _walk(bound, _scene_values)
-    if contradiction is not None:
-        evaluate(bound)  # raises realize's TruncationError
-    return zip(*rows)
+def _columns(bound: AttributeLevelScenario) -> list[tuple[float, ...]]:
+    """The float columns ``evaluate(bound)`` makes its Scenes of; raises
+    what ``evaluate`` raises, where it raises it."""
+    columns, fault = _walk(bound)
+    # Fast accept; evaluate below runs only to name the first fault. A
+    # float conversion that raises is raised there, or an earlier row's fault.
+    with contextlib.suppress(Exception):
+        columns = [tuple(map(float, c)) for c in columns]
+        enums = bound.family.schema._enum_indices
+        if fault is None and all(all(map(math.isfinite, c)) for c in columns) and all(
+            all(map(float.is_integer, columns[i])) for i in enums
+        ):
+            return columns
+    evaluate(bound)  # a row's Scene check fails where a column's did
+    raise AssertionError("evaluate accepted the columns that were refused")
 
 
 def invert(
@@ -312,11 +309,11 @@ def invert(
     falls below tol/10). Best-effort numerics, not exact solving.
 
     A residual is ``trajectory_distance(realize(scenario, x), target)``
-    measured on the value rows, building no Scene or Trajectory. A
-    candidate's rows are checked and measured column by column; the
-    per-row Scene check runs only to name a fault, so a candidate raises
-    what ``realize`` would, where it would. Residuals may be inf; then the
-    best x is the first.
+    measured on the value columns the grid walk makes, building no Scene
+    or Trajectory. A candidate's columns are checked and measured as they
+    come; the per-row Scene check runs only to name a fault, so a
+    candidate raises what ``realize`` would, where it would. Residuals
+    may be inf; then the best x is the first.
     """
     if not (tol > 0):
         raise RangeError("tol must be positive")

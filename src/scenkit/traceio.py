@@ -8,6 +8,7 @@ Sidecar format: ``{"dimensions": [{"name": ..., "unit": ...}]}``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .core import ALIGN_TOL, Dimension, Scene, SceneSchema, TimeGrid, Trajectory
@@ -27,9 +28,15 @@ def write_schema(schema: SceneSchema, path: str | Path) -> None:
 
 
 def read_schema(path: str | Path) -> SceneSchema:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    dims = tuple(Dimension(d["name"], d["unit"]) for d in payload["dimensions"])
-    return SceneSchema(dims)
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        pairs = [(d["name"], d["unit"]) for d in payload["dimensions"]]
+        valid = all(type(v) is str for p in pairs for v in p)
+    except (ValueError, LookupError, TypeError):  # not JSON, or not of that shape
+        valid = False
+    if not valid:
+        raise SchemaError(f'sidecar {path} is not {{"dimensions": [{{"name", "unit"}}, ...]}}')
+    return SceneSchema(tuple(Dimension(*p) for p in pairs))
 
 
 def write_trace(
@@ -46,38 +53,44 @@ def write_trace(
     write_schema(traj.schema, sidecar)
 
 
-def read_trace(
-    csv_path: str | Path,
-    schema: SceneSchema | None = None,
-) -> Trajectory:
+def read_trace(csv_path: str | Path, schema: SceneSchema | None = None) -> Trajectory:
     """Read a trace CSV; the schema comes from the sidecar unless given."""
     if schema is None:
         schema = read_schema(sidecar_path_for(csv_path))
     text = Path(csv_path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
+    rows = [(n, ln.split(",")) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
+    if not rows:
         raise SchemaError(f"empty trace file {csv_path}")
-    header = lines[0].split(",")
+    header = rows[0][1]
     if header[0] != "t" or tuple(header[1:]) != schema.names:
-        raise SchemaError(
-            f"trace header {header} does not match schema dims {schema.names}"
-        )
+        raise SchemaError(f"trace header {header} does not match schema dims {schema.names}")
     times: list[float] = []
     samples: list[Scene] = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
+    for n, cells in rows[1:]:
         if len(cells) != schema.k + 1:
-            raise SchemaError(f"row has {len(cells)} cells, expected {schema.k + 1}")
-        times.append(float(cells[0]))
-        samples.append(Scene(schema, tuple(float(c) for c in cells[1:])))
+            raise SchemaError(f"{csv_path} line {n} has {len(cells)} cells, expected {schema.k + 1}")
+        try:
+            t, *values = map(float, cells)
+        except ValueError:  # names the first cell that is no number
+            t, *values = (_number(csv_path, n, name, c) for name, c in zip(header, cells))
+        if not math.isfinite(t):
+            raise SchemaError(f"{csv_path} line {n}, column 't': time {t} is not finite")
+        times.append(t)
+        samples.append(Scene(schema, tuple(values)))
     if len(samples) == 1:
         step = 1.0
     else:
         step = times[1] - times[0]
-        if step <= 0:
+        if not step > 0:
             raise GridAlignmentError("trace times are not increasing")
         for i, t in enumerate(times):
-            if abs(t - i * step) > ALIGN_TOL * step:
+            if not abs(t - i * step) <= ALIGN_TOL * step:
                 raise GridAlignmentError(f"trace time {t} off the uniform grid")
-    grid = TimeGrid(step, len(samples))
-    return Trajectory(schema, grid, tuple(samples))
+    return Trajectory(schema, TimeGrid(step, len(samples)), tuple(samples))
+
+
+def _number(csv_path: str | Path, n: int, name: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise SchemaError(f"{csv_path} line {n}, column {name!r}: {cell!r} is not a number") from None

@@ -221,6 +221,32 @@ def test_sample_logical_is_byte_deterministic(tmp_path, capsys):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
 
 
+def test_monitor_refuses_a_bad_time_cell(tmp_path, capsys):
+    trace = tmp_path / "drive.csv"
+    traceio.write_trace(straight_drive_trajectory(), trace)
+    lines = trace.read_text().split("\n")
+    for cell in ("0.1x", "nan"):
+        lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+        trace.write_text("\n".join(lines))
+        code, payload = run(capsys, "monitor", DRIVE, "--scenario", "reach", "--trace", str(trace))
+        assert code == 1
+        assert payload["error"] == "SchemaError"
+        assert payload["detail"].startswith(f"{trace} line 4, column 't': ")
+
+
+def test_invert_refuses_a_malformed_sidecar(tmp_path, capsys):
+    trace = tmp_path / "c.csv"
+    traceio.write_trace(straight_drive_trajectory(), trace)
+    traceio.sidecar_path_for(trace).write_text('{"dimensions": [{"name": "x"}]}')
+    code, payload = run(
+        capsys, "invert", SLOPE, "--scenario", "slope_drive",
+        "--trace", str(trace), "--tol", "1e-6",
+    )
+    assert code == 1
+    assert payload["error"] == "SchemaError"
+    assert payload["detail"].startswith(f"sidecar {traceio.sidecar_path_for(trace)} is not ")
+
+
 def test_invert_recovers_slope(tmp_path, capsys):
     from scenkit.fixtures import slope_drive_scenario
     from scenkit.logical import realize

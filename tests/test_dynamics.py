@@ -59,8 +59,8 @@ def test_identity_and_semigroup_for_every_built_in(plane, clocked):
 
 
 def test_broken_model_fails_check(plane):
-    def sq(theta, v):
-        return (v[0] + theta * theta,) + v[1:]
+    def sq(thetas, v):
+        return ([v[0] + theta * theta for theta in thetas],)
 
     broken = DeterministicModel("sq", plane, math.inf, sq, owns=("x",))
     assert not check_semigroup(broken, trials=200, rng_seed=5).passed
@@ -85,7 +85,7 @@ def test_straight_drive_matches_closed_form():
 
 
 def test_identity_model_gives_constant_trajectory(plane):
-    model = DeterministicModel("hold", plane, math.inf, lambda th, s: s)
+    model = DeterministicModel("hold", plane, math.inf, lambda ths, v: [[x] * len(ths) for x in v])
     start = Scene(plane, (1.0, 2.0, 3.0, 4.0))
     traj = evaluate(AttributeLevelScenario(start, family_of(model), TimeGrid(0.1, 50)))
     assert all(s == start for s in traj.samples)
@@ -283,7 +283,7 @@ def test_shared_clock_families_combine(clocked):
 
 def test_model_rejects_theta_outside_domain(plane):
     model = DeterministicModel(
-        "bounded", plane, 1.0, lambda th, s: s, owns=()
+        "bounded", plane, 1.0, lambda ths, v: (), owns=()
     )
     with pytest.raises(RangeError):
         model.evolve(2.0, Scene(plane, (0, 0, 0, 0)))
@@ -339,13 +339,11 @@ WIDE = schema_of(
 SECOND_CAR = dict(x="x2", y="y2", vx="vx2", vy="vy2")
 rates = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 values = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+MEMBER_KINDS = ["velocity", "acceleration", "drift", "stop", "waypoint", "clock"]
 
 
 @st.composite
-def library_members(draw):
-    kind = draw(st.sampled_from(
-        ["velocity", "acceleration", "drift", "stop", "waypoint", "clock"]
-    ))
+def library_member(draw, kind):
     car = draw(st.sampled_from([{}, SECOND_CAR]))
     if kind == "velocity":
         xy = {k: v for k, v in car.items() if k in ("x", "y")}
@@ -364,6 +362,10 @@ def library_members(draw):
         knots = [(t * 0.25, draw(values), draw(values)) for t in times]
         return waypoint_follower(WIDE, knots, **car)
     return clock_model(WIDE)
+
+
+def library_members():
+    return st.sampled_from(MEMBER_KINDS).flatmap(library_member)
 
 
 @st.composite
@@ -429,9 +431,9 @@ def custom(evolve_fn, owns=("x",)):
 @pytest.mark.parametrize(
     "evolve_fn",
     [
-        lambda th, v: v[:-1],
-        lambda th, v: v + (0.0,),
-        lambda th, v: (v[0], math.nan) + v[2:],
+        lambda ths, v: (),
+        lambda ths, v: ([v[1]] * len(ths), [0.0] * len(ths)),
+        lambda ths, v: ([math.nan] * len(ths),),
     ],
     ids=["short", "long", "nan-owned"],
 )
@@ -447,32 +449,66 @@ def test_bad_member_output_raises_schema_error(evolve_fn):
         evaluate(AttributeLevelScenario(start, fam, TimeGrid(0.1, 5)))
 
 
+@pytest.mark.parametrize(
+    "evolve_fn, message",
+    [
+        (lambda ths, v: (), "returned 0 columns for 1 owned dims"),
+        (lambda ths, v: (ths, ths), "returned 2 columns for 1 owned dims"),
+        (lambda ths, v: (ths[1:],), "returned a column of {short} for {n} times"),
+        (lambda ths, v: ([0.0, *ths],), "returned a column of {long} for {n} times"),
+    ],
+    ids=["no-column", "extra-column", "short-column", "long-column"],
+)
+def test_a_wrong_column_count_or_length_raises_schema_error_naming_the_model(
+    evolve_fn, message
+):
+    model = custom(evolve_fn)
+    start = Scene(WIDE, (0.0,) * WIDE.k)
+    fam = combine([clock_model(WIDE), model], epsilon=0.1)
+    for n, call in [
+        (1, lambda: model.evolve(0.5, start)),
+        (1, lambda: fam.evolve(0.5, start)),
+        (5, lambda: evaluate(AttributeLevelScenario(start, fam, TimeGrid(0.1, 5)))),
+    ]:
+        want = "model 'custom' " + message.format(short=n - 1, long=n + 1, n=n)
+        with pytest.raises(SchemaError) as err:
+            call()
+        assert str(err.value) == want
+
+
 def test_nan_from_any_writer_of_a_shared_dim_raises_schema_error():
-    nan_clock = custom(lambda th, v: (math.nan,) + v[1:], owns=("clock",))
+    nan_clock = custom(lambda ths, v: ([math.nan] * len(ths),), owns=("clock",))
     fam = combine([nan_clock, clock_model(WIDE)], epsilon=0.1, shared=("clock",))
     start = Scene(WIDE, (0.0,) * WIDE.k)
     with pytest.raises(SchemaError):
         evaluate(AttributeLevelScenario(start, fam, TimeGrid(0.1, 5)))
 
 
-def test_values_outside_owned_dims_are_discarded():
-    # ``evolve`` validates a member's whole output; a family keeps only
-    # the owned dims, so a NaN elsewhere never reaches the trajectory.
-    model = custom(lambda th, v: (v[0] + th, math.nan) + v[2:], owns=("clock",))
-    start = Scene(WIDE, (0.0,) * WIDE.k)
-    with pytest.raises(SchemaError):
-        model.evolve(0.5, start)
-    traj = evaluate(AttributeLevelScenario(start, family_of(model), TimeGrid(0.5, 3)))
-    assert [s["clock"] for s in traj.samples] == [0.0, 0.5, 1.0]
-    assert all(s["x"] == 0.0 for s in traj.samples)
+@pytest.mark.parametrize("kind", MEMBER_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.lists(st.floats(min_value=0.0, max_value=20.0) | st.integers(0, 80).map(lambda i: i * 0.25),
+             min_size=1, max_size=30),
+)
+def test_a_column_holds_what_one_time_alone_gives(kind, data, thetas):
+    model = data.draw(library_member(kind))
+    v = tuple(data.draw(values) for _ in range(WIDE.k))
+    columns = model.evolve_fn(thetas, v)
+    alone = [model.evolve_fn((theta,), v) for theta in thetas]
+    assert len(columns) == len(model.owned_names())
+    for d, column in enumerate(columns):
+        assert [float.hex(x) for x in column] == [float.hex(a[d][0]) for a in alone]
 
 
-# --- the row walk against the per-point merge loop ---------------------------------
+# --- the column walk against the per-point merge loop ---------------------------------
 
 
 def merge_loop_evaluate(scenario, allow_truncation=False):
-    """``evaluate`` as a per-point loop: every member's output merged by
-    ``ModelFamily._merge``, one Scene per point, then the shared-dim scan."""
+    """``evaluate`` as a per-point loop: every member evolved over each grid
+    point alone, at every point first, as a member that raises raises for
+    the whole grid; then per point the row merged by owned dims, one
+    Scene, and the shared-dim scan."""
     family, start, grid = scenario.family, scenario.start, scenario.grid
     if grid.duration > family.theta_max:
         raise DomainExceededError(
@@ -480,16 +516,26 @@ def merge_loop_evaluate(scenario, allow_truncation=False):
             t_sup=family.theta_max,
         )
     schema = family.schema
+    points = [
+        [m._columns((grid.t(i),), start.values) for m in family.members]
+        for i in range(grid.count)
+    ]
     samples = []
-    for i in range(grid.count):
+    for i, outputs in enumerate(points):
         theta = grid.t(i)
-        outputs = [m.evolve_fn(theta, start.values) for m in family.members]
-        scene = Scene(schema, family._merge(start.values, outputs))
+        vals = list(start.values)
+        for m, out in zip(family.members, outputs):
+            for name, (value,) in zip(m.owned_names(), out):
+                vals[schema.index(name)] = value
+        scene = Scene(schema, tuple(vals))
         for name in family.shared:
-            writers = [j for j, m in enumerate(family.members) if name in m.owned_names()]
-            if len(writers) < 2:
+            vals = [
+                out[m.owned_names().index(name)][0]
+                for m, out in zip(family.members, outputs)
+                if name in m.owned_names()
+            ]
+            if len(vals) < 2:
                 continue
-            vals = [outputs[j][schema.index(name)] for j in writers]
             if not all(map(math.isfinite, vals)):
                 raise SchemaError(f"non-finite value in shared dimension {name!r}")
             if max(vals) - min(vals) > CONTRADICTION_TOL:
@@ -508,12 +554,32 @@ def merge_loop_evaluate(scenario, allow_truncation=False):
     return Trajectory(schema, grid, tuple(samples))
 
 
+def hit_with(column, hit, value):
+    return [value if h else x for x, h in zip(column, hit)]
+
+
+#: Faults on a member's columns at the times ``hit`` marks; a wrong
+#: column count holds for the whole call.
 FAULTS = {
-    "nan": lambda out: (math.nan,) + out[1:],
-    "inf_last": lambda out: out[:-1] + (math.inf,),
-    "short": lambda out: out[:-1],
-    "long": lambda out: out + (0.0,),
+    "nan": lambda cols, hit: [hit_with(cols[0], hit, math.nan), *cols[1:]],
+    "inf_last": lambda cols, hit: [*cols[:-1], hit_with(cols[-1], hit, math.inf)],
+    "short": lambda cols, hit: cols[:-1] if any(hit) else cols,
+    "long": lambda cols, hit: [*cols, cols[0]] if any(hit) else cols,
 }
+
+
+def writing_every_dim(member):
+    """``member`` as a model that writes every dimension, those it does
+    not own as it found them."""
+    owned = [WIDE.index(name) for name in member.owned_names()]
+
+    def evolve(thetas, v):
+        columns = [[x] * len(thetas) for x in v]
+        for i, column in zip(owned, member.evolve_fn(thetas, v)):
+            columns[i] = column
+        return columns
+
+    return DeterministicModel("all", WIDE, math.inf, evolve)
 
 
 @st.composite
@@ -524,7 +590,7 @@ def walked_scenarios(draw):
     members = list(scenario.family.members)
     shared = scenario.family.shared
     if draw(st.booleans()):
-        members = [DeterministicModel("all", WIDE, math.inf, members[0].evolve_fn)]
+        members = [writing_every_dim(members[0])]
         shared = ()
     if draw(st.booleans()):
         j = draw(st.integers(0, len(members) - 1))
@@ -532,9 +598,8 @@ def walked_scenarios(draw):
         t_fault = draw(st.integers(0, 40)) * scenario.grid.step
         m, fn = members[j], members[j].evolve_fn
 
-        def faulty(theta, v, fn=fn):
-            out = fn(theta, v)
-            return fault(out) if theta >= t_fault else out
+        def faulty(thetas, v, fn=fn):
+            return fault(fn(thetas, v), [theta >= t_fault for theta in thetas])
 
         members[j] = DeterministicModel(m.id, WIDE, m.theta_max, faulty, owns=m.owns)
     family = combine(members, epsilon=scenario.family.epsilon, shared=shared)
@@ -555,24 +620,15 @@ def outcome(call):
 @given(walked_scenarios(), st.booleans())
 def test_evaluate_matches_the_merge_loop(scenario, allow):
     want = outcome(lambda: merge_loop_evaluate(scenario, allow))
-    got = outcome(lambda: evaluate(scenario, allow))
-    family = scenario.family
-    lone_owner = len(family.members) == 1 and family.members[0].owns is None
-    if lone_owner and want[0] == "raised" and "returned" in want[2]:
-        # A lone member's output is the row, so the Scene check names a
-        # wrong length instead of the merge.
-        assert got[:2] == ("raised", SchemaError)
-        assert got[2].startswith("scene has ")
-    else:
-        assert got == want
+    assert outcome(lambda: evaluate(scenario, allow)) == want
 
 
 def test_the_contradicting_row_is_checked_before_the_scan():
     # At t = 0.5 member a writes NaN into x and parts from b on p: the
     # row's Scene check comes first, as in the merge loop.
-    def a_fn(th, v):
-        late = th >= 0.5
-        return (v[0], math.nan if late else 0.0) + v[2:9] + (1.0 if late else 0.0,)
+    def a_fn(ths, v):
+        late = [th >= 0.5 for th in ths]
+        return [math.nan if x else 0.0 for x in late], [1.0 if x else 0.0 for x in late]
 
     a = DeterministicModel("a", WIDE, math.inf, a_fn, owns=("x", "p"))
     b = drift(WIDE, {"p": 0.0}, id="b")

@@ -173,13 +173,14 @@ def shared_pair():
     return LogicalScenario(space, binder, TimeGrid(0.1, 21))
 
 
-def writes_outside():
-    """A lone member that owns pos and writes NaN into v: v is discarded."""
+def owns_one():
+    """A lone member that owns pos only: v stays at its start."""
     space = ParameterSpace((ContinuousAxis("a", 0.0, 2.0),))
 
     def binder(x):
         model = DeterministicModel(
-            "outside", TWO, math.inf, lambda t, v: (v[0] + x[0] * t, math.nan), owns=("pos",)
+            "owns_one", TWO, math.inf, lambda ts, v: ([v[0] + x[0] * t for t in ts],),
+            owns=("pos",),
         )
         return Scene(TWO, (0.0, 3.0)), family_of(model)
 
@@ -187,14 +188,15 @@ def writes_outside():
 
 
 def converted(convert):
-    """A lone member whose rows hold what ``convert`` makes of each float,
-    which ``float`` turns back as the Scene check does."""
+    """A lone member whose columns hold what ``convert`` makes of each
+    float, which ``float`` turns back as the Scene check does."""
     space = ParameterSpace((ContinuousAxis("a", 0.0, 2.0),))
 
     def binder(x):
         model = DeterministicModel(
             "converted", TWO, math.inf,
-            lambda t, v: (convert(v[0] + x[0] * t), convert(round(10 * x[0] * t))),
+            lambda ts, v: ([convert(v[0] + x[0] * t) for t in ts],
+                           [convert(round(10 * x[0] * t)) for t in ts]),
         )
         return Scene(TWO, (0.5, 0.0)), family_of(model)
 
@@ -206,7 +208,7 @@ SCENARIOS = {
     "geared": geared,
     "two_axis": two_axis,
     "shared_pair": shared_pair,
-    "writes_outside": writes_outside,
+    "owns_one": owns_one,
     "ints": lambda: converted(round),
     "strings": lambda: converted(repr),
 }
@@ -242,6 +244,13 @@ def test_invert_is_bit_equal_to_the_realizing_reference(case):
 STEP, COUNT = 0.1, 11
 
 
+class Unreadable:
+    """A value whose conversion to float fails."""
+
+    def __float__(self):
+        raise ZeroDivisionError("member fails after its NaN")
+
+
 def custom(schema, id, fn, owns=None, theta_max=math.inf):
     return DeterministicModel(id, schema, theta_max, fn, owns=owns)
 
@@ -259,42 +268,47 @@ def faulty(kind, k, thr):
         def hit(t):
             return bad and t >= t_fault
 
-        def line(t, v):
-            return (v[0] + a * t,)
+        def line(ts, v):
+            return ([v[0] + a * t for t in ts],)
 
         schema, start = LINE, (0.0,)
         if kind == "contradiction":
             members = [custom(LINE, "p", line),
-                       custom(LINE, "q", lambda t, v: (v[0] + a * t + (1.0 if hit(t) else 0.0),))]
+                       custom(LINE, "q", lambda ts, v: (
+                           [v[0] + a * t + (1.0 if hit(t) else 0.0) for t in ts],))]
             family = combine(members, epsilon=0.1, shared=("pos",))
         elif kind == "non_finite":
-            family = family_of(
-                custom(LINE, "p", lambda t, v: (math.inf,) if hit(t) else line(t, v))
-            )
+            family = family_of(custom(
+                LINE, "p", lambda ts, v: ([math.inf if hit(t) else v[0] + a * t for t in ts],)
+            ))
         elif kind == "enum":
             schema, start = LANE, (0.0, 1.0)
             family = family_of(custom(
-                LANE, "p", lambda t, v: (v[0] + a * t, 0.5 if hit(t) else v[1])
+                LANE, "p",
+                lambda ts, v: ([v[0] + a * t for t in ts], [0.5 if hit(t) else v[1] for t in ts])
             ))
         elif kind == "length_lone":
-            family = family_of(custom(LINE, "p", lambda t, v: () if hit(t) else line(t, v)))
+            # The column leaves out the points from k on.
+            family = family_of(custom(
+                LINE, "p", lambda ts, v: ([v[0] + a * t for t in ts if not hit(t)],)
+            ))
         elif kind == "length_merged":
             schema, start = TWO, (0.0, 0.0)
-            p = custom(TWO, "p", lambda t, v: v[:1] if hit(t) else (v[0] + a * t, v[1]), ("pos",))
+            p = custom(TWO, "p", lambda ts, v: () if any(map(hit, ts)) else line(ts, v), ("pos",))
             family = combine([p, drift(TWO, {"v": 1.0})], epsilon=0.1)
         elif kind == "nan_then_raise":
-            # NaN at point k, and the member raises from the point after:
-            # the Scene check at k comes first.
-            def nan_then_raise(t, v):
-                if hit(t) and t > t_fault + STEP / 2:
-                    raise ZeroDivisionError("member fails after its NaN")
-                return (math.nan,) if hit(t) else line(t, v)
+            # NaN at point k, and from the point after a value that fails
+            # to convert: the Scene check at k comes first.
+            def nan_then_raise(ts, v):
+                return ([Unreadable() if hit(t) and t > t_fault + STEP / 2
+                         else math.nan if hit(t) else v[0] + a * t for t in ts],)
 
             family = family_of(custom(LINE, "p", nan_then_raise))
         elif kind in ("nan_shared", "nan_shared_merged"):
             # The last writer's value is the merged row's: q's 0.0, or p's NaN.
             schema, start = TWO, (0.0, 0.0)
-            p = custom(TWO, "p", lambda t, v: (v[0] + a * t, math.nan if hit(t) else 0.0))
+            p = custom(TWO, "p", lambda ts, v: ([v[0] + a * t for t in ts],
+                                               [math.nan if hit(t) else 0.0 for t in ts]))
             q = drift(TWO, {"v": 0.0}, id="q")
             members = [p, q] if kind == "nan_shared" else [q, p]
             family = combine(members, epsilon=0.1, shared=("v",))
@@ -302,10 +316,11 @@ def faulty(kind, k, thr):
             # NaN in an unshared dim from k on, and a contradiction from
             # the point after the threshold's: the first in grid order wins.
             schema, start = TWO, (0.0, 0.0)
-            p = custom(TWO, "p", lambda t, v: (math.nan if hit(t) else v[0] + a * t, v[1]),
-                       ("pos",))
+            p = custom(TWO, "p", lambda ts, v: (
+                [math.nan if hit(t) else v[0] + a * t for t in ts],), ("pos",))
             q = drift(TWO, {"v": 0.0}, id="q")
-            r = custom(TWO, "r", lambda t, v: (0.0, 1.0 if bad and t >= 0.5 else 0.0), ("v",))
+            r = custom(TWO, "r", lambda ts, v: (
+                [1.0 if bad and t >= 0.5 else 0.0 for t in ts],), ("v",))
             family = combine([p, q, r], epsilon=0.1, shared=("v",))
         elif kind == "domain":
             family = family_of(custom(LINE, "p", line, theta_max=0.5 if bad else math.inf))
@@ -375,7 +390,7 @@ def test_truncation_carries_realize_result():
     "kind, k, message",
     [
         ("nan_then_raise", 4, "non-finite value nan in dimension 'pos'"),
-        ("length_lone", COUNT - 1, "scene has 0 values, schema expects 1"),
+        ("length_lone", COUNT - 1, "model 'p' returned a column of 10 for 11 times"),
         ("enum", COUNT - 1, "enum dimension 'lane' holds non-integer 0.5"),
         # NaN in a shared dimension: the Scene check's message when the NaN
         # is in the merged row, else the shared scan's.

@@ -59,3 +59,64 @@ def test_single_row_trace(tmp_path, line):
     back = traceio.read_trace(path)
     assert back.samples[0] == Scene(line, (4.0,))
     assert back.grid.count == 1
+
+
+def _drive_with_cell(tmp_path, line_index, column, cell):
+    """The straight-drive trace with one cell of one CSV line replaced."""
+    path = tmp_path / "drive.csv"
+    traceio.write_trace(straight_drive_trajectory(), path)
+    lines = path.read_text().split("\n")
+    cells = lines[line_index].split(",")
+    cells[column] = cell
+    lines[line_index] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize(
+    "line_index, column, cell, message",
+    [
+        (3, 0, "0.1x", "line 4, column 't': '0.1x' is not a number"),
+        (3, 2, "", "line 4, column 'y': '' is not a number"),
+        (3, 0, "nan", "line 4, column 't': time nan is not finite"),
+        (1, 0, "nan", "line 2, column 't': time nan is not finite"),
+        (3, 0, "-inf", "line 4, column 't': time -inf is not finite"),
+        (5, 4, "1,2", "line 6 has 6 cells, expected 5"),
+    ],
+    ids=["non-numeric-time", "empty-value", "nan-time", "nan-first-time", "infinite-time",
+         "extra-cell"],
+)
+def test_a_bad_cell_is_refused_naming_its_line_and_column(
+    tmp_path, line_index, column, cell, message
+):
+    path = _drive_with_cell(tmp_path, line_index, column, cell)
+    with pytest.raises(SchemaError) as err:
+        traceio.read_trace(path)
+    assert str(err.value) == f"{path} {message}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"",
+        b"{not json",
+        b"[]",
+        b'"dimensions"',
+        b"{}",
+        b'{"dimensions": 3}',
+        b'{"dimensions": {"x": "m"}}',
+        b'{"dimensions": ["x"]}',
+        b'{"dimensions": [{"name": "x"}]}',
+        b'{"dimensions": [{"unit": "m"}]}',
+        b'{"dimensions": [{"name": 1, "unit": "m"}]}',
+        b'{"dimensions": [{"name": "x", "unit": null}]}',
+        b'{"dimensions": [{"name": ["x"], "unit": "m"}]}',
+        b'{"dimensions": [{"name": "\xff", "unit": "m"}]}',
+    ],
+)
+def test_a_malformed_sidecar_is_refused_naming_its_path(tmp_path, text):
+    path = tmp_path / "t.csv.schema.json"
+    path.write_bytes(text)
+    with pytest.raises(SchemaError) as err:
+        traceio.read_schema(path)
+    assert str(err.value) == f'sidecar {path} is not {{"dimensions": [{{"name", "unit"}}, ...]}}'
