@@ -222,8 +222,10 @@ def _walk(
     for name in family.shared:
         d = family.schema.index(name)
         writers = [out[m._owned.index(d)] for m, out in zip(family.members, outputs) if d in m._owned]
-        # Only rows before an earlier dimension's fault are scanned.
-        for i, vals in zip(range(stop if len(writers) > 1 else 0), zip(*writers)):
+        # Only rows before an earlier dimension's fault are scanned, and
+        # each value is read through ``float``, as the Scene check reads it.
+        rows = zip(*[map(float, w) for w in writers])
+        for i, vals in zip(range(stop if len(writers) > 1 else 0), rows):
             finite = all(map(math.isfinite, vals))
             if not finite or max(vals) - min(vals) > CONTRADICTION_TOL:
                 stop, fault = i, (i, name, finite)

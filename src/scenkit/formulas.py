@@ -14,6 +14,16 @@ when ``evaluate3`` decides the prefix. The tree walks of ``logic`` and
 residuals, so a scene costs one progression instead of a re-walk of
 its prefix. The tests hold ``progress`` to ``evaluate3``.
 
+Each formula node memoizes ``progress``, keyed by the distance to the
+horizon and ``scene_tol`` (all the walk reads of position and tolerance):
+a decision trie whose inner nodes are the ``Atom`` and ``SceneConst``
+tests the walk made, one branch per outcome, and whose leaves are
+residuals. A step taken again costs only its atom tests. The memo is
+kept outside the node's fields, like ``_span``, so equality, hashing,
+repr and pickles ignore it. It dies with its node and holds one path per
+distinct (distance, tolerance, outcomes) met: the formula and the
+horizon bound it, not the number of scenes.
+
 A scene matches a ``SceneConst`` target, as it matches the start set
 and the successors' value tuples of a logic instance, through
 ``_values_match``: an equal value tuple matches without a distance, and
@@ -409,7 +419,48 @@ def progress(
     one frame is skipped: a subformula shared in the formula's DAG is
     progressed once per frame, not once per path to it (Havelund &
     Roşu, TACAS 2002). Nodes are hash-consed, so shared means identical.
+
+    Each node memoizes its progressions (see the module docstring). The
+    walk reads the scene only through its atom tests, so a replay tests
+    the same atoms in the same order, raises what they raise and returns
+    the same residual object. A missing branch runs the walk once, from
+    the outcomes replayed; a walk that raises adds nothing.
     """
+    memo = formula.__dict__.setdefault("_memo", {})
+    # A trie node is [atom, branch if false, branch if true], a leaf the
+    # residual; holder[slot] is where the next one sits.
+    holder, slot = memo, (horizon - position, scene_tol)
+    node, outcomes = memo.get(slot), []
+    while node.__class__ is list:
+        f = node[0]
+        ok = f.predicate.holds(scene) if type(f) is Atom else _const_matches(scene, f.target, scene_tol)
+        outcomes.append(ok)
+        holder, slot = node, 2 if ok else 1
+        node = node[slot]
+    if node is not None:
+        return node
+    outcomes.reverse()
+    tested: list[tuple[Formula, bool]] = []
+    r = _walk(formula, scene, position, horizon, scene_tol, outcomes, tested)
+    for f, ok in tested:
+        holder[slot] = node = [f, None, None]
+        holder, slot = node, 2 if ok else 1
+    holder[slot] = r
+    return r
+
+
+def _walk(
+    formula: Formula,
+    scene: Scene,
+    position: int,
+    horizon: int,
+    scene_tol: float,
+    known: list[bool],
+    tested: list[tuple[Formula, bool]],
+) -> Formula:
+    """The progression walk of ``progress``. It takes its first atom
+    outcomes from the end of ``known``, and appends each atom it tests
+    after those to ``tested``, with its outcome."""
     nxt = position + 1
     d = horizon - nxt
     # One frame per flattened And or Or: the constant that decides it
@@ -423,10 +474,13 @@ def progress(
         if todo:
             f = todo.pop()
             t = type(f)
-            if t is Atom:
-                r = _TRUE if f.predicate.holds(scene) else _FALSE
-            elif t is SceneConst:
-                r = _TRUE if _const_matches(scene, f.target, scene_tol) else _FALSE
+            if t is Atom or t is SceneConst:
+                if known:
+                    ok = known.pop()
+                else:
+                    ok = f.predicate.holds(scene) if t is Atom else _const_matches(scene, f.target, scene_tol)
+                    tested.append((f, ok))
+                r = _TRUE if ok else _FALSE
             elif t is Next:
                 r = settle(f.sub, d) if nxt <= horizon else _FALSE
             elif t is TrueFormula:

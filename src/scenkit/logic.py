@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -85,9 +86,10 @@ class ScenarioLogicInstance:
     by ``scene_distance`` (``formulas._values_match``). ``successors``
     maps a prefix (tuple of scenes) to the finite set of candidate next
     value tuples, in schema order; a step is admitted when its values
-    match one the same way, and no candidate becomes a Scene. A
-    candidate holding NaN or an infinity never matches, and a walk that
-    builds it as a child raises SchemaError. A box world (see
+    match one the same way, and no candidate becomes a Scene. A NaN
+    ``scene_tol`` is refused with RangeError. A candidate holding NaN or
+    an infinity never matches, and a walk that builds it as a child
+    raises SchemaError. A box world (see
     ``box_step``) admits steps by ``allows`` instead: a world sets
     ``allows`` exactly when it sets no successors.
     Monitoring does not search box worlds, and the walks that need
@@ -112,6 +114,8 @@ class ScenarioLogicInstance:
     def __post_init__(self):
         if self.horizon < 0:
             raise RangeError("horizon must be >= 0 steps")
+        if math.isnan(self.scene_tol):
+            raise RangeError("scene_tol must not be NaN")
 
     def grid(self, count: int) -> TimeGrid:
         return TimeGrid(self.step, count)
@@ -140,7 +144,12 @@ class AbstractScenario:
     instance: ScenarioLogicInstance
 
     def conjoined(self) -> Formula:
-        return conjoin((self.constraints, *self.world))
+        """The constraints and world formulas as one formula, built once and
+        kept, so that the progressions it memoizes live with the scenario."""
+        f = self.__dict__.get("_conjoined")
+        if f is None:
+            f = self.__dict__["_conjoined"] = conjoin((self.constraints, *self.world))
+        return f
 
 
 def _check_conforms(scenario: AbstractScenario, c: Trajectory) -> None:

@@ -484,6 +484,26 @@ def test_nan_from_any_writer_of_a_shared_dim_raises_schema_error():
         evaluate(AttributeLevelScenario(start, fam, TimeGrid(0.1, 5)))
 
 
+def _string_pos(ths, v):
+    return ([repr(0.5 * t) for t in ths],)
+
+
+def test_shared_writers_are_read_as_the_scene_check_reads_them():
+    # Values that the Scene check reads through ``float`` give the same
+    # trajectory from one writer and from two that agree.
+    alone = combine([custom(_string_pos, owns=("p",))], epsilon=0.1)
+    pair = combine(
+        [custom(_string_pos, owns=("p",)), custom(_string_pos, owns=("p",))],
+        epsilon=0.1,
+        shared=("p",),
+    )
+    start, grid = Scene(WIDE, (0.0,) * WIDE.k), TimeGrid(0.1, 5)
+    want = evaluate(AttributeLevelScenario(start, alone, grid))
+    assert [s["p"] for s in want.samples] == [0.5 * grid.t(i) for i in range(5)]
+    assert evaluate(AttributeLevelScenario(start, pair, grid)) == want
+    assert merge_loop_evaluate(AttributeLevelScenario(start, pair, grid)) == want
+
+
 @pytest.mark.parametrize("kind", MEMBER_KINDS)
 @settings(max_examples=100, deadline=None)
 @given(
@@ -530,7 +550,7 @@ def merge_loop_evaluate(scenario, allow_truncation=False):
         scene = Scene(schema, tuple(vals))
         for name in family.shared:
             vals = [
-                out[m.owned_names().index(name)][0]
+                float(out[m.owned_names().index(name)][0])
                 for m, out in zip(family.members, outputs)
                 if name in m.owned_names()
             ]

@@ -1,9 +1,12 @@
-"""Formula progression against the three-valued evaluator, deep formulas,
-and scene matching and predicates against their reference readings."""
+"""Formula progression against the three-valued evaluator, memoized
+progression against the walk, deep formulas, and scene matching and
+predicates against their reference readings."""
 
+import contextlib
 import copy
 import dataclasses
 import functools
+import gc
 import math
 import pickle
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scenkit.formulas as formulas_module
 from scenkit.core import (
     Scene,
     SceneSchema,
@@ -22,11 +26,13 @@ from scenkit.core import (
 )
 from scenkit.errors import RangeError, SchemaError
 from scenkit.formulas import (
+    _NODES,
     Always,
     And,
     Atom,
     Eventually,
     FalseFormula,
+    Formula,
     Next,
     Or,
     SceneConst,
@@ -61,10 +67,12 @@ _consts = st.builds(lambda v: SceneConst(Scene(LINE, (v,))), st.sampled_from(VAL
 _windows = st.one_of(st.none(), st.integers(1, 3))
 _ops = st.sampled_from([And, Or])
 _temporals = st.sampled_from([Eventually, Always])
-# The last three builds reuse a subformula under several paths.
-formulas = st.recursive(
-    st.one_of(st.just(TrueFormula()), st.just(FalseFormula()), _atoms, _consts),
-    lambda sub: st.one_of(
+_leaves = st.one_of(st.just(TrueFormula()), st.just(FalseFormula()), _atoms, _consts)
+
+
+def _connectives(sub):
+    # The last three builds reuse a subformula under several paths.
+    return st.one_of(
         st.builds(And, sub, sub),
         st.builds(Or, sub, sub),
         st.builds(Next, sub),
@@ -73,9 +81,10 @@ formulas = st.recursive(
         st.builds(lambda a, b, o, i: o(a, i(b, a)), sub, sub, _ops, _ops),
         st.builds(lambda a, t, w, o: o(t(a, w), Next(t(a, w))), sub, _temporals, _windows, _ops),
         st.builds(lambda a, t, w, o: o(t(a, w), t(t(a, w), w)), sub, _temporals, _windows, _ops),
-    ),
-    max_leaves=10,
-)
+    )
+
+
+formulas = st.recursive(_leaves, _connectives, max_leaves=10)
 
 
 def residual_verdict(residual) -> Verdict3:
@@ -105,6 +114,154 @@ def test_progression_verdict_equals_evaluate3_after_every_scene(f, horizon, valu
         # The residual at k means on the full trace what the formula means.
         assert evaluate3(r, samples, horizon, k, tol) is evaluate3(f, samples, horizon, 0, tol)
     assert residual_verdict(residuals[-1]) is not Verdict3.UNKNOWN
+
+
+# --- the progression memo ---------------------------------------------------------
+
+# Two atoms that raise SchemaError on a LINE scene: a predicate on a
+# dimension LINE lacks, and, for scene_tol > 0, a target of another schema.
+_MISSING = Atom(ScenePredicate((("w", 0.0, 1.0),)))
+_ELSEWHERE = SceneConst(Scene(schema_of(("v", "s")), (0.5,)))
+_memo_formulas = st.recursive(
+    _leaves | st.sampled_from((_MISSING, _ELSEWHERE)), _connectives, max_leaves=10
+)
+
+
+@contextlib.contextmanager
+def _logged_tests():
+    """The atom tests that progression makes, each logged before it runs."""
+    calls = []
+    holds, matches = ScenePredicate.holds, formulas_module._const_matches
+
+    def logged_holds(p, scene):
+        calls.append(("holds", id(p), id(scene)))
+        return holds(p, scene)
+
+    def logged_matches(scene, target, tol):
+        calls.append(("matches", id(target), id(scene), tol))
+        return matches(scene, target, tol)
+
+    ScenePredicate.holds, formulas_module._const_matches = logged_holds, logged_matches
+    try:
+        yield calls
+    finally:
+        ScenePredicate.holds, formulas_module._const_matches = holds, matches
+
+
+def _progression(step, f, samples, horizon, tol):
+    """Each residual of ``f`` over ``samples`` by ``step``, then the error
+    that ended them if one did; the atom tests made; and the walks run."""
+    walk, walks = formulas_module._walk, []
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    formulas_module._walk = counted
+    out, r = [], settle(f, horizon)
+    try:
+        with _logged_tests() as calls:
+            for k, scene in enumerate(samples):
+                r = step(r, scene, k, horizon, tol)
+                out.append(r)
+    except SchemaError as e:
+        out.append((type(e), str(e)))
+    finally:
+        formulas_module._walk = walk
+    return out, calls, len(walks)
+
+
+def _walk_alone(f, scene, position, horizon, tol):
+    return formulas_module._walk(f, scene, position, horizon, tol, [], [])
+
+
+@settings(max_examples=800, deadline=None)
+@given(
+    _memo_formulas,
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.lists(st.sampled_from(VALUES), min_size=5, max_size=5),
+            st.sampled_from([0.0, 0.3]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_memoized_progression_replays_the_walk(f, traces):
+    # Each trace twice: the later traces, at their own horizon and
+    # tolerance, branch off the paths the earlier ones added, and the
+    # second pass replays them.
+    for n, (horizon, values, tol) in enumerate(traces + traces):
+        samples = tuple(Scene(LINE, (v,)) for v in values[: horizon + 1])
+        want, want_calls, _ = _progression(_walk_alone, f, samples, horizon, tol)
+        got, got_calls, walks = _progression(progress, f, samples, horizon, tol)
+        assert got_calls == want_calls
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g is w if isinstance(w, Formula) else g == w
+        if n >= len(traces):
+            # Only a step that raises is walked again.
+            assert walks == (not isinstance(want[-1], Formula))
+
+
+def _memo_entries() -> int:
+    """The inner nodes and leaves of every live node's memo."""
+    gc.collect()
+    todo = [t for f in list(_NODES.values()) for t in f.__dict__.get("_memo", {}).values()]
+    n = 0
+    while todo:
+        t = todo.pop()
+        n += 1
+        if type(t) is list:
+            todo += [c for c in t[1:] if c is not None]
+    return n
+
+
+def test_the_memo_is_invisible():
+    f = And(Always(pred(v=(-0.75, 1.25))), Eventually(SceneConst(Scene(LINE, (0.375,))), 2))
+
+    def view():
+        return repr(f), hash(f), [pickle.dumps(f, p) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+    before = view()
+    r = settle(f, 3)
+    for k, v in enumerate((0.0, 0.5, 1.0, 1.25)):
+        r = progress(r, Scene(LINE, (v,)), k, 3, 0.3)
+    assert f.__dict__["_memo"] and view() == before
+    assert f == And(f.left, f.right) and f != f.left
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_a_repeated_word_replays_and_adds_no_memo_entry(monkeypatch):
+    # With a world formula, the formula monitored is a conjunction that
+    # only the scenario holds.
+    world = (Always(pred(v=(-0.625, 2.625))),)
+    scenario = AbstractScenario(Eventually(_at(2.0), 3), world, _walk_instance(3))
+    word = _word([0, 1, 2, 2])
+    assert monitor_word(word, scenario) is Verdict.ACCEPTED
+    entries = _memo_entries()
+
+    def walked(*args):
+        raise AssertionError("a repeated step was walked")
+
+    monkeypatch.setattr(formulas_module, "_walk", walked)
+    assert monitor_word(word, scenario) is Verdict.ACCEPTED
+    assert _memo_entries() == entries
+
+
+def test_an_atom_that_raises_leaves_no_memo_entry():
+    f = Or(_at(0.625), _MISSING)
+    with pytest.raises(SchemaError):
+        progress(f, Scene(LINE, (1.0,)), 0, 2)
+    assert not f.__dict__.get("_memo")
+    # v = 0.625 decides the Or before the missing name is read.
+    assert progress(f, Scene(LINE, (0.625,)), 0, 2) is TrueFormula()
+    entries = _memo_entries()
+    # The replayed test fails, and the walk from there raises.
+    with pytest.raises(SchemaError):
+        progress(f, Scene(LINE, (1.0,)), 0, 2)
+    assert _memo_entries() == entries
 
 
 # --- deep formulas ---------------------------------------------------------------

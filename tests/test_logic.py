@@ -181,6 +181,15 @@ def test_expand_composes():
     assert two == composed
 
 
+def test_a_nan_scene_tol_is_refused():
+    schema = schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
+    start = Scene(schema, (0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(RangeError, match="scene_tol must not be NaN"):
+        logic.quantized_motion_instance(schema, [0.0], 1.0, 2, [start], snap_tol=float("nan"))
+    with pytest.raises(RangeError, match="scene_tol must not be NaN"):
+        dataclasses.replace(binary_scenarios(2).instance, scene_tol=float("nan"))
+
+
 def test_expand_beyond_horizon_raises():
     A = binary_scenarios(3)
     c = as_traj(A.instance, [0, 1, 1])
