@@ -21,6 +21,7 @@ flow autonomous on the extended state.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import random
 from dataclasses import dataclass, field
@@ -222,6 +223,11 @@ def _walk(
     for name in family.shared:
         d = family.schema.index(name)
         writers = [out[m._owned.index(d)] for m, out in zip(family.members, outputs) if d in m._owned]
+        # Fast accept: equal columns of finite values cannot fault. Any
+        # other case, a test that raises included, is left to the scan.
+        with contextlib.suppress(Exception):
+            if all(w == writers[0] for w in writers) and all(map(math.isfinite, writers[0])):
+                continue
         # Only rows before an earlier dimension's fault are scanned, and
         # each value is read through ``float``, as the Scene check reads it.
         rows = zip(*[map(float, w) for w in writers])

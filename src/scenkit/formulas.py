@@ -424,7 +424,8 @@ def progress(
     walk reads the scene only through its atom tests, so a replay tests
     the same atoms in the same order, raises what they raise and returns
     the same residual object. A missing branch runs the walk once, from
-    the outcomes replayed; a walk that raises adds nothing.
+    the outcomes replayed; a walk that raises adds nothing. A NaN
+    ``scene_tol`` equals no key, so it is refused with RangeError.
     """
     memo = formula.__dict__.setdefault("_memo", {})
     # A trie node is [atom, branch if false, branch if true], a leaf the
@@ -439,6 +440,8 @@ def progress(
         node = node[slot]
     if node is not None:
         return node
+    if math.isnan(scene_tol):
+        raise RangeError("scene_tol must not be NaN")
     outcomes.reverse()
     tested: list[tuple[Formula, bool]] = []
     r = _walk(formula, scene, position, horizon, scene_tol, outcomes, tested)

@@ -25,7 +25,8 @@ identity. Paths are read off the DAG depth-first, a draw unranks
 its index through the counts, and enumeration's guard bounds the
 accepted leaves before any trajectory is built. The uniform-branch and
 rejection samplers walk the same merged states, computing each state's
-children once per call.
+children once per scenario: the table lives as long as the
+``AbstractScenario``, and each call may add count × (horizon + 1) states.
 """
 
 from __future__ import annotations
@@ -449,11 +450,15 @@ def sample_abstract(
     Attempt i walks with its own generator, seeded by
     ``derive_seed(rng_seed, i)``. On a Markov instance the two walks go
     over the states that counting and enumeration merge (depth, residual,
-    last scene): each state's children are computed once per call, in the
-    order ``_children`` gives them, so a draw picks the same child as a
-    walk that recomputes them at every step. At most count × (horizon + 1)
-    states are kept, for the length of the call. A rejection walk carries the constraints' residual next to
-    the world's, so a leaf is checked without progressing its path again.
+    last scene): each state's children are computed once, in the order
+    ``_children`` gives them, so a draw picks the same child as a walk
+    that recomputes them at every step. They are kept in one table per
+    scenario, which lives and dies with it and which both strategies
+    share (a rejection state carries two residuals, so their keys never
+    meet); a call adds at most count × (horizon + 1) states, so a
+    repeated draw costs only its walk. A rejection walk carries the
+    constraints' residual next to the world's, so a leaf is checked
+    without progressing its path again.
     """
     if count < 1:
         raise RangeError("count must be >= 1")
@@ -506,7 +511,10 @@ def sample_abstract(
             for p, r in kids
         ]
 
-    states = _States(count * inst.full_length()) if inst.markov else None
+    states = None
+    if inst.markov:
+        states = scenario.__dict__.setdefault("_walks", _States(0))
+        states.cap = len(states.memo) + count * inst.full_length()
     out: list[Trajectory] = []
     attempts = 0
     while len(out) < count:

@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenkit import dynamics
 from scenkit.core import Scene, TimeGrid, Trajectory, schema_of
 from scenkit.dynamics import (
     CONTRADICTION_TOL,
@@ -658,3 +661,85 @@ def test_the_contradicting_row_is_checked_before_the_scan():
         want = outcome(lambda: merge_loop_evaluate(scenario, allow))
         assert want[:2] == ("raised", SchemaError)
         assert outcome(lambda: evaluate(scenario, allow)) == want
+
+
+#: What a writer of a shared dimension may hold at its fault row, or from
+#: it on: a value that disagrees or agrees within the tolerance, one that
+#: is not finite, one that is no number, and numbers of other types.
+SHARED_FAULTS = {
+    "disagree": lambda x: x + 1.0,
+    "within-tol": lambda x: x + CONTRADICTION_TOL / 2,
+    "nan": lambda x: math.nan,
+    "inf": lambda x: math.inf,
+    "-inf": lambda x: -math.inf,
+    "text": lambda x: "x",
+    "none": lambda x: None,
+    "numeric-text": repr,
+    "fraction": Fraction,
+    "int": lambda x: int(x) if x.is_integer() else x,
+}
+
+
+@st.composite
+def shared_writers(draw):
+    """Two or three members writing the shared ``p`` as lists or tuples,
+    each agreeing with 0.5 t except where its fault, if any, hits; often
+    every member alike, so that their columns are equal."""
+    spec = st.tuples(
+        st.sampled_from([None, *sorted(SHARED_FAULTS)]),
+        st.integers(0, 6).map(lambda i: i * 0.25),
+        st.booleans(),
+        st.sampled_from([list, tuple]),
+    )
+    specs = [draw(spec) for _ in range(draw(st.integers(2, 3)))]
+    if draw(st.booleans()):
+        specs = [specs[0]] * len(specs)
+    members = []
+    for k, (fault, at, alone, kind) in enumerate(specs):
+        fault = SHARED_FAULTS.get(fault)
+
+        def evolve(ths, v, fault=fault, at=at, alone=alone, kind=kind):
+            hit = (lambda th: th == at) if alone else (lambda th: th >= at)
+            return (kind(fault(0.5 * th) if fault and hit(th) else 0.5 * th for th in ths),)
+
+        members.append(DeterministicModel(f"w{k}", WIDE, math.inf, evolve, owns=("p",)))
+    family = combine(members, epsilon=0.1, shared=("p",))
+    grid = TimeGrid(0.25, draw(st.integers(1, 7)))
+    return AttributeLevelScenario(Scene(WIDE, (0.0,) * WIDE.k), family, grid)
+
+
+def scanning_walk(scenario):
+    """``dynamics._walk`` on a family of unbounded domain, with every
+    shared dimension scanned row by row: the walk without its fast accept."""
+    family, grid = scenario.family, scenario.grid
+    thetas = [i * grid.step for i in range(grid.count)]
+    merged, outputs = dynamics._merged(family.members, thetas, scenario.start.values)
+    stop, fault = grid.count, None
+    for name in family.shared:
+        d = family.schema.index(name)
+        writers = [out[m._owned.index(d)] for m, out in zip(family.members, outputs) if d in m._owned]
+        rows = zip(*[map(float, w) for w in writers])
+        for i, vals in zip(range(stop if len(writers) > 1 else 0), rows):
+            finite = all(map(math.isfinite, vals))
+            if not finite or max(vals) - min(vals) > CONTRADICTION_TOL:
+                stop, fault = i, (i, name, finite)
+                break
+    return merged, fault
+
+
+@settings(max_examples=400, deadline=None)
+@given(shared_writers(), st.booleans())
+def test_shared_writers_fault_as_the_row_scan_finds(scenario, allow):
+    # Equal columns of finite values skip the shared-dimension scan; every
+    # other case must raise, truncate or pass as the scan alone does, and
+    # the walk must report the fault the scan reports.
+    def walked(walk):
+        try:
+            return walk(scenario)
+        except Exception as exc:  # noqa: BLE001 - any error must match
+            return type(exc), str(exc)
+
+    assert walked(dynamics._walk) == walked(scanning_walk)
+    got = outcome(lambda: evaluate(scenario, allow))
+    with mock.patch.object(dynamics, "_walk", scanning_walk):
+        assert got == outcome(lambda: evaluate(scenario, allow))

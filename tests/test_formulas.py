@@ -264,6 +264,18 @@ def test_an_atom_that_raises_leaves_no_memo_entry():
     assert _memo_entries() == entries
 
 
+def test_a_nan_scene_tol_is_refused_and_leaves_no_memo_entry():
+    f = Always(pred(v=(0.125, 9.0)))
+    scene = Scene(LINE, (1.0,))
+    entries = _memo_entries()
+    nan = float("nan")
+    # A fresh NaN each time, and one NaN object again and again.
+    for tol in [float("nan") for _ in range(5)] + [nan] * 5:
+        with pytest.raises(RangeError, match="scene_tol must not be NaN"):
+            progress(f, scene, 0, 3, tol)
+    assert _memo_entries() == entries
+
+
 # --- deep formulas ---------------------------------------------------------------
 
 DEPTH = 10_000

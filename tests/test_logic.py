@@ -805,26 +805,53 @@ def test_memoized_walks_keep_states_with_different_residuals_apart(A, strategy):
 
 
 @pytest.mark.parametrize("strategy", ["uniform-branch", "rejection"])
-def test_memoized_walks_past_the_memo_cap_draw_the_same(strategy, monkeypatch):
-    import scenkit.logic as logic
-
-    memos = []
-
-    class Spy(logic._States):
-        def __init__(self, cap):
-            super().__init__(cap)
-            memos.append(self)
-
-    monkeypatch.setattr(logic, "_States", Spy)
+def test_memoized_walks_past_the_memo_cap_draw_the_same(strategy):
     d0 = schema_of(("d0", "dimensionless"))
     inst = delta_step_instance(d0, [(-1.0,), (0.0,), (1.0,)], 1.0, 8, [Scene(d0, (0.0,))])
     # Rarely met, so rejection walks many distinct states before two draws.
     constraint = And(Always(Atom(ScenePredicate((("d0", -3.0, 3.0),)))),
                      Eventually(Atom(ScenePredicate((("d0", 3.0, 3.0),)))))
     A = AbstractScenario(constraint, (), inst)
-    assert sample_abstract(A, 2, strategy, 5) == _per_node_walk(A, 2, strategy, 5)
-    (memo,) = memos
-    assert len(memo.memo) == memo.cap == 2 * 9
+    sizes = [0]
+    for count, seed in ((2, 5), (1, 6), (3, 7), (2, 5), (1, 8)):
+        assert sample_abstract(A, count, strategy, seed) == _per_node_walk(A, count, strategy, seed)
+        sizes.append(len(A.__dict__["_walks"].memo))
+        # A call adds at most count x (horizon + 1) states to the table.
+        assert sizes[-1] - sizes[-2] <= count * 9
+    # The first call stops at its bound and walks past it; later calls
+    # add to the same table.
+    assert sizes[1] == 2 * 9 < sizes[-1]
+
+
+@given(
+    small_instances(max_horizon=4),
+    st.booleans(),
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["uniform-leaf", "uniform-branch", "rejection"]),
+            st.integers(1, 6),
+            st.integers(0, 2**31),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_kept_scenario_draws_what_fresh_scenarios_draw(case, boxed, markov, calls, data):
+    inst, _ = case
+    inst = dataclasses.replace(with_dead_ends(inst) if boxed else inst, markov=markov)
+    formulas = every_node_formulas(inst.schema)
+    A = AbstractScenario(
+        data.draw(formulas), tuple(data.draw(st.lists(formulas, max_size=2))), inst
+    )
+    for strategy, count, seed in calls:
+        args = (count, strategy, seed)
+        fresh = dataclasses.replace(A)
+        assert _outcome(sample_abstract, A, *args, max_attempts=40) == _outcome(
+            sample_abstract, fresh, *args, max_attempts=40
+        )
 
 
 def test_memoized_walks_compute_each_state_once(monkeypatch):
