@@ -26,10 +26,12 @@ horizon bound it, not the number of scenes.
 
 A scene matches a ``SceneConst`` target, as it matches the start set
 and the successors' value tuples of a logic instance, through
-``_values_match``: an equal value tuple matches without a distance, and
-otherwise a target within ``scene_tol`` by ``scene_distance``. A
-``ScenePredicate`` reads scene values by index, resolved from its names
-once per schema.
+``_values_match``: an equal value tuple matches without a distance; a
+target one coordinate of which alone puts it past 2 * ``scene_tol``
+(compared squared, while that square is a normal float) is ruled out
+without one; any other matches when within ``scene_tol`` by
+``scene_distance``. A ``ScenePredicate`` reads scene values by index,
+resolved from its names once per schema.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import enum
 import inspect
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
@@ -257,15 +260,33 @@ def _values_match(
     That decides as testing each candidate in order as a Scene, where one
     that is no valid Scene never matches: another length, NaN or an
     infinity (an infinite distance counts only for a finite candidate,
-    one past the largest float away)."""
+    one past the largest float away).
+
+    A candidate is ruled out unmeasured when one coordinate difference
+    ``d`` has ``d * d > far``, for ``far = (2 * tol)²``. Its distance is
+    then above ``tol``: the squares, their sum of non-negative terms and
+    ``sqrt`` all round monotonically, and the factor 2 absorbs their
+    rounding errors, those of a compensated ``sum`` (Python 3.12) and of
+    a ``**`` one ulp off included. The rule applies only while ``far`` is
+    a normal float. Below that, squares lose precision or underflow to
+    0.0 (``scene_distance`` puts (0,) and (1e-200,) at 0.0), so every
+    candidate is measured. Any other candidate is decided by its
+    distance as above."""
     if values in candidates:
         return True
     if tol <= 0.0:
         return False
+    far = 4.0 * tol * tol
+    if far < sys.float_info.min:
+        far = math.inf
     for c in candidates:
-        d = _values_distance(values, c)
-        if d <= tol and len(c) == len(values) and (d < math.inf or all(map(math.isfinite, c))):
-            return True
+        for x, y in zip(values, c):
+            if (x - y) * (x - y) > far:
+                break
+        else:
+            d = _values_distance(values, c)
+            if d <= tol and len(c) == len(values) and (d < math.inf or all(map(math.isfinite, c))):
+                return True
     return False
 
 

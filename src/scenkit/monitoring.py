@@ -20,9 +20,12 @@ A given trace is decided in one forward pass: each scene is admitted
 and the formula is progressed by it (see ``formulas.progress``).
 Successors yield value tuples, and a scene is admitted by comparing its
 values with them (``formulas._values_match``), so the pass builds no
-Scene. The pass stops at the first inadmissible scene or the first
-FALSE residual, which is the word problem's violation index, and
-otherwise hands its residual to the prefix problem. One bounded
+Scene: an equal tuple admits it unmeasured, a candidate one coordinate
+of which is more than 2 * ``scene_tol`` off is ruled out unmeasured, and
+only the rest have their distance measured. The pass stops at the
+first inadmissible scene or the first FALSE residual, which is the word
+problem's violation index, and otherwise hands its residual to the
+prefix problem. One bounded
 depth-first search below the prefix decides the rest. It starts from
 that residual and carries one in every node, so a node costs one scene:
 each candidate it progresses is built as a Scene, and a candidate

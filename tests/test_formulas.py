@@ -431,13 +431,34 @@ def _outcome(match, *args):
         return "SchemaError", str(exc)
 
 
+#: Fixed tolerances: ordinary ones; ones whose (2·tol)² is subnormal or
+#: 0.0 (5e-324, 1e-300, 1e-160); one whose (2·tol)² is normal and tol²
+#: is not (1e-154); and inf.
+_FIXED_TOLS = (-1.0, 0.0, 5e-324, 1e-300, 1e-160, 1e-154, 1e-9, 0.5, 1.0, math.inf)
+#: Coordinate differences whose squares underflow (to 0.0 below about
+#: 1.5e-162) or overflow.
+_EXTREME_STEPS = (1.1e-212, 1e-200, 1e-170, 2e-162, 1e-160, 1e-154, 1e160, 1e200, 1e300)
+
+
 def _tolerances(scene, candidates):
     """Tolerances next to a candidate's distance, as well as fixed ones."""
     near = [scene_distance(scene, c) for c in candidates] or [1.0]
     beside = st.sampled_from(near).flatmap(
         lambda d: st.sampled_from((d, math.nextafter(d, math.inf), math.nextafter(d, -math.inf)))
     )
-    return st.sampled_from((-1.0, 0.0, 1e-9, 0.5, 1.0, math.inf)) | beside
+    return st.sampled_from(_FIXED_TOLS) | beside
+
+
+def _nudged(values, tol):
+    """Finite tuples that differ from ``values`` in one coordinate by half,
+    one or two times ``tol`` or a float one ulp either side of these, or
+    by an ``_EXTREME_STEPS`` difference."""
+    steps = [math.nextafter(k * tol, to) for k in (0.5, 1.0, 2.0) for to in (-math.inf, k * tol, math.inf)]
+    out = []
+    for i, x in enumerate(values):
+        for d in (*steps, *_EXTREME_STEPS):
+            out += [values[:i] + (y,) + values[i + 1 :] for y in (x + d, x - d) if math.isfinite(y)]
+    return st.sampled_from(out)
 
 
 @settings(max_examples=400, deadline=None)
@@ -446,19 +467,37 @@ def test_value_admission_decides_as_the_in_order_test(data):
     # The reference builds each candidate's Scene in order and tests its
     # distance; a candidate that is no valid Scene (NaN, an infinity, the
     # wrong length) never matches.
-    scene = Scene(PAIR, data.draw(_pairs))
-    candidates = tuple(data.draw(st.lists(st.just(scene.values) | _raw_pairs, max_size=5)))
+    scene = Scene(PAIR, data.draw(_pairs | st.just((0.0, 0.0))))
+    near = data.draw(st.sampled_from(_FIXED_TOLS))
+    candidates = tuple(
+        data.draw(st.lists(st.just(scene.values) | _raw_pairs | _nudged(scene.values, near), max_size=5))
+    )
     valid = []
     for c in candidates:
         try:
             valid.append(Scene(PAIR, c))
         except SchemaError:
             pass
-    tol = data.draw(_tolerances(scene, valid))
+    tol = data.draw(st.just(near) | _tolerances(scene, valid))
     inst = ScenarioLogicInstance(
         "pairs", PAIR, 1.0, 1, (scene,), lambda p: candidates, scene_tol=tol
     )
     assert inst.allows_step((scene,), scene) == _matches_in_order(scene, valid, tol)
+
+
+@pytest.mark.parametrize("tol, measured", ((0.5, 3), (1e-6, 3), (1e-154, 3), (1e-160, 5)))
+def test_value_admission_measures_what_no_coordinate_rules_out(monkeypatch, tol, measured):
+    # A candidate is skipped unmeasured when one coordinate difference
+    # squared passes (2·tol)², while that is a normal float; below the
+    # normal floats (tol = 1e-160) every candidate is measured. No
+    # candidate here is within tol.
+    calls = []
+    distance = formulas_module._values_distance
+    monkeypatch.setattr(formulas_module, "_values_distance", lambda a, b: calls.append(b) or distance(a, b))
+    within = ((1.5 * tol, 0.0), (0.0, -2.0 * tol), (2.0 * tol, 2.0 * tol))
+    beyond = ((3.0 * tol, 0.0), (0.0, -10.0 * tol))
+    assert not formulas_module._values_match((0.0, 0.0), within + beyond, tol)
+    assert len(calls) == measured
 
 
 @pytest.mark.parametrize("tol", (0.0, 0.5, math.inf))
@@ -476,10 +515,11 @@ def test_a_candidate_that_is_no_valid_scene_never_matches(tol):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_scene_const_decides_and_raises_as_the_in_order_test(data):
-    scene = Scene(PAIR, data.draw(_pairs))
+    scene = Scene(PAIR, data.draw(_pairs | st.just((0.0, 0.0))))
     schema = data.draw(st.sampled_from((PAIR, PAIR, PAIR_TWIN, PAIR_OTHER)))
-    target = Scene(schema, data.draw(st.just(scene.values) | _pairs))
-    tol = data.draw(_tolerances(scene, [target] if schema is PAIR else []))
+    near = data.draw(st.sampled_from(_FIXED_TOLS))
+    target = Scene(schema, data.draw(st.just(scene.values) | _pairs | _nudged(scene.values, near)))
+    tol = data.draw(st.just(near) | _tolerances(scene, [target] if schema is PAIR else []))
     want = _outcome(_matches_in_order, scene, (target,), tol)
     const = SceneConst(target)
     assert _outcome(lambda: progress(const, scene, 0, 0, tol) is TrueFormula()) == want

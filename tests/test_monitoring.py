@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenkit import dsl, monitoring
+from scenkit import dsl, formulas, logic, monitoring
 from scenkit.core import Scene, Trajectory, prefix, schema_of
 from scenkit.errors import HorizonError, LengthError, SchemaError
 from scenkit.formulas import (
@@ -83,6 +83,79 @@ def test_word_monitoring_builds_no_scene(monkeypatch):
     for word in words:
         assert monitor_word(word, A) is Verdict.ACCEPTED
     assert built == []
+
+
+def test_word_admission_measures_few_distances(monkeypatch):
+    # The quantized accelerations put all but one successor 0.2 m/s away
+    # in a velocity, far past scene_tol, so one coordinate rules them out
+    # unmeasured. Measuring every candidate not equal to the scene took
+    # 264 distances on the stop word and 710 on the straight one.
+    calls = []
+    distance = formulas._values_distance
+    monkeypatch.setattr(formulas, "_values_distance", lambda a, b: calls.append(b) or distance(a, b))
+    A = reach_or_stop_scenario()
+    assert monitor_word(stop_at_origin_trajectory(), A) is Verdict.ACCEPTED
+    assert len(calls) <= 2
+    calls.clear()
+    assert monitor_word(straight_drive_trajectory(), A) is Verdict.ACCEPTED
+    assert len(calls) <= 100
+
+
+def _measuring_every_candidate(values, candidates, tol):
+    """The value matcher without the one-coordinate rejection: every
+    candidate that is not an equal tuple is measured."""
+    if values in candidates:
+        return True
+    if tol <= 0.0:
+        return False
+    for c in candidates:
+        d = formulas._values_distance(values, c)
+        if d <= tol and len(c) == len(values) and (d < math.inf or all(map(math.isfinite, c))):
+            return True
+    return False
+
+
+def _nudged(word, by, coordinate):
+    """The word with coordinate ``coordinate(i)`` of each scene i moved by
+    ``by``; a scene with coordinate None stays."""
+    samples = []
+    for i, s in enumerate(word.samples):
+        values = list(s.values)
+        if coordinate(i) is not None:
+            values[coordinate(i)] += by
+        samples.append(Scene(s.schema, tuple(values)))
+    return Trajectory(word.schema, word.grid, tuple(samples))
+
+
+def _monitored(word, A):
+    """The word's verdict and violation index, its prefix verdicts at
+    several lengths, and a stream monitor's verdict after every step."""
+    report = monitor_word_report(word, A)
+    prefixes = [
+        monitor_prefix(Trajectory(word.schema, A.instance.grid(n), word.samples[:n]), A)
+        for n in (1, 2, 3, 50, 131, 132, 200, 201)
+    ]
+    stream = StreamMonitor(A)
+    steps = [stream.step(s) for s in word.samples]
+    return report.verdict, report.violation_index, prefixes, steps
+
+
+@pytest.mark.parametrize("k", (0, 0.5, 1, 1.5, 2, 2.5, 3))
+def test_one_coordinate_rejection_decides_as_measuring_every_candidate(monkeypatch, k):
+    # Scenes moved by k * snap_tol: near scene_tol, the admission of a
+    # step and the match of a scene constant turn on the measured
+    # distance. Moving every scene, each in another coordinate, moves
+    # every step; moving x from scene 100 on moves one step and the
+    # scenes the targets are matched against.
+    A = reach_or_stop_scenario()
+    for word in (stop_at_origin_trajectory(), straight_drive_trajectory(), wrong_start_trajectory()):
+        for coordinate in (lambda i: i % 4, lambda i: 0 if i >= 100 else None):
+            nudged = _nudged(word, k * A.instance.scene_tol, coordinate)
+            got = _monitored(nudged, A)
+            with monkeypatch.context() as m:
+                m.setattr(formulas, "_values_match", _measuring_every_candidate)
+                m.setattr(logic, "_values_match", _measuring_every_candidate)
+                assert _monitored(nudged, A) == got
 
 
 def test_word_requires_full_length():
