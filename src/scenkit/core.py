@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import GridAlignmentError, RangeError, SchemaError
@@ -238,12 +239,10 @@ def _check_same_schema(a_schema: SceneSchema, b_schema: SceneSchema) -> None:
 
 
 def _values_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    """Euclidean distance between two value tuples, inf when a square
-    passes the largest float; schemas are the caller's to check."""
-    try:
-        return math.sqrt(sum([(x - y) ** 2 for x, y in zip(a, b)]))
-    except OverflowError:
-        return math.inf
+    """Euclidean distance between two value tuples by ``math.hypot``, which
+    scales before it squares, so it neither overflows nor underflows (inf
+    only past the largest float); schemas are the caller's to check."""
+    return math.hypot(*map(sub, a, b))
 
 
 def scene_distance(a: Scene, b: Scene) -> float:
@@ -254,26 +253,17 @@ def scene_distance(a: Scene, b: Scene) -> float:
 
 def _sup_distance(schema: SceneSchema, grid: TimeGrid, columns: Iterable, b: Trajectory) -> float:
     """``trajectory_distance`` from float columns on ``schema`` and ``grid``
-    to ``b``: one square root of the largest squared scene distance, as
-    ``sqrt`` is correctly rounded and monotone; inf when a square passes the
-    largest float. The squares are formed one dimension at a time and each
-    row's are added by ``sum`` in dimension order: the same sum, bit for
-    bit, as a row-by-row distance. Adding whole columns with ``+`` would
-    round differently from ``sum``, which is compensated since Python 3.12."""
+    to ``b``: the largest ``hypot`` of a row's differences, the same bits
+    as a row-by-row ``scene_distance``."""
     _check_same_schema(schema, b.schema)
     if grid != b.grid:
         raise GridAlignmentError("trajectories live on different grids")
     b_columns = zip(*[s.values for s in b.samples])
-    try:
-        squares = [[(u - v) ** 2 for u, v in zip(x, y)] for x, y in zip(columns, b_columns)]
-        return math.sqrt(max(map(sum, zip(*squares))))
-    except OverflowError:
-        return math.inf
+    return max(map(math.hypot, *[map(sub, x, y) for x, y in zip(columns, b_columns)]))
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
-    """Sup over grid points of the scene distance: squares per dimension,
-    added per row by ``sum`` (``_sup_distance`` says why not by ``+``)."""
+    """Sup over grid points of the scene distance."""
     return _sup_distance(a.schema, a.grid, zip(*[s.values for s in a.samples]), b)
 
 

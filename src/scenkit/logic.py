@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -87,12 +86,12 @@ class ScenarioLogicInstance:
     by ``scene_distance`` (``formulas._values_match``). ``successors``
     maps a prefix (tuple of scenes) to the finite set of candidate next
     value tuples, in schema order; a step is admitted when its values
-    match one the same way, and no candidate becomes a Scene. A NaN
-    ``scene_tol`` is refused with RangeError. A candidate holding NaN or
-    an infinity never matches, and a walk that builds it as a child
-    raises SchemaError. A box world (see
-    ``box_step``) admits steps by ``allows`` instead: a world sets
-    ``allows`` exactly when it sets no successors.
+    match one the same way, and no candidate becomes a Scene. A NaN or
+    negative ``scene_tol`` is refused with RangeError. A candidate holding
+    NaN or an infinity never matches, and a walk that builds it as a
+    child raises SchemaError. A box world (see ``box_step``) admits steps
+    by ``allows`` instead: a world sets ``allows`` exactly when it sets no
+    successors.
     Monitoring does not search box worlds, and the walks that need
     successors refuse them.
     The formula is the only acceptance condition. Full-length paths have
@@ -115,8 +114,8 @@ class ScenarioLogicInstance:
     def __post_init__(self):
         if self.horizon < 0:
             raise RangeError("horizon must be >= 0 steps")
-        if math.isnan(self.scene_tol):
-            raise RangeError("scene_tol must not be NaN")
+        if not self.scene_tol >= 0:
+            raise RangeError(f"scene_tol must not be NaN or negative, got {self.scene_tol}")
 
     def grid(self, count: int) -> TimeGrid:
         return TimeGrid(self.step, count)

@@ -20,12 +20,12 @@ A given trace is decided in one forward pass: each scene is admitted
 and the formula is progressed by it (see ``formulas.progress``).
 Successors yield value tuples, and a scene is admitted by comparing its
 values with them (``formulas._values_match``), so the pass builds no
-Scene: an equal tuple admits it unmeasured, a candidate one coordinate
-of which is more than 2 * ``scene_tol`` off is ruled out unmeasured, and
-only the rest have their distance measured. The pass stops at the
-first inadmissible scene or the first FALSE residual, which is the word
-problem's violation index, and otherwise hands its residual to the
-prefix problem. One bounded
+Scene: an equal tuple admits it unmeasured, a candidate more than
+``scene_tol`` off in one coordinate is ruled out unmeasured (``hypot``
+is never below its largest |argument|), and only the rest have their
+distance measured. The pass stops at the first inadmissible scene or
+the first FALSE residual, which is the word problem's violation index,
+and otherwise hands its residual to the prefix problem. One bounded
 depth-first search below the prefix decides the rest. It starts from
 that residual and carries one in every node, so a node costs one scene:
 each candidate it progresses is built as a Scene, and a candidate
@@ -93,7 +93,13 @@ def _scan(scenario: AbstractScenario, samples: Path) -> tuple[int | None, str, F
     return None, "accepted", r
 
 
-def _word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
+def monitor_word(c: Trajectory, scenario: AbstractScenario) -> Verdict:
+    """Decide whether a full-length trajectory belongs to the scenario."""
+    return monitor_word_report(c, scenario).verdict
+
+
+def monitor_word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
+    """Word verdict plus, for a rejection, the first violation's index."""
     inst = scenario.instance
     _check_conforms(scenario, c)
     if len(c.samples) != inst.full_length():
@@ -106,16 +112,6 @@ def _word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
     index, reason, _ = _scan(scenario, c.samples)
     verdict = Verdict.ACCEPTED if index is None else Verdict.REJECTED
     return WordReport(verdict, index, reason)
-
-
-def monitor_word(c: Trajectory, scenario: AbstractScenario) -> Verdict:
-    """Decide whether a full-length trajectory belongs to the scenario."""
-    return _word_report(c, scenario).verdict
-
-
-def monitor_word_report(c: Trajectory, scenario: AbstractScenario) -> WordReport:
-    """Word verdict plus, for a rejection, the first violation's index."""
-    return _word_report(c, scenario)
 
 
 def _decide(inst: ScenarioLogicInstance, roots: list[Node]) -> Verdict3:

@@ -3,9 +3,10 @@ import dataclasses
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenkit.core import (
@@ -360,33 +361,80 @@ def test_trajectory_distance_is_the_max_scene_distance(rows, identical):
         assert got == 0.0
 
 
-def test_distances_overflow_to_inf(line):
-    # (1e200 - -1e200) ** 2 passes the largest float.
-    a, b = Scene(line, (1e200,)), Scene(line, (-1e200,))
+def test_distances_overflow_to_inf():
+    # Two coordinates each 1.5e308 off: the distance, about 2.1e308,
+    # passes the largest float.
+    pair = schema_of(("x", "m"), ("y", "m"))
+    a, b = Scene(pair, (1.5e308, 0.0)), Scene(pair, (0.0, -1.5e308))
     assert scene_distance(a, b) == math.inf
-    far = make_trajectory(line, [[0.0], [1e200]])
-    near = make_trajectory(line, [[0.0], [-1e200]])
+    far = make_trajectory(pair, [[0.0, 0.0], [1.5e308, 0.0]])
+    near = make_trajectory(pair, [[0.0, 0.0], [0.0, -1.5e308]])
     assert trajectory_distance(far, near) == math.inf
     assert trajectory_distance(far, far) == 0.0
 
 
-def _generator_distance(a, b):
-    """``scene_distance`` summed over a generator: the reference it must match."""
-    try:
-        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.values, b.values)))
-    except OverflowError:
-        return math.inf
+def test_distances_neither_overflow_nor_underflow_short_of_the_float_range(line):
+    # Differences whose squares would pass the largest float, or fall
+    # below the smallest subnormal.
+    assert scene_distance(Scene(line, (1e200,)), Scene(line, (-1e200,))) == 2e200
+    assert scene_distance(Scene(line, (0.0,)), Scene(line, (1e-200,))) == 1e-200
+    pair = schema_of(("x", "m"), ("y", "m"))
+    assert scene_distance(Scene(pair, (0.0, 0.0)), Scene(pair, (3e-200, 4e-200))) == 5e-200
+    near = make_trajectory(line, [[0.0], [1e-200]])
+    assert trajectory_distance(near, make_trajectory(line, [[0.0], [0.0]])) == 1e-200
 
 
-wide = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False) | finite
+#: Scale of the exact reference: 2**-_EXACT_BITS is far below the
+#: smallest subnormal, 2**-1074.
+_EXACT_BITS = 1200
+
+
+def _exact_distance_bracket(a, b):
+    """Rationals lo <= d < hi, hi - lo = 2**-_EXACT_BITS, around the exact
+    Euclidean distance d of two scenes: the differences and their squares
+    as Fractions, and the square root by ``math.isqrt`` on a scaled
+    integer."""
+    s = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(a.values, b.values))
+    r = math.isqrt((s.numerator << (2 * _EXACT_BITS)) // s.denominator)
+    return Fraction(r, 1 << _EXACT_BITS), Fraction(r + 1, 1 << _EXACT_BITS)
+
+
+wide = (
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+    | st.floats(min_value=-1e-300, max_value=1e-300)
+    | finite
+)
 
 
 @given(st.lists(st.tuples(wide, wide), min_size=1, max_size=6))
-def test_scene_distance_matches_the_generator_sum(pairs):
+def test_scene_distance_is_within_one_ulp_of_the_exact_distance(pairs):
+    # The float below the result is below the exact distance and the one
+    # above it above: the result is one of the two floats around it, or
+    # the distance itself when that is a float.
     schema = schema_of(*((f"d{i}", "m") for i in range(len(pairs))))
     a = Scene(schema, tuple(p[0] for p in pairs))
     b = Scene(schema, tuple(p[1] for p in pairs))
-    assert scene_distance(a, b).hex() == _generator_distance(a, b).hex()
+    got = scene_distance(a, b)
+    lo, hi = _exact_distance_bracket(a, b)
+    assert Fraction(math.nextafter(got, -math.inf)) < lo
+    assert hi <= Fraction(math.nextafter(got, math.inf))
+
+
+def _scaled(mantissa, exponent, negative):
+    return math.copysign(math.ldexp(mantissa, exponent), -1.0 if negative else 1.0)
+
+
+#: Floats of every binade, subnormals and zero included.
+any_magnitude = st.builds(
+    _scaled, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023), st.booleans()
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=2000)
+@given(st.lists(any_magnitude, min_size=1, max_size=6))
+def test_hypot_is_never_below_its_largest_argument(d):
+    # The one-coordinate rule of ``formulas._values_match`` rests on this.
+    assert math.hypot(*d) >= max(map(abs, d))
 
 
 def test_trajectory_distance_grid_mismatch(plane):

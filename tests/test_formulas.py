@@ -431,9 +431,9 @@ def _outcome(match, *args):
         return "SchemaError", str(exc)
 
 
-#: Fixed tolerances: ordinary ones; ones whose (2·tol)² is subnormal or
-#: 0.0 (5e-324, 1e-300, 1e-160); one whose (2·tol)² is normal and tol²
-#: is not (1e-154); and inf.
+#: Fixed tolerances: a negative one and 0.0; ones whose squares are
+#: subnormal or 0.0 (5e-324, 1e-300, 1e-160, 1e-154), where a distance
+#: taken by squares would lose tiny differences; ordinary ones; and inf.
 _FIXED_TOLS = (-1.0, 0.0, 5e-324, 1e-300, 1e-160, 1e-154, 1e-9, 0.5, 1.0, math.inf)
 #: Coordinate differences whose squares underflow (to 0.0 below about
 #: 1.5e-162) or overflow.
@@ -479,25 +479,47 @@ def test_value_admission_decides_as_the_in_order_test(data):
         except SchemaError:
             pass
     tol = data.draw(st.just(near) | _tolerances(scene, valid))
+    want = _matches_in_order(scene, valid, tol)
+    if tol < 0.0:
+        # An instance refuses a negative tolerance; the matcher, which
+        # ``SceneConst`` also calls, takes it as 0.0.
+        with pytest.raises(RangeError):
+            ScenarioLogicInstance("pairs", PAIR, 1.0, 1, (scene,), lambda p: candidates, scene_tol=tol)
+        assert formulas_module._values_match(scene.values, candidates, tol) == want
+        return
     inst = ScenarioLogicInstance(
         "pairs", PAIR, 1.0, 1, (scene,), lambda p: candidates, scene_tol=tol
     )
-    assert inst.allows_step((scene,), scene) == _matches_in_order(scene, valid, tol)
+    assert inst.allows_step((scene,), scene) == want
 
 
-@pytest.mark.parametrize("tol, measured", ((0.5, 3), (1e-6, 3), (1e-154, 3), (1e-160, 5)))
+@pytest.mark.parametrize(
+    "tol, measured", ((0.5, 3), (1e-6, 3), (1e-154, 3), (1e-160, 3), (1e-300, 3))
+)
 def test_value_admission_measures_what_no_coordinate_rules_out(monkeypatch, tol, measured):
-    # A candidate is skipped unmeasured when one coordinate difference
-    # squared passes (2·tol)², while that is a normal float; below the
-    # normal floats (tol = 1e-160) every candidate is measured. No
-    # candidate here is within tol.
+    # A candidate is measured exactly when every coordinate is within tol,
+    # whatever the size of tol. No candidate here is within tol.
     calls = []
     distance = formulas_module._values_distance
     monkeypatch.setattr(formulas_module, "_values_distance", lambda a, b: calls.append(b) or distance(a, b))
-    within = ((1.5 * tol, 0.0), (0.0, -2.0 * tol), (2.0 * tol, 2.0 * tol))
-    beyond = ((3.0 * tol, 0.0), (0.0, -10.0 * tol))
+    within = ((0.8 * tol, 0.8 * tol), (-0.9 * tol, 0.5 * tol), (tol, 0.5 * tol))
+    beyond = ((1.5 * tol, 0.0), (0.0, -2.0 * tol), (2.0 * tol, 2.0 * tol), (3.0 * tol, 0.0))
     assert not formulas_module._values_match((0.0, 0.0), within + beyond, tol)
+    assert calls == list(within)
     assert len(calls) == measured
+
+
+@pytest.mark.parametrize("tol", (1e-300, 5e-324))
+def test_a_tiny_tolerance_tells_tiny_differences_apart(tol):
+    # The square of the difference underflows to 0.0; the distance does not.
+    zero, tiny = Scene(LINE, (0.0,)), Scene(LINE, (1e-200,))
+    for stays in ((0.0,), (1e-200,)):
+        inst = ScenarioLogicInstance("tiny", LINE, 1.0, 1, (zero,), lambda p: (stays,), scene_tol=tol)
+        moved = tiny if stays == (0.0,) else zero
+        assert not inst.allows_step((zero,), moved)
+        assert inst.allows_step((zero,), Scene(LINE, stays))
+    assert progress(SceneConst(tiny), zero, 0, 0, tol) is FalseFormula()
+    assert progress(SceneConst(tiny), tiny, 0, 0, tol) is TrueFormula()
 
 
 @pytest.mark.parametrize("tol", (0.0, 0.5, math.inf))
@@ -506,10 +528,12 @@ def test_a_candidate_that_is_no_valid_scene_never_matches(tol):
     odd = ((math.nan, 2.0), (1.0, math.inf), (-math.inf, 2.0), (math.inf, -math.inf), (1.0,))
     inst = ScenarioLogicInstance("pairs", PAIR, 1.0, 1, (scene,), lambda p: odd, scene_tol=tol)
     assert not inst.allows_step((scene,), scene)
-    # A finite candidate past the largest float away is at distance inf.
-    far = Scene(PAIR, (1e308, -1e308))
-    inst = dataclasses.replace(inst, successors=lambda p: (*odd, far.values))
-    assert inst.allows_step((scene,), scene) is (tol == math.inf)
+    # Finite candidates far off: (1e308, -1e308) at a finite distance,
+    # about 1.4e308, and (1.5e308, -1.5e308) past the largest float, at
+    # distance inf. Only tol = inf admits either.
+    for far in (Scene(PAIR, (1e308, -1e308)), Scene(PAIR, (1.5e308, -1.5e308))):
+        inst = dataclasses.replace(inst, successors=lambda p: (*odd, far.values))
+        assert inst.allows_step((scene,), scene) is (tol == math.inf)
 
 
 @settings(max_examples=400, deadline=None)

@@ -32,21 +32,20 @@ LANE = schema_of(("pos", "m"), ("lane", "enum-code"))
 
 
 def rowwise_distance(a, b):
-    """The sup over grid points of the scene distance, one ``sum`` of squares
-    per row, with ``trajectory_distance``'s checks and messages."""
+    """The sup over grid points of the scene distance, one ``hypot`` of the
+    differences per row, with ``trajectory_distance``'s checks and messages."""
     if a.schema != b.schema:
         raise SchemaError("schemas do not match")
     if a.grid != b.grid:
         raise GridAlignmentError("trajectories live on different grids")
-    try:
-        return math.sqrt(max([sum([(x - y) ** 2 for x, y in zip(r.values, s.values)])
-                              for r, s in zip(a.samples, b.samples)]))
-    except OverflowError:
-        return math.inf
+    return max(math.hypot(*[x - y for x, y in zip(r.values, s.values)])
+               for r, s in zip(a.samples, b.samples))
 
 
-# Both signs; magnitudes up to 1e200, whose squared differences overflow.
+# Both signs; magnitudes up to 1e200, whose squared differences would
+# overflow, and down to subnormals, whose squares would underflow.
 value = (st.floats(min_value=-1e200, max_value=1e200, allow_nan=False)
+         | st.floats(min_value=-1e-300, max_value=1e-300)
          | st.floats(min_value=-10.0, max_value=10.0))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 from pathlib import Path
@@ -184,10 +185,11 @@ def test_expand_composes():
 def test_a_nan_scene_tol_is_refused():
     schema = schema_of(("x", "m"), ("y", "m"), ("vx", "m/s"), ("vy", "m/s"))
     start = Scene(schema, (0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(RangeError, match="scene_tol must not be NaN"):
-        logic.quantized_motion_instance(schema, [0.0], 1.0, 2, [start], snap_tol=float("nan"))
-    with pytest.raises(RangeError, match="scene_tol must not be NaN"):
-        dataclasses.replace(binary_scenarios(2).instance, scene_tol=float("nan"))
+    for tol in (float("nan"), -1.0, -math.inf):
+        with pytest.raises(RangeError, match="scene_tol must not be NaN"):
+            logic.quantized_motion_instance(schema, [0.0], 1.0, 2, [start], snap_tol=tol)
+        with pytest.raises(RangeError, match="scene_tol must not be NaN"):
+            dataclasses.replace(binary_scenarios(2).instance, scene_tol=tol)
 
 
 def test_expand_beyond_horizon_raises():

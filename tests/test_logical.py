@@ -318,8 +318,15 @@ def test_invert_keeps_the_probe_corner_apart_from_the_scan_by_bits():
 
 
 def test_invert_not_in_image_when_every_residual_overflows():
-    L = slope_drive_scenario()
-    far = trajectory_from_values(schema_of(("pos", "m")), 0.1, [[-1e200]] * 101)
+    # Two coordinates each about 1.5e308 off at every grid point: every
+    # residual passes the largest float.
+    schema = schema_of(("pos", "m"), ("lat", "m"))
+
+    def binder(x):
+        return Scene(schema, (0.0, 0.0)), family_of(drift(schema, {"pos": x[0], "lat": 0.0}))
+
+    L = LogicalScenario(ParameterSpace((ContinuousAxis("rate", 1.0, 3.0),)), binder, TimeGrid(0.1, 11))
+    far = trajectory_from_values(schema, 0.1, [[-1.5e308, 1.5e308]] * 11)
     result = invert(L, far, tol=1e-6)
     assert isinstance(result, NotInImage)
     assert result.best_x == (1.0,)
