@@ -3,6 +3,23 @@
 A scene is a fixed-dimension snapshot of the world; a trajectory is a
 time-gridded sequence of scenes, linearly interpolated between samples.
 Everything here is immutable and safe to share across workers.
+
+Values are checked where they enter, and trusted inside. The public
+constructors check: a Scene's values go through ``_floats`` (floats, one
+per dimension, finite, enums integral), a TimeGrid wants a finite
+positive step and a whole count, and a Trajectory wants ``grid.count``
+Scenes of its own schema. So do the routes that take values from
+outside: a successor relation's candidates, a one-step override's paths,
+an instance's start scenes, interpolation, ``Scene.replace``,
+``extend`` and trace CSV. Two internal constructors, ``_trusted_scene``
+and ``_trusted_trajectory``, set the fields and skip the checks. They
+serve only data that already passed them: ``evaluate`` builds its rows
+from columns that ``_floats`` has just accepted, one column at a time
+(on a failed column or a contradiction it builds each row checked, to
+name the first fault), and the logic walks (enumeration, expansion,
+sampling) build their trajectories from paths of Scenes they built
+checked on the instance's schema, on a grid they built checked of the
+path's length.
 """
 
 from __future__ import annotations
@@ -105,6 +122,27 @@ def schema_of(*dims: tuple[str, str]) -> SceneSchema:
     return SceneSchema(tuple(Dimension(n, u) for n, u in dims))
 
 
+def _floats(values, dims: Sequence[Dimension], enums: Sequence[int]) -> tuple[float, ...]:
+    """The one value check: ``values`` as floats, one per entry of ``dims``,
+    finite, and integral at the positions ``enums`` (the enum-code ones).
+    A Scene checks its row against its schema; ``evaluate`` checks each
+    column against its dimension repeated. A string is not a vector; a
+    fault raises SchemaError naming the first one in order. A fast accept
+    tests the whole tuple; the loop runs only to name the fault."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise SchemaError(f"scene values must be numbers, not {type(values).__name__}")
+    vals = tuple(map(float, values))
+    if len(vals) != len(dims):
+        raise SchemaError(f"scene has {len(vals)} values, schema expects {len(dims)}")
+    if not all(map(math.isfinite, vals)) or (enums and not all(vals[i].is_integer() for i in enums)):
+        for d, v in zip(dims, vals):
+            if not math.isfinite(v):
+                raise SchemaError(f"non-finite value {v!r} in dimension {d.name!r}")
+            if d.unit == "enum-code" and v != int(v):
+                raise SchemaError(f"enum dimension {d.name!r} holds non-integer {v!r}")
+    return vals
+
+
 @dataclass(frozen=True, slots=True)
 class Scene:
     """One snapshot: a real vector conforming to a schema."""
@@ -113,22 +151,8 @@ class Scene:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        """``values`` as floats: as many as dimensions, finite, enums integral."""
-        schema, vals = self.schema, tuple(map(float, self.values))
-        if len(vals) != len(schema.dimensions):
-            raise SchemaError(f"scene has {len(vals)} values, schema expects {schema.k}")
-        object.__setattr__(self, "values", vals)
-        # Fast accept; the loop below runs only to name the first fault.
-        enums = schema._enum_indices
-        if all(map(math.isfinite, vals)) and (
-            not enums or all(vals[i].is_integer() for i in enums)
-        ):
-            return
-        for d, v in zip(schema.dimensions, vals):
-            if not math.isfinite(v):
-                raise SchemaError(f"non-finite value {v!r} in dimension {d.name!r}")
-            if d.unit == "enum-code" and v != int(v):
-                raise SchemaError(f"enum dimension {d.name!r} holds non-integer {v!r}")
+        s = self.schema
+        object.__setattr__(self, "values", _floats(self.values, s.dimensions, s._enum_indices))
 
     def __getitem__(self, name: str) -> float:
         return self.values[self.schema.index(name)]
@@ -150,6 +174,10 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.step > 0):
             raise RangeError(f"grid step must be positive, got {self.step}")
+        if self.step == math.inf:
+            raise RangeError(f"grid step must be finite, got {self.step}")
+        if not isinstance(self.count, int):
+            raise RangeError(f"grid count must be a whole number, got {self.count!r}")
         if self.count < 1:
             raise RangeError(f"grid count must be >= 1, got {self.count}")
 
@@ -191,6 +219,8 @@ class Trajectory:
             )
         schema = self.schema
         for s in samples:
+            if not isinstance(s, Scene):
+                raise SchemaError(f"sample {s!r} is not a Scene")
             if s.schema is not schema:
                 raise SchemaError("sample schema differs from trajectory schema")
 
@@ -231,6 +261,32 @@ class Trajectory:
     def sort_key(self) -> tuple:
         """Canonical ordering key: lexicographic over sample values."""
         return tuple(s.values for s in self.samples)
+
+
+_scene_schema, _scene_values = Scene.schema.__set__, Scene.values.__set__
+_traj_schema, _traj_grid = Trajectory.schema.__set__, Trajectory.grid.__set__
+_traj_samples = Trajectory.samples.__set__
+
+
+def _trusted_scene(schema: SceneSchema, values: tuple[float, ...]) -> Scene:
+    """An internal constructor: the fields set, ``__post_init__`` skipped.
+    Only for values a check just accepted against ``schema``: floats, one
+    per dimension, finite, enums integral (see the module docstring)."""
+    s = object.__new__(Scene)
+    _scene_schema(s, schema)
+    _scene_values(s, values)
+    return s
+
+
+def _trusted_trajectory(schema: SceneSchema, grid: TimeGrid, samples: tuple[Scene, ...]):
+    """An internal constructor: the fields set, ``__post_init__`` skipped.
+    Only for a tuple of ``grid.count`` checked Scenes of ``schema`` (see
+    the module docstring)."""
+    c = object.__new__(Trajectory)
+    _traj_schema(c, schema)
+    _traj_grid(c, grid)
+    _traj_samples(c, samples)
+    return c
 
 
 def _check_same_schema(a_schema: SceneSchema, b_schema: SceneSchema) -> None:

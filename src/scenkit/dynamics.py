@@ -9,9 +9,9 @@ contradict each other on a shared dimension.
 
 A model's ``evolve_fn(thetas, values)`` evolves a value tuple over many
 times at once, returning one column per owned dimension. ``evaluate``
-calls each member once over the grid's times and builds the Scenes from
-the merged columns, which ``logical.invert`` measures as they are; a
-point evolution is the same call with one time.
+calls each member once over the grid's times, checks each merged column
+once, and builds the Scenes from them, which ``logical.invert`` measures
+as they are; a point evolution is the same call with one time.
 
 Absolute-time behaviors (stop_at, waypoint_follower) stay semigroup-valid
 by reading and advancing a clock dimension of the scene, which makes the
@@ -29,6 +29,7 @@ from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .core import Scene, SceneSchema, TimeGrid, Trajectory, scene_distance
+from .core import _floats, _trusted_scene, _trusted_trajectory
 from .errors import (
     DomainExceededError,
     OwnershipError,
@@ -239,6 +240,13 @@ def _walk(
     return merged, fault
 
 
+def _checked_columns(schema: SceneSchema, columns: Sequence[Sequence]) -> list[tuple[float, ...]]:
+    """Each value column as floats, checked once by ``core._floats``
+    against its dimension repeated; raises at a column's first fault."""
+    return [_floats(c, (d,) * len(c), range(len(c)) if d.unit == "enum-code" else ())
+            for d, c in zip(schema.dimensions, columns)]
+
+
 def evaluate(
     scenario: AttributeLevelScenario, allow_truncation: bool = False
 ) -> Trajectory | TruncatedResult:
@@ -247,19 +255,25 @@ def evaluate(
     Deterministic: identical inputs produce bit-identical trajectories.
     Each member is called once over the grid, so a member that raises
     raises for the whole grid. Each row up to the shared-dimension scan's
-    first fault becomes one Scene, validated once by its constructor
-    before the fault is raised. A grid that outruns the family's declared
-    time domain raises DomainExceededError. A member contradiction before
-    the grid end raises TruncationError, unless allow_truncation is set,
-    in which case the truncated trajectory is returned in a
-    TruncatedResult. A contradiction at the first grid point leaves
-    nothing to return: it raises TruncationError with ``result`` None
-    either way.
+    first fault becomes one Scene, checked by its constructor, before the
+    fault is raised. With no fault, the values are checked once, column
+    by column, and the Scenes built unchecked; if a column fails or
+    raises, each row is built by the checked Scene constructor instead,
+    which names the first fault in row-major order. A grid that outruns
+    the family's declared time domain raises DomainExceededError. A
+    member contradiction before the grid end raises TruncationError,
+    unless allow_truncation is set, in which case the truncated
+    trajectory is returned in a TruncatedResult. A contradiction at the
+    first grid point leaves nothing to return: it raises TruncationError
+    with ``result`` None either way.
     """
     columns, fault = _walk(scenario)
     family, grid = scenario.family, scenario.grid
     schema, rows = family.schema, zip(*columns)
     if fault is None:
+        with contextlib.suppress(Exception):  # the checked rows name the first fault
+            rows = zip(*_checked_columns(schema, columns))
+            return _trusted_trajectory(schema, grid, tuple(_trusted_scene(schema, r) for r in rows))
         return Trajectory(schema, grid, tuple(Scene(schema, row) for row in rows))
     i, name, finite = fault
     samples = [Scene(schema, row) for row in islice(rows, i + 1)][:i]

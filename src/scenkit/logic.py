@@ -43,6 +43,7 @@ from .core import (
     SceneSchema,
     TimeGrid,
     Trajectory,
+    _trusted_trajectory,
     is_prefix,
 )
 from .errors import (
@@ -219,7 +220,9 @@ def _roots(inst: ScenarioLogicInstance, conj: Formula) -> list[Node]:
 
 
 def _to_trajectory(inst: ScenarioLogicInstance, samples: Path) -> Trajectory:
-    return Trajectory(inst.schema, inst.grid(len(samples)), samples)
+    """The trajectory of a path of Scenes the walks built on the instance's
+    schema (``_extend`` checks each), not checked again."""
+    return _trusted_trajectory(inst.schema, inst.grid(len(samples)), samples)
 
 
 def expand(
@@ -229,7 +232,9 @@ def expand(
 
     steps=0 returns (c,); multi-step expansion composes one-step
     expansions, so the composition axiom holds by construction. The paths
-    are read off the DAG of ``steps`` levels below c (``_count_dag``).
+    are read off the DAG of ``steps`` levels below c (``_count_dag``), or
+    grown by the instance's one-step override, whose paths come from
+    outside and are checked.
     """
     if steps < 0:
         raise RangeError("steps must be >= 0")
@@ -248,9 +253,9 @@ def expand(
             for p in frontier:
                 nxt.extend(tuple(q) for q in inst.one_step_override(scenario, p))
             frontier = _sorted_unique(nxt)
-    else:
-        root = (c.samples, _residual(inst, scenario.conjoined(), c.samples))
-        frontier = _paths(_count_dag(inst, [root], steps), c.samples[:-1])
+        return tuple(Trajectory(inst.schema, inst.grid(len(p)), p) for p in frontier)
+    root = (c.samples, _residual(inst, scenario.conjoined(), c.samples))
+    frontier = _paths(_count_dag(inst, [root], steps), c.samples[:-1])
     return tuple(_to_trajectory(inst, p) for p in frontier)
 
 
@@ -354,22 +359,23 @@ def _count_dag(
 def _paths(dag: _Dag, base: Path) -> list[Path]:
     """Every leaf's path in canonical order after ``base``: a depth-first
     walk in ``kids`` order that skips states with no leaf below, so no
-    dead subtree is built."""
+    dead subtree is built. It keeps one path, a tuple of it per leaf."""
     counts, kids, scenes = dag.counts, dag.kids, dag.scenes
     inner = len(kids)
     out: list[Path] = []
-    stack = [(base, iter(dag.roots))]
+    path, stack = list(base), [iter(dag.roots)]
     while stack:
-        prefix, todo = stack[-1]
-        for j in todo:
+        for j in stack[-1]:
             if counts[j]:
-                path = prefix + (scenes[j],)
+                path.append(scenes[j])
                 if j < inner:
-                    stack.append((path, iter(kids[j])))
+                    stack.append(iter(kids[j]))
                     break
-                out.append(path)
+                out.append(tuple(path))
+                path.pop()
         else:
             stack.pop()
+            del path[-1:]  # the roots' level pops a base scene or nothing
     return out
 
 
@@ -386,8 +392,8 @@ def enumerate_scenarios(
     total = dag.total()
     if total > guard and not force:
         raise ComplexityError(f"{total} accepted scenarios exceed the guard of {guard}")
-    grid = inst.grid(inst.full_length())
-    return tuple(Trajectory(inst.schema, grid, p) for p in _paths(dag, ()))
+    schema, grid = inst.schema, inst.grid(inst.full_length())
+    return tuple(_trusted_trajectory(schema, grid, p) for p in _paths(dag, ()))
 
 
 def count_scenarios(scenario: AbstractScenario) -> int:
@@ -585,6 +591,8 @@ def check_axioms(
     Per probe: identity at zero steps, composition over a random split,
     the prefix property of every expansion result, and conjunction as
     intersection. Report-only; counterexamples carry the probe context.
+    A probed prefix starts at one of the instance's own start scenes, so
+    its trajectory is checked.
     """
     if probes < 1:
         raise RangeError("probes must be >= 1")
@@ -595,7 +603,7 @@ def check_axioms(
         f = formulas[rng.randrange(len(formulas))]
         g = formulas[rng.randrange(len(formulas))]
         prefix_path = _random_prefix(instance, rng, max_depth=3)
-        c = _to_trajectory(instance, prefix_path)
+        c = Trajectory(instance.schema, instance.grid(len(prefix_path)), prefix_path)
         scen = AbstractScenario(f, (), instance)
         ctx = f"probe {k}: prefix length {len(prefix_path)}"
 

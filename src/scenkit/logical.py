@@ -20,7 +20,7 @@ from statistics import NormalDist
 from typing import Callable, Sequence
 
 from .core import Scene, TimeGrid, Trajectory, _sup_distance
-from .dynamics import AttributeLevelScenario, ModelFamily, _walk, evaluate
+from .dynamics import AttributeLevelScenario, ModelFamily, _checked_columns, _walk, evaluate
 from .errors import ComplexityError, OutOfSpaceError, RangeError, SchemaError
 
 #: Tolerance for membership of a value in a discrete axis.
@@ -280,19 +280,15 @@ class NotInImage:
 
 def _columns(bound: AttributeLevelScenario) -> list[tuple[float, ...]]:
     """The float columns ``evaluate(bound)`` makes its Scenes of; raises
-    what ``evaluate`` raises, where it raises it."""
+    what ``evaluate`` raises, where it raises it. Columns that pass the
+    column check are returned as they are; otherwise ``evaluate`` names
+    the first fault, or its row check accepts what the column check
+    refused (a column given as a string)."""
     columns, fault = _walk(bound)
-    # Fast accept; evaluate below runs only to name the first fault. A
-    # float conversion that raises is raised there, or an earlier row's fault.
-    with contextlib.suppress(Exception):
-        columns = [tuple(map(float, c)) for c in columns]
-        enums = bound.family.schema._enum_indices
-        if fault is None and all(all(map(math.isfinite, c)) for c in columns) and all(
-            all(map(float.is_integer, columns[i])) for i in enums
-        ):
-            return columns
-    evaluate(bound)  # a row's Scene check fails where a column's did
-    raise AssertionError("evaluate accepted the columns that were refused")
+    if fault is None:
+        with contextlib.suppress(Exception):
+            return _checked_columns(bound.family.schema, columns)
+    return list(zip(*(s.values for s in evaluate(bound).samples)))
 
 
 def invert(

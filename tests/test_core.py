@@ -14,6 +14,7 @@ from scenkit.core import (
     Scene,
     SceneSchema,
     TimeGrid,
+    Trajectory,
     extend,
     is_prefix,
     prefix,
@@ -136,6 +137,18 @@ def test_enum_dims_hold_integers():
         Scene(schema, (3.5,))
 
 
+@pytest.mark.parametrize("values", ["12", b"12", bytearray(b"12")])
+def test_scene_refuses_a_string_of_values(values):
+    # A string is not a vector: neither its characters nor its bytes are values.
+    with pytest.raises(SchemaError, match="scene values must be numbers"):
+        Scene(schema_of(("x", "m"), ("y", "m")), values)
+
+
+def test_trajectory_refuses_samples_that_are_not_scenes(line):
+    with pytest.raises(SchemaError, match=r"sample \(0.0,\) is not a Scene"):
+        Trajectory(line, TimeGrid(1.0, 2), ((0.0,), (1.0,)))
+
+
 def test_scene_lookup_by_name(plane):
     s = Scene(plane, (1.0, 2.0, 3.0, 4.0))
     assert s["vx"] == 3.0
@@ -224,6 +237,18 @@ def test_grid_rejects_bad_step():
         TimeGrid(0.0, 5)
     with pytest.raises(RangeError):
         TimeGrid(0.1, 0)
+
+
+@pytest.mark.parametrize("step", [math.inf, 1e400])
+def test_grid_refuses_an_infinite_step(step):
+    with pytest.raises(RangeError, match="grid step must be finite, got inf"):
+        TimeGrid(step, 2)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, "2"])
+def test_grid_refuses_a_count_that_is_not_a_whole_number(count):
+    with pytest.raises(RangeError, match="grid count must be a whole number"):
+        TimeGrid(1.0, count)
 
 
 def test_grid_alignment_error():

@@ -525,6 +525,9 @@ def _factory(bind):
         (_logical(horizon="2.7 s", step="1 s"), "RES003 at 2:1: 'l': time 2.7 is not aligned to step 1.0"),
         (_abstract(horizon="0.5 s", step="1 s"), "RES003 at 2:1: 'a': time 0.5 is not aligned to step 1.0"),
         (_abstract(horizon="2.5 s", step="1 s"), "RES003 at 2:1: 'a': time 2.5 is not aligned to step 1.0"),
+        # An infinite step is refused as an infinite horizon is.
+        (_logical(horizon="10 s", step="1e400 s"), "RES003 at 2:1: 'l': grid step must be finite, got inf"),
+        (_abstract(horizon="10 s", step="1e400 s"), "RES003 at 2:1: 'a': grid step must be finite, got inf"),
     ],
     ids=[
         "start-division", "bind-division", "pred-division", "reversed-range", "empty-schema",
@@ -534,6 +537,7 @@ def _factory(bind):
         "weight-count", "infinite-range", "infinite-set", "wide-range", "binder-wording",
         "nan-bound", "nan-diff", "velocity-arguments", "acceleration-arguments", "drift-arguments",
         "logical-half-step", "logical-off-grid", "abstract-half-step", "abstract-off-grid",
+        "logical-infinite-step", "abstract-infinite-step",
     ],
 )
 def test_library_errors_while_resolving_are_diagnostics(text, rendered):
