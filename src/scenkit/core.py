@@ -10,16 +10,16 @@ per dimension, finite, enums integral), a TimeGrid wants a finite
 positive step and a whole count, and a Trajectory wants ``grid.count``
 Scenes of its own schema. So do the routes that take values from
 outside: a successor relation's candidates, a one-step override's paths,
-an instance's start scenes, interpolation, ``Scene.replace``,
-``extend`` and trace CSV. Two internal constructors, ``_trusted_scene``
-and ``_trusted_trajectory``, set the fields and skip the checks. They
-serve only data that already passed them: ``evaluate`` builds its rows
-from columns that ``_floats`` has just accepted, one column at a time
-(on a failed column or a contradiction it builds each row checked, to
-name the first fault), and the logic walks (enumeration, expansion,
-sampling) build their trajectories from paths of Scenes they built
-checked on the instance's schema, on a grid they built checked of the
-path's length.
+an instance's start scenes, interpolation, ``Scene.replace`` and
+``extend``. Two internal constructors, ``_trusted_scene`` and
+``_trusted_trajectory``, set the fields and skip the checks. They serve
+only data that already passed them: ``evaluate`` and trace CSV build
+their rows from columns that ``_floats`` has just accepted, one column
+at a time by ``_checked_columns`` (on a fault they check each row as
+the constructor does, to name the first fault), and the logic walks
+(enumeration, expansion, sampling) build their trajectories from paths
+of Scenes they built checked on the instance's schema, on a grid they
+built checked of the path's length.
 """
 
 from __future__ import annotations
@@ -141,6 +141,13 @@ def _floats(values, dims: Sequence[Dimension], enums: Sequence[int]) -> tuple[fl
             if d.unit == "enum-code" and v != int(v):
                 raise SchemaError(f"enum dimension {d.name!r} holds non-integer {v!r}")
     return vals
+
+
+def _checked_columns(schema: SceneSchema, columns: Sequence[Sequence]) -> list[tuple[float, ...]]:
+    """Each value column as floats, checked once by ``_floats`` against
+    its dimension repeated; raises at a column's first fault."""
+    return [_floats(c, (d,) * len(c), range(len(c)) if d.unit == "enum-code" else ())
+            for d, c in zip(schema.dimensions, columns)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,20 +314,30 @@ def scene_distance(a: Scene, b: Scene) -> float:
     return _values_distance(a.values, b.values)
 
 
-def _sup_distance(schema: SceneSchema, grid: TimeGrid, columns: Iterable, b: Trajectory) -> float:
-    """``trajectory_distance`` from float columns on ``schema`` and ``grid``
-    to ``b``: the largest ``hypot`` of a row's differences, the same bits
-    as a row-by-row ``scene_distance``."""
+def _check_comparable(schema: SceneSchema, grid: TimeGrid, b: Trajectory) -> None:
+    """Refuse a trajectory ``b`` of another schema, or on another grid
+    than ``grid``; a one-point grid has no step to compare."""
     _check_same_schema(schema, b.schema)
-    if grid != b.grid:
+    if grid.count != b.grid.count or (grid.count > 1 and grid.step != b.grid.step):
         raise GridAlignmentError("trajectories live on different grids")
-    b_columns = zip(*[s.values for s in b.samples])
-    return max(map(math.hypot, *[map(sub, x, y) for x, y in zip(columns, b_columns)]))
+
+
+def _columns_of(c: Trajectory) -> list[tuple[float, ...]]:
+    """The value columns of a trajectory, one per dimension."""
+    return list(zip(*[s.values for s in c.samples]))
+
+
+def _sup_distance(a: Iterable, b: Iterable) -> float:
+    """The largest ``hypot`` of a row's differences between two column
+    sets of one schema and grid, which are the caller's to check: the same
+    bits as a row-by-row ``scene_distance``."""
+    return max(map(math.hypot, *[map(sub, x, y) for x, y in zip(a, b)]))
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
     """Sup over grid points of the scene distance."""
-    return _sup_distance(a.schema, a.grid, zip(*[s.values for s in a.samples]), b)
+    _check_comparable(a.schema, a.grid, b)
+    return _sup_distance(_columns_of(a), _columns_of(b))
 
 
 def prefix(c: Trajectory, upto: float) -> Trajectory:
@@ -346,7 +363,8 @@ def extend(c: Trajectory, tail: Iterable[Scene]) -> Trajectory:
 def is_prefix(a: Trajectory, b: Trajectory) -> bool:
     """True iff a is an exact initial segment of b on the shared grid."""
     _check_same_schema(a.schema, b.schema)
-    if a.grid.step != b.grid.step:
+    # A one-point grid has no step to compare.
+    if a.grid.count > 1 and b.grid.count > 1 and a.grid.step != b.grid.step:
         raise GridAlignmentError("grid steps differ")
     if a.grid.count > b.grid.count:
         return False

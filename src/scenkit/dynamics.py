@@ -10,8 +10,9 @@ contradict each other on a shared dimension.
 A model's ``evolve_fn(thetas, values)`` evolves a value tuple over many
 times at once, returning one column per owned dimension. ``evaluate``
 calls each member once over the grid's times, checks each merged column
-once, and builds the Scenes from them, which ``logical.invert`` measures
-as they are; a point evolution is the same call with one time.
+once, and builds the Scenes from them. ``logical.invert`` measures the
+columns as they are, walking every candidate over one tuple of times it
+builds per search; a point evolution is the same call with one time.
 
 Absolute-time behaviors (stop_at, waypoint_follower) stay semigroup-valid
 by reading and advancing a clock dimension of the scene, which makes the
@@ -29,7 +30,7 @@ from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .core import Scene, SceneSchema, TimeGrid, Trajectory, scene_distance
-from .core import _floats, _trusted_scene, _trusted_trajectory
+from .core import _checked_columns, _trusted_scene, _trusted_trajectory
 from .errors import (
     DomainExceededError,
     OwnershipError,
@@ -206,19 +207,18 @@ class TruncatedResult:
 
 
 def _walk(
-    scenario: AttributeLevelScenario,
+    scenario: AttributeLevelScenario, thetas: Sequence[float]
 ) -> tuple[list[Sequence[float]], tuple[int, str, bool] | None]:
-    """The one grid loop, calling each member once over the grid's times:
-    the merged value columns, and the first row where the writers of a
-    shared dimension are non-finite or contradict, as (row, dimension,
-    whether they were finite), or None."""
+    """The one grid loop, calling each member once over ``thetas``, the
+    grid's times, which the caller builds: the merged value columns, and
+    the first row where the writers of a shared dimension are non-finite
+    or contradict, as (row, dimension, whether they were finite), or None."""
     family, grid = scenario.family, scenario.grid
     if grid.duration > family.theta_max:
         raise DomainExceededError(
             f"grid duration {grid.duration} exceeds the family domain",
             t_sup=family.theta_max,
         )
-    thetas = [i * grid.step for i in range(grid.count)]
     merged, outputs = _merged(family.members, thetas, scenario.start.values)
     stop, fault = grid.count, None
     for name in family.shared:
@@ -238,13 +238,6 @@ def _walk(
                 stop, fault = i, (i, name, finite)
                 break
     return merged, fault
-
-
-def _checked_columns(schema: SceneSchema, columns: Sequence[Sequence]) -> list[tuple[float, ...]]:
-    """Each value column as floats, checked once by ``core._floats``
-    against its dimension repeated; raises at a column's first fault."""
-    return [_floats(c, (d,) * len(c), range(len(c)) if d.unit == "enum-code" else ())
-            for d, c in zip(schema.dimensions, columns)]
 
 
 def evaluate(
@@ -267,8 +260,8 @@ def evaluate(
     first grid point leaves nothing to return: it raises TruncationError
     with ``result`` None either way.
     """
-    columns, fault = _walk(scenario)
     family, grid = scenario.family, scenario.grid
+    columns, fault = _walk(scenario, [i * grid.step for i in range(grid.count)])
     schema, rows = family.schema, zip(*columns)
     if fault is None:
         with contextlib.suppress(Exception):  # the checked rows name the first fault

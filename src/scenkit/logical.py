@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Sequence
 
-from .core import Scene, TimeGrid, Trajectory, _sup_distance
-from .dynamics import AttributeLevelScenario, ModelFamily, _checked_columns, _walk, evaluate
+from .core import Scene, TimeGrid, Trajectory, _check_comparable, _checked_columns
+from .core import _columns_of, _sup_distance
+from .dynamics import AttributeLevelScenario, ModelFamily, _walk, evaluate
 from .errors import ComplexityError, OutOfSpaceError, RangeError, SchemaError
 
 #: Tolerance for membership of a value in a discrete axis.
@@ -278,13 +279,14 @@ class NotInImage:
     best_residual: float
 
 
-def _columns(bound: AttributeLevelScenario) -> list[tuple[float, ...]]:
-    """The float columns ``evaluate(bound)`` makes its Scenes of; raises
-    what ``evaluate`` raises, where it raises it. Columns that pass the
-    column check are returned as they are; otherwise ``evaluate`` names
-    the first fault, or its row check accepts what the column check
-    refused (a column given as a string)."""
-    columns, fault = _walk(bound)
+def _columns(bound: AttributeLevelScenario, thetas: Sequence[float]) -> list[tuple[float, ...]]:
+    """The float columns ``evaluate(bound)`` makes its Scenes of, walked
+    over ``thetas``, the grid's times; raises what ``evaluate`` raises,
+    where it raises it. Columns that pass the column check are returned as
+    they are; otherwise ``evaluate`` names the first fault, or its row
+    check accepts what the column check refused (a column given as a
+    string)."""
+    columns, fault = _walk(bound, thetas)
     if fault is None:
         with contextlib.suppress(Exception):
             return _checked_columns(bound.family.schema, columns)
@@ -306,10 +308,14 @@ def invert(
 
     A residual is ``trajectory_distance(realize(scenario, x), target)``
     measured on the value columns the grid walk makes, building no Scene
-    or Trajectory. A candidate's columns are checked and measured as they
-    come; the per-row Scene check runs only to name a fault, so a
-    candidate raises what ``realize`` would, where it would. Residuals
-    may be inf; then the best x is the first.
+    or Trajectory. What no candidate changes is computed once per search:
+    the target's value columns and the grid's times. A residual then costs
+    one bind, one model walk over those times, one column check, the
+    schema and grid checks against the target, and one distance, in that
+    order; the per-row Scene check runs only to name a fault, so a
+    candidate raises what ``realize`` would, where it would. Each distinct
+    point (by its exact bits) is measured once. Residuals may be inf; then
+    the best x is the first.
     """
     if not (tol > 0):
         raise RangeError("tol must be positive")
@@ -331,6 +337,10 @@ def invert(
 
     seen: dict[tuple[str, ...], float] = {}
     corner_key = tuple(v.hex() for v in corner)
+    # Every candidate is bound on scenario.grid. The times are a tuple, so
+    # no model can change them for the candidates after it.
+    thetas = tuple([i * scenario.grid.step for i in range(scenario.grid.count)])
+    target_columns = _columns_of(target)
 
     def residual(x: tuple[float, ...]) -> float:
         # Each point once, keyed on its exact bits: 0.0 and -0.0 stay apart.
@@ -340,7 +350,9 @@ def invert(
                 bound = AttributeLevelScenario(*probe, scenario.grid)
             else:
                 bound = _bind(scenario, x)
-            seen[key] = _sup_distance(bound.family.schema, bound.grid, _columns(bound), target)
+            columns = _columns(bound, thetas)
+            _check_comparable(bound.family.schema, bound.grid, target)
+            seen[key] = _sup_distance(columns, target_columns)
         return seen[key]
 
     grids = []

@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 from .core import ALIGN_TOL, Dimension, Scene, SceneSchema, TimeGrid, Trajectory
+from .core import _checked_columns, _trusted_scene, _trusted_trajectory
 from .errors import GridAlignmentError, SchemaError
 
 
@@ -54,7 +55,13 @@ def write_trace(
 
 
 def read_trace(csv_path: str | Path, schema: SceneSchema | None = None) -> Trajectory:
-    """Read a trace CSV; the schema comes from the sidecar unless given."""
+    """Read a trace CSV; the schema comes from the sidecar unless given.
+
+    The cell count, the numbers and the time are checked row by row; the
+    values once per column, after the last row, by ``core._checked_columns``.
+    On a fault, the rows before it are checked one by one, so a refusal
+    names the first fault in file order, and its line, as a row-by-row
+    Scene check would."""
     if schema is None:
         schema = read_schema(sidecar_path_for(csv_path))
     text = Path(csv_path).read_text(encoding="utf-8")
@@ -64,20 +71,28 @@ def read_trace(csv_path: str | Path, schema: SceneSchema | None = None) -> Traje
     header = rows[0][1]
     if header[0] != "t" or tuple(header[1:]) != schema.names:
         raise SchemaError(f"trace header {header} does not match schema dims {schema.names}")
+    if len(rows) == 1:
+        raise SchemaError(f"trace file {csv_path} has no rows")
     times: list[float] = []
-    samples: list[Scene] = []
-    for n, cells in rows[1:]:
-        if len(cells) != schema.k + 1:
-            raise SchemaError(f"{csv_path} line {n} has {len(cells)} cells, expected {schema.k + 1}")
-        try:
-            t, *values = map(float, cells)
-        except ValueError:  # names the first cell that is no number
-            t, *values = (_number(csv_path, n, name, c) for name, c in zip(header, cells))
-        if not math.isfinite(t):
-            raise SchemaError(f"{csv_path} line {n}, column 't': time {t} is not finite")
-        times.append(t)
-        samples.append(Scene(schema, tuple(values)))
-    if len(samples) == 1:
+    value_rows: list[list[float]] = []
+    try:
+        for n, cells in rows[1:]:
+            if len(cells) != schema.k + 1:
+                raise SchemaError(f"{csv_path} line {n} has {len(cells)} cells, expected {schema.k + 1}")
+            try:
+                t, *values = map(float, cells)
+            except ValueError:  # names the first cell that is no number
+                t, *values = (_number(csv_path, n, name, c) for name, c in zip(header, cells))
+            if not math.isfinite(t):
+                raise SchemaError(f"{csv_path} line {n}, column 't': time {t} is not finite")
+            times.append(t)
+            value_rows.append(values)
+        columns = _checked_columns(schema, list(zip(*value_rows)))
+    except SchemaError:
+        for values in value_rows:
+            Scene(schema, tuple(values))
+        raise
+    if len(times) == 1:
         step = 1.0
     else:
         step = times[1] - times[0]
@@ -86,7 +101,8 @@ def read_trace(csv_path: str | Path, schema: SceneSchema | None = None) -> Traje
         for i, t in enumerate(times):
             if not abs(t - i * step) <= ALIGN_TOL * step:
                 raise GridAlignmentError(f"trace time {t} off the uniform grid")
-    return Trajectory(schema, TimeGrid(step, len(samples)), tuple(samples))
+    samples = tuple(_trusted_scene(schema, row) for row in zip(*columns))
+    return _trusted_trajectory(schema, TimeGrid(step, len(samples)), samples)
 
 
 def _number(csv_path: str | Path, n: int, name: str, cell: str) -> float:

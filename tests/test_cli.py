@@ -262,6 +262,36 @@ def test_invert_recovers_slope(tmp_path, capsys):
     assert abs(payload["x"]["rate"] - 2.0) <= 1e-6
 
 
+def test_invert_recovers_a_one_sample_trace_that_sample_logical_wrote(tmp_path, capsys):
+    # The trace has one row, so it reads back with step 1.0 against the
+    # scenario's 0.1: a one-point grid has no step to compare.
+    spec = tmp_path / "still.scn"
+    spec.write_text(
+        "schema line { pos: m }\n\n"
+        "logical still {\n  param rate: range(1, 3)\n  start { line.pos = 0 }\n"
+        "  bind drift(pos = rate)\n  horizon 0 s step 0.1 s\n}\n"
+    )
+    out = tmp_path / "still"
+    code, _ = run(capsys, "sample-logical", str(spec), "--scenario", "still", "--count", "1",
+                  "--seed", "5", "--out-dir", str(out))
+    assert code == 0
+    code, payload = run(capsys, "invert", str(spec), "--scenario", "still",
+                        "--trace", str(out / "sample-00000.csv"), "--tol", "1e-6")
+    assert (code, payload) == (0, {"found": True, "residual": 0.0, "x": {"rate": 1.0}})
+
+
+def test_invert_refuses_a_trace_with_no_rows(tmp_path, capsys):
+    trace = tmp_path / "c.csv"
+    traceio.write_trace(straight_drive_trajectory(), trace)
+    trace.write_text("t,x,y,vx,vy\n")
+    code, payload = run(
+        capsys, "invert", DRIVE, "--scenario", "speed_choices",
+        "--trace", str(trace), "--tol", "1e-6",
+    )
+    assert code == 1
+    assert payload == {"error": "SchemaError", "detail": f"trace file {trace} has no rows"}
+
+
 def test_encode_logical_verifies_set_equality(capsys):
     code, payload = run(capsys, "encode-logical", DRIVE, "--scenario", "speed_choices")
     assert code == 0

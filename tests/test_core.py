@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenkit.core import (
@@ -340,6 +340,29 @@ def test_is_prefix_step_mismatch(plane):
         is_prefix(a, b)
 
 
+def test_a_one_point_grid_has_no_step_to_compare(line):
+    # A one-row trace reads back with step 1.0, whatever the step it was
+    # written from: one-point grids compare by their count alone.
+    fine, coarse = make_trajectory(line, [[2.0]], step=0.1), make_trajectory(line, [[2.0]], step=1.0)
+    moved = make_trajectory(line, [[-1.0]], step=1.0)
+    assert trajectory_distance(fine, coarse) == 0.0
+    assert trajectory_distance(fine, moved) == 3.0
+    assert is_prefix(fine, coarse) and is_prefix(coarse, fine)
+    assert not is_prefix(fine, moved)
+    # Against more points, the counts differ; the prefix order holds.
+    longer = make_trajectory(line, [[2.0], [3.0]], step=0.1)
+    with pytest.raises(GridAlignmentError, match="different grids"):
+        trajectory_distance(coarse, longer)
+    assert is_prefix(coarse, longer)
+    assert not is_prefix(longer, coarse)
+    assert not is_prefix(make_trajectory(line, [[2.0], [3.0]], step=1.0), coarse)
+    # Two points or more keep the exact comparison.
+    with pytest.raises(GridAlignmentError, match="different grids"):
+        trajectory_distance(longer, make_trajectory(line, [[2.0], [3.0]], step=1.0))
+    with pytest.raises(GridAlignmentError, match="grid steps differ"):
+        is_prefix(longer, make_trajectory(line, [[2.0], [3.0], [4.0]], step=1.0))
+
+
 def test_is_prefix_partial_order(plane):
     rng = random.Random(11)
     base = straight(plane, n=6)
@@ -416,10 +439,11 @@ _EXACT_BITS = 1200
 
 def _exact_distance_bracket(a, b):
     """Rationals lo <= d < hi, hi - lo = 2**-_EXACT_BITS, around the exact
-    Euclidean distance d of two scenes: the differences and their squares
-    as Fractions, and the square root by ``math.isqrt`` on a scaled
-    integer."""
-    s = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(a.values, b.values))
+    Euclidean norm d of the float differences ``x - y`` of two scenes,
+    which is what ``_values_distance`` computes: each difference rounded
+    to a float, as the distance takes it, then the squares as Fractions,
+    and the square root by ``math.isqrt`` on a scaled integer."""
+    s = sum(Fraction(x - y) ** 2 for x, y in zip(a.values, b.values))
     r = math.isqrt((s.numerator << (2 * _EXACT_BITS)) // s.denominator)
     return Fraction(r, 1 << _EXACT_BITS), Fraction(r + 1, 1 << _EXACT_BITS)
 
@@ -432,10 +456,12 @@ wide = (
 
 
 @given(st.lists(st.tuples(wide, wide), min_size=1, max_size=6))
+# A difference that is no float: 9144825521937207 rounds to ...208.
+@example(pairs=[(2309833316973789.0, -6834992204963418.0)] * 2)
 def test_scene_distance_is_within_one_ulp_of_the_exact_distance(pairs):
-    # The float below the result is below the exact distance and the one
-    # above it above: the result is one of the two floats around it, or
-    # the distance itself when that is a float.
+    # The float below the result is below the exact distance of the float
+    # differences and the one above it above: the result is one of the two
+    # floats around it, or the distance itself when that is a float.
     schema = schema_of(*((f"d{i}", "m") for i in range(len(pairs))))
     a = Scene(schema, tuple(p[0] for p in pairs))
     b = Scene(schema, tuple(p[1] for p in pairs))

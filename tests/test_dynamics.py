@@ -708,11 +708,10 @@ def shared_writers(draw):
     return AttributeLevelScenario(Scene(WIDE, (0.0,) * WIDE.k), family, grid)
 
 
-def scanning_walk(scenario):
+def scanning_walk(scenario, thetas):
     """``dynamics._walk`` on a family of unbounded domain, with every
     shared dimension scanned row by row: the walk without its fast accept."""
     family, grid = scenario.family, scenario.grid
-    thetas = [i * grid.step for i in range(grid.count)]
     merged, outputs = dynamics._merged(family.members, thetas, scenario.start.values)
     stop, fault = grid.count, None
     for name in family.shared:
@@ -735,7 +734,7 @@ def test_shared_writers_fault_as_the_row_scan_finds(scenario, allow):
     # the walk must report the fault the scan reports.
     def walked(walk):
         try:
-            return walk(scenario)
+            return walk(scenario, [i * scenario.grid.step for i in range(scenario.grid.count)])
         except Exception as exc:  # noqa: BLE001 - any error must match
             return type(exc), str(exc)
 

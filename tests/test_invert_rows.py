@@ -6,11 +6,13 @@ row-wise formula is kept here, apart from the code it checks, and
 
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenkit import dsl
 from scenkit.core import Scene, TimeGrid, schema_of, trajectory_distance, trajectory_from_values
 from scenkit.dynamics import DeterministicModel, combine, drift, family_of
 from scenkit.errors import GridAlignmentError, SchemaError
@@ -202,8 +204,17 @@ def converted(convert):
     return LogicalScenario(space, binder, TimeGrid(0.1, 21))
 
 
+ASSETS = Path(__file__).resolve().parents[1] / "src" / "scenkit" / "assets"
+SHIPPED = {
+    name: dsl.load((ASSETS / asset).read_text()).logicals[name]
+    for asset, name in [("slope_drive.scn", "slope_drive"), ("straight_drive.scn", "speed_choices")]
+}
+
 SCENARIOS = {
     "slope": slope_drive_scenario,
+    # The shipped specs, bound by the DSL's binder.
+    "slope_drive": lambda: SHIPPED["slope_drive"],
+    "speed_choices": lambda: SHIPPED["speed_choices"],
     "geared": geared,
     "two_axis": two_axis,
     "shared_pair": shared_pair,
@@ -327,6 +338,14 @@ def faulty(kind, k, thr):
             if bad:
                 schema = schema_of(("q", "m"))
             family = family_of(drift(schema, {schema.names[0]: a}))
+        elif kind == "schema_nan":
+            # Another schema, and a NaN in its column: the column check
+            # comes before the schema check.
+            if bad:
+                schema = schema_of(("q", "m"))
+            family = family_of(custom(
+                schema, "p", lambda ts, v: ([math.nan if hit(t) else v[0] + a * t for t in ts],)
+            ))
         else:
             family = family_of(drift(LINE, {"pos": a}))
         return Scene(schema, start), family
@@ -341,7 +360,7 @@ def faulty(kind, k, thr):
 
 KINDS = ["contradiction", "non_finite", "nan_then_raise", "enum", "length_lone",
          "length_merged", "nan_shared", "nan_shared_merged", "mixed", "domain", "schema",
-         "grid"]
+         "schema_nan", "grid"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -369,6 +388,7 @@ def test_every_error_kind_is_named():
         "mixed": "SchemaError",
         "domain": "DomainExceededError",
         "schema": "SchemaError",
+        "schema_nan": "SchemaError",
         "grid": "GridAlignmentError",
     }
     for kind in KINDS:
@@ -395,9 +415,12 @@ def test_truncation_carries_realize_result():
         # is in the merged row, else the shared scan's.
         ("nan_shared_merged", 3, "non-finite value nan in dimension 'v'"),
         ("nan_shared", 3, "non-finite value in shared dimension 'v'"),
+        # A candidate of another schema: its columns are checked first.
+        ("schema", 3, "schemas do not match"),
+        ("schema_nan", COUNT - 1, "non-finite value nan in dimension 'q'"),
     ],
     ids=["nan-before-raise", "last-row-length", "last-row-enum", "nan-shared-merged",
-         "nan-shared-unmerged"],
+         "nan-shared-unmerged", "other-schema", "other-schema-and-nan"],
 )
 def test_a_rejected_candidate_raises_realizes_fault(kind, k, message):
     scenario, target = faulty(kind, k, 0.5)
@@ -410,3 +433,42 @@ def test_values_that_float_accepts_are_measured_as_realize_converts_them(name):
     scenario = SCENARIOS[name]()
     want = assert_same(scenario, realize(scenario, (2.0,)), 1e-6)
     assert want == (Found, ((2.0).hex(),), (0.0).hex())
+
+
+class Watched:
+    """A target that counts the reads of its samples, which any
+    transposition into value columns makes."""
+
+    def __init__(self, trajectory):
+        self.trajectory, self.reads = trajectory, 0
+        self.schema, self.grid = trajectory.schema, trajectory.grid
+
+    @property
+    def samples(self):
+        self.reads += 1
+        return self.trajectory.samples
+
+
+@pytest.mark.parametrize("name", ["slope_drive", "two_axis", "shared_pair", "speed_choices"])
+def test_one_search_transposes_the_target_and_builds_the_times_once(name):
+    # The models record each times sequence they are given. Every
+    # candidate must get the one built for the search, and the target's
+    # samples must be read once.
+    scenario, times = SCENARIOS[name](), []
+
+    def binder(x):
+        start, family = scenario.binder(x)
+        members = [DeterministicModel(m.id, m.schema, m.theta_max,
+                                      lambda ts, v, f=m.evolve_fn: times.append(ts) or f(ts, v),
+                                      m.owns) for m in family.members]
+        return start, combine(members, family.epsilon, family.shared)
+
+    watched = LogicalScenario(scenario.space, binder, scenario.grid)
+    x = tuple(a.values[-1] if isinstance(a, DiscreteAxis) else (a.lo + 2 * a.hi) / 3
+              for a in scenario.space.axes)
+    target = Watched(realize(scenario, x))
+    got = outcome(lambda: invert(watched, target, 1e-6))
+    assert got == outcome(lambda: invert(scenario, target.trajectory, 1e-6))
+    assert target.reads == 1
+    assert len(times) > len(scenario.space.axes) + 1
+    assert all(ts is times[0] for ts in times)

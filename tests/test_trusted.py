@@ -122,8 +122,8 @@ def test_check_axioms_refuses_a_start_of_another_schema():
 
 def reference_evaluate(scenario, allow_truncation=False):
     """``evaluate`` with each row built by the checked Scene constructor."""
-    columns, fault = _walk(scenario)
     family, grid = scenario.family, scenario.grid
+    columns, fault = _walk(scenario, [i * grid.step for i in range(grid.count)])
     schema, rows = family.schema, zip(*columns)
     if fault is None:
         return Trajectory(schema, grid, tuple(Scene(schema, row) for row in rows))
