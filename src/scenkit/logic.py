@@ -21,17 +21,20 @@ Markov instance (successors that read only the last scene) a node's
 completions depend only on its residual, last scene and depth, so equal
 nodes merge and each state is progressed once (``_States``). Formulas
 are hash-consed, so equal residuals are one object and merge by
-identity. Paths are read off the DAG depth-first, a draw unranks
-its index through the counts, and enumeration's guard bounds the
-accepted leaves before any trajectory is built. The uniform-branch and
-rejection samplers walk the same merged states, computing each state's
-children once per scenario: the table lives as long as the
-``AbstractScenario``, and each call may add count × (horizon + 1) states.
+identity. Paths are read off the DAG depth-first and wrapped as
+trajectories on one grid with the cyclic collector paused (``_leaves``),
+a draw unranks its index through the counts, and enumeration's guard
+bounds the accepted leaves before any trajectory is built. The
+uniform-branch and rejection samplers walk the same merged states,
+computing each state's children once per scenario: the table lives as
+long as the ``AbstractScenario``, and each call may add
+count × (horizon + 1) states.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import random
 from dataclasses import dataclass
@@ -219,12 +222,6 @@ def _roots(inst: ScenarioLogicInstance, conj: Formula) -> list[Node]:
     return _extend(inst, ((), settle(conj, inst.horizon)), starts)
 
 
-def _to_trajectory(inst: ScenarioLogicInstance, samples: Path) -> Trajectory:
-    """The trajectory of a path of Scenes the walks built on the instance's
-    schema (``_extend`` checks each), not checked again."""
-    return _trusted_trajectory(inst.schema, inst.grid(len(samples)), samples)
-
-
 def expand(
     scenario: AbstractScenario, c: Trajectory, steps: int
 ) -> tuple[Trajectory, ...]:
@@ -234,7 +231,11 @@ def expand(
     expansions, so the composition axiom holds by construction. The paths
     are read off the DAG of ``steps`` levels below c (``_count_dag``), or
     grown by the instance's one-step override, whose paths come from
-    outside and are checked.
+    outside and are checked. Read off the DAG, the extensions share one
+    grid and are wrapped with the cyclic collector paused (``_leaves``):
+    they hold no reference cycle, so a collection could free none of
+    them. The pause is process-wide, so another thread's allocations go
+    uncollected for its length; scenkit starts no threads.
     """
     if steps < 0:
         raise RangeError("steps must be >= 0")
@@ -255,8 +256,7 @@ def expand(
             frontier = _sorted_unique(nxt)
         return tuple(Trajectory(inst.schema, inst.grid(len(p)), p) for p in frontier)
     root = (c.samples, _residual(inst, scenario.conjoined(), c.samples))
-    frontier = _paths(_count_dag(inst, [root], steps), c.samples[:-1])
-    return tuple(_to_trajectory(inst, p) for p in frontier)
+    return _leaves(inst, _count_dag(inst, [root], steps), c.samples[:-1])
 
 
 def box_step(bounds: Iterable[tuple[float, float]]) -> Callable[[Path, Scene], bool]:
@@ -379,6 +379,29 @@ def _paths(dag: _Dag, base: Path) -> list[Path]:
     return out
 
 
+def _leaves(inst: ScenarioLogicInstance, dag: _Dag, base: Path) -> tuple[Trajectory, ...]:
+    """Every leaf's trajectory in canonical order after ``base``, all on
+    one grid. The paths of ``_paths`` hold Scenes the walk built checked
+    on the instance's schema, so none is checked again. They are wrapped
+    with the cyclic collector paused (see ``enumerate_scenarios``); it is
+    enabled again on the way out, also when wrapping raises, unless it
+    was off on entry. The paths are read with it running: a pause over
+    ``_paths`` too raised the peak memory of a 65,536-leaf enumeration
+    by a tenth, held as free blocks in the allocator's small-tuple pools
+    until a full collection."""
+    paths = _paths(dag, base)
+    if not paths:
+        return ()
+    schema, grid = inst.schema, inst.grid(len(paths[0]))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple([_trusted_trajectory(schema, grid, p) for p in paths])
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def enumerate_scenarios(
     scenario: AbstractScenario, guard: int = ENUMERATION_GUARD, force: bool = False
 ) -> tuple[Trajectory, ...]:
@@ -386,14 +409,17 @@ def enumerate_scenarios(
     off the counted DAG. ComplexityError when more than ``guard`` leaves
     are accepted, read from the counts before any trajectory is built;
     ``force`` lifts that guard, not the DAG's bound of ENUMERATION_GUARD
-    states."""
+    states. The leaves share one grid and are wrapped with the cyclic
+    collector paused (``_leaves``): they hold no reference cycle, so a
+    collection could free none of them. The pause is process-wide, so
+    another thread's allocations go uncollected for its length; scenkit
+    starts no threads."""
     inst = scenario.instance
     dag = _count_dag(inst, _roots(inst, scenario.conjoined()), inst.horizon)
     total = dag.total()
     if total > guard and not force:
         raise ComplexityError(f"{total} accepted scenarios exceed the guard of {guard}")
-    schema, grid = inst.schema, inst.grid(inst.full_length())
-    return tuple(_trusted_trajectory(schema, grid, p) for p in _paths(dag, ()))
+    return _leaves(inst, dag, ())
 
 
 def count_scenarios(scenario: AbstractScenario) -> int:
@@ -475,6 +501,9 @@ def sample_abstract(
         raise UnsatisfiableError("the constraint formula is unsatisfiable")
     if inst.initial_scenes is None:
         raise ComplexityError("sampling needs a finite initial scene set")
+    # A draw is a full-length path of Scenes that the walks built checked
+    # on the schema: every draw shares one grid, and none is checked again.
+    schema, grid = inst.schema, inst.grid(inst.full_length())
 
     if strategy == "uniform-leaf":
         dag = _count_dag(inst, _roots(inst, conj), inst.horizon)
@@ -486,7 +515,7 @@ def sample_abstract(
         for i in range(count):
             r = random.Random(derive_seed(rng_seed, i)).randrange(total)
             if r not in drawn:
-                drawn[r] = _to_trajectory(inst, _unrank(dag, r))
+                drawn[r] = _trusted_trajectory(schema, grid, _unrank(dag, r))
             out.append(drawn[r])
         return out
 
@@ -542,7 +571,7 @@ def sample_abstract(
             # At full length every residual has folded to TRUE or FALSE;
             # the walk kept the guide's, so the last one decides.
             if isinstance(node[-1], TrueFormula):
-                out.append(_to_trajectory(inst, node[0]))
+                out.append(_trusted_trajectory(schema, grid, node[0]))
     return out
 
 

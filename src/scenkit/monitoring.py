@@ -37,9 +37,14 @@ a TRUE residual does not, since every completion there is accepted and
 the search only looks for one. So in a world with dead ends a TRUE
 prefix can still run into one: with start 0, 0 → {1, 2}, 1 → {3},
 2 → {}, horizon 2 and the formula ``true``, the prefix (0) is TRUE and
-its admissible extension (0, 2) is FALSE. FALSE is irrevocable under any
-continuation the world permits, and so is TRUE in worlds without dead
-ends. The stream monitor latches both. It does not keep the pass's state
+its admissible extension (0, 2) is FALSE. With ``scene_tol`` 0, FALSE
+is irrevocable under any continuation the world permits, and so is TRUE
+in worlds without dead ends. With ``scene_tol`` > 0 FALSE can be revoked
+too: the pass admits the observed scene and progresses the formula on
+it, while the search walks the successors' exact tuples. The straight
+drive with x moved by 1e-6, its ``scene_tol``, from scene 100 on has
+FALSE prefixes of 198 and 200 scenes, and its word is ACCEPTED (ROADMAP
+item 13). The stream monitor latches both verdicts. It does not keep the pass's state
 between steps yet: a step still costs a pass over the prefix.
 """
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -18,6 +19,19 @@ from scenkit.formulas import (
     TrueFormula,
 )
 from scenkit.logic import AbstractScenario, delta_step_instance, quantized_motion_instance
+
+
+@pytest.fixture(autouse=True)
+def collector_left_as_found():
+    """Fail a test that leaves the cyclic collector enabled when it found
+    it disabled, or the other way round: the walks pause it, and a test
+    that leaves it changed changes every test after it."""
+    before = gc.isenabled()
+    yield
+    after = gc.isenabled()
+    if after != before:
+        (gc.enable if before else gc.disable)()
+        pytest.fail(f"the test left gc.isenabled() {after}; it found {before}")
 
 
 @pytest.fixture

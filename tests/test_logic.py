@@ -670,6 +670,7 @@ def test_enumeration_guard_counts_leaves_before_building_any(monkeypatch):
         raise AssertionError("a trajectory was built")
 
     monkeypatch.setattr(logic, "Trajectory", no_trajectory)
+    monkeypatch.setattr(logic, "_trusted_trajectory", no_trajectory)
     start = time.perf_counter()
     with pytest.raises(ComplexityError, match=f"{2**40} accepted scenarios"):
         enumerate_scenarios(binary_scenarios(40))

@@ -158,6 +158,23 @@ def test_one_coordinate_rejection_decides_as_measuring_every_candidate(monkeypat
                 assert _monitored(nudged, A) == got
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="FALSE is revocable under scene_tol > 0: admission measures the observed "
+    "scene, the search walks the successors' exact tuples (ROADMAP item 13)",
+)
+def test_a_false_prefix_has_no_accepted_word_under_a_tolerance():
+    # The straight drive with x moved by one scene_tol from scene 100 on.
+    A = reach_or_stop_scenario()
+    word = _nudged(straight_drive_trajectory(), A.instance.scene_tol, lambda i: 0 if i >= 100 else None)
+    verdicts = [
+        monitor_prefix(Trajectory(word.schema, A.instance.grid(n), word.samples[:n]), A)
+        for n in (198, 200)
+    ]
+    if monitor_word_report(word, A).verdict is Verdict.ACCEPTED:
+        assert Verdict3.FALSE not in verdicts
+
+
 def test_word_requires_full_length():
     A = reach_or_stop_scenario()
     with pytest.raises(LengthError):

@@ -5,6 +5,7 @@ A fault is still refused where data enters, and ``evaluate`` raises what
 the per-row reference below raises, with the same message."""
 
 import dataclasses
+import gc
 import math
 from itertools import islice
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scenkit
-from scenkit import dsl, rural
+from scenkit import dsl, logic, rural
 from scenkit.core import Scene, TimeGrid, Trajectory, schema_of
 from scenkit.dynamics import (
     AttributeLevelScenario,
@@ -40,6 +41,10 @@ from scenkit.errors import (
 from scenkit.fixtures import slope_drive_scenario, straight_drive_scenario
 from scenkit.logic import (
     AbstractScenario,
+    _count_dag,
+    _paths,
+    _residual,
+    _roots,
     binary_scenarios,
     check_axioms,
     delta_step_instance,
@@ -306,3 +311,130 @@ def test_enumeration_and_evaluate_run_no_constructor_check(monkeypatch):
     # The checked constructors are still counted.
     Trajectory(slope.family.schema, TimeGrid(1.0, 1), (Scene(slope.family.schema, (0.0,)),))
     assert (len(trajectories), len(scenes)) == (1, 1)
+
+
+def test_every_walk_builds_one_grid_per_call(monkeypatch):
+    scenario = binary_scenarios(8)
+    inst = scenario.instance
+    c = Trajectory(inst.schema, inst.grid(2), inst.initial_scenes)
+    grids = counting(monkeypatch, TimeGrid)
+    for steps in (1, 3, 6):
+        assert len(expand(scenario, c, steps)) == 2**steps
+        assert len(grids) == 1
+        grids.clear()
+    assert len(enumerate_scenarios(scenario)) == 256
+    assert len(grids) == 1
+    for strategy in ("uniform-leaf", "uniform-branch", "rejection"):
+        grids.clear()
+        drawn = sample_abstract(scenario, 20, strategy, 7)
+        assert len(drawn) == 20 and len(grids) == 1
+        assert len({id(t.grid) for t in drawn}) == 1
+
+
+# --- the leaf read-off --------------------------------------------------------------
+
+
+def checked_leaves(inst, dag, base):
+    """The reference for ``logic._leaves``: each path of the DAG built
+    by the checked constructor, on a grid of its own."""
+    return tuple(Trajectory(inst.schema, inst.grid(len(p)), p) for p in _paths(dag, base))
+
+
+def assert_same_leaves(got, want, inst):
+    """The same trajectories in the same order, on equal grids, with the
+    same value bits; and what the checked constructors build."""
+    assert type(got) is tuple and len(got) == len(want)
+    for t, r in zip(got, want):
+        assert t.grid == r.grid
+        assert [[v.hex() for v in s.values] for s in t.samples] == [
+            [v.hex() for v in s.values] for s in r.samples
+        ]
+    assert len({id(t.grid) for t in got}) <= 1
+    assert_as_checked(got, inst.schema, inst.step)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walked_scenarios(), st.data())
+def test_enumeration_and_expansion_wrap_the_leaves_as_the_checked_constructor(scenario, data):
+    inst, conj = scenario.instance, scenario.conjoined()
+    dag = _count_dag(inst, _roots(inst, conj), inst.horizon)
+    assert_same_leaves(enumerate_scenarios(scenario), checked_leaves(inst, dag, ()), inst)
+    prefix = (data.draw(st.sampled_from(inst.initial_scenes)),)
+    for _ in range(data.draw(st.integers(0, inst.horizon))):
+        nxt = inst.successors(prefix)
+        if not nxt:
+            break
+        prefix += (Scene(inst.schema, data.draw(st.sampled_from(nxt))),)
+    c = Trajectory(inst.schema, inst.grid(len(prefix)), prefix)
+    for steps in range(1, inst.horizon - len(prefix) + 2):
+        dag = _count_dag(inst, [(prefix, _residual(inst, conj, prefix))], steps)
+        assert_same_leaves(expand(scenario, c, steps), checked_leaves(inst, dag, prefix[:-1]), inst)
+
+
+def test_expansion_from_a_longer_prefix_wraps_the_leaves_as_the_checked_constructor():
+    scenario = binary_scenarios(6)
+    inst = scenario.instance
+    prefix = inst.initial_scenes + inst.initial_scenes[:1]
+    c = Trajectory(inst.schema, inst.grid(3), prefix)
+    dag = _count_dag(inst, [(prefix, _residual(inst, scenario.conjoined(), prefix))], 3)
+    got = expand(scenario, c, 3)
+    assert len(got) == 8 and all(t.samples[:3] == prefix for t in got)
+    assert_same_leaves(got, checked_leaves(inst, dag, prefix[:-1]), inst)
+
+
+def _walks(scenario):
+    """The two walks that read leaves off a DAG, over ``scenario``."""
+    inst = scenario.instance
+    c = Trajectory(inst.schema, inst.grid(1), inst.initial_scenes[:1])
+    return {
+        "enumerate": lambda: enumerate_scenarios(scenario),
+        "expand": lambda: expand(scenario, c, inst.horizon),
+    }
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("walk", ["enumerate", "expand"])
+def test_the_collector_is_restored_when_wrapping_raises(monkeypatch, collecting, walk):
+    make, calls = logic._trusted_trajectory, []
+
+    def failing(*args):
+        calls.append(gc.isenabled())
+        if len(calls) == 3:
+            raise RuntimeError("wrapping failed")
+        return make(*args)
+
+    monkeypatch.setattr(logic, "_trusted_trajectory", failing)
+    read = _walks(binary_scenarios(5))[walk]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="wrapping failed"):
+            read()
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert calls == [False] * 3
+
+
+@pytest.mark.parametrize("walk", ["enumerate", "expand"])
+def test_no_collection_runs_while_the_leaves_are_wrapped(monkeypatch, walk):
+    make, wrapped, collections = logic._trusted_trajectory, [], []
+
+    def marking(*args):
+        wrapped.append(len(collections))
+        return make(*args)
+
+    def hook(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(logic, "_trusted_trajectory", marking)
+    read = _walks(binary_scenarios(12))[walk]
+    gc.callbacks.append(hook)
+    try:
+        leaves = read()
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(leaves) == len(wrapped) == (4096 if walk == "enumerate" else 2048)
+    # No collection started between the first leaf wrapped and the last.
+    assert wrapped[0] == wrapped[-1]
