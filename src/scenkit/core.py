@@ -45,6 +45,7 @@ DEFAULT_JUMP_KAPPA = 100.0
 
 @dataclass(frozen=True, slots=True)
 class Dimension:
+    """One named dimension of a scene schema and its unit."""
     name: str
     unit: str
 

@@ -80,6 +80,8 @@ _SCHEMA_UNITS = {"m", "m/s", "m/s^2", "s", "dimensionless", "enum", "enum-code",
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One problem found in a document: a code, its line and column, a
+    message, and what was found and expected."""
     code: str
     line: int
     col: int
@@ -103,6 +105,7 @@ _PUNCT = ("<=", "{", "}", "(", ")", "[", "]", ",", ".", "=", "~", "-", "+", "*",
 
 @dataclass(frozen=True)
 class Token:
+    """One lexical token of a document, with its line and column."""
     kind: str  # "ident" | "number" | "malformed number" | punct literal | "eof"
     text: str
     line: int
@@ -191,21 +194,25 @@ class Expr(HashConsed):
 
 @dataclass(frozen=True, eq=False)
 class Num(Expr):
+    """A number literal of an expression."""
     value: float
 
 
 @dataclass(frozen=True, eq=False)
 class Ref(Expr):
+    """A reference to a named parameter in an expression."""
     name: str
 
 
 @dataclass(frozen=True, eq=False)
 class Neg(Expr):
+    """The negation of an expression."""
     sub: Expr
 
 
 @dataclass(frozen=True, eq=False)
 class Bin(Expr):
+    """A binary arithmetic operation on two expressions."""
     op: str
     left: Expr
     right: Expr
@@ -232,6 +239,7 @@ class FRef(Formula):
 
 @dataclass(frozen=True)
 class SchemaDecl:
+    """A ``schema`` declaration: its name and its (dimension, unit) pairs."""
     name: str
     dims: tuple[tuple[str, str], ...]
     # Line and column of the keyword token; not part of the document.
@@ -240,6 +248,7 @@ class SchemaDecl:
 
 @dataclass(frozen=True)
 class ModelDecl:
+    """A ``model`` declaration: its name, the model factory and its arguments."""
     name: str
     factory: str
     args: tuple[tuple[str, Expr], ...]
@@ -248,6 +257,7 @@ class ModelDecl:
 
 @dataclass(frozen=True)
 class ParamDecl:
+    """A parameter of a logical scenario: a range or a set of values, and its distribution."""
     name: str
     kind: str  # "range" | "set"
     values: tuple[float, ...]  # (lo, hi) for range, members for set
@@ -256,12 +266,15 @@ class ParamDecl:
 
 @dataclass(frozen=True)
 class BindDecl:
+    """A model that a logical scenario binds, with its arguments."""
     model: str
     args: tuple[tuple[str, Expr], ...]
 
 
 @dataclass(frozen=True)
 class LogicalDecl:
+    """A ``logical`` scenario declaration: parameters, start values,
+    bound models, horizon and step."""
     name: str
     params: tuple[ParamDecl, ...]
     start: tuple[tuple[str, str, Expr], ...]  # (schema_name, dim, expr)
@@ -273,6 +286,8 @@ class LogicalDecl:
 
 @dataclass(frozen=True)
 class AbstractDecl:
+    """An ``abstract`` scenario declaration: the schema it uses,
+    horizon, step, bounds, world and constraint formulas."""
     name: str
     use: str
     horizon: float
@@ -285,6 +300,7 @@ class AbstractDecl:
 
 @dataclass(frozen=True)
 class FixtureDecl:
+    """A ``fixture`` declaration: a named formula."""
     name: str
     formula: Formula
     at: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
@@ -295,11 +311,13 @@ Decl = SchemaDecl | ModelDecl | LogicalDecl | AbstractDecl | FixtureDecl
 
 @dataclass(frozen=True)
 class SpecDocument:
+    """A parsed document: its declarations in order."""
     decls: tuple[Decl, ...]
 
 
 @dataclass(frozen=True)
 class ParseResult:
+    """The document a parse produced, or None, and the diagnostics it found."""
     document: SpecDocument | None
     diagnostics: tuple[Diagnostic, ...]
 
@@ -887,6 +905,8 @@ _MODEL_FACTORIES = {
 
 @dataclass
 class ResolvedSpec:
+    """A document resolved into schemas, logical scenarios,
+    distributions, abstract scenarios and fixtures, by name."""
     document: SpecDocument
     schemas: dict[str, SceneSchema] = field(default_factory=dict)
     logicals: dict[str, LogicalScenario] = field(default_factory=dict)

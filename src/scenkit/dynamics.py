@@ -475,6 +475,8 @@ def clock_model(schema: SceneSchema, clock: str = "clock", id: str = "clock") ->
 
 @dataclass(frozen=True)
 class SemigroupReport:
+    """The outcome of ``check_semigroup``: the largest identity and
+    semigroup residuals found and the worst case."""
     model_id: str
     trials: int
     max_identity_residual: float

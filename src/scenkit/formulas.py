@@ -111,11 +111,13 @@ class Formula(HashConsed):
 
 @dataclass(frozen=True, eq=False)
 class TrueFormula(Formula):
+    """The formula that every path satisfies."""
     _span = (0, 0)
 
 
 @dataclass(frozen=True, eq=False)
 class FalseFormula(Formula):
+    """The formula that no path satisfies."""
     _span = (math.inf, math.inf)
 
 
@@ -178,16 +180,19 @@ def pred(**bounds: tuple[float, float]) -> "Atom":
 
 @dataclass(frozen=True, eq=False)
 class Atom(Formula):
+    """The scene predicate holds at the current position."""
     predicate: ScenePredicate
 
 
 @dataclass(frozen=True, eq=False)
 class SceneConst(Formula):
+    """The current scene matches the target scene."""
     target: Scene
 
 
 @dataclass(frozen=True, eq=False)
 class And(Formula):
+    """Both subformulas hold."""
     left: Formula
     right: Formula
 
@@ -198,6 +203,7 @@ class And(Formula):
 
 @dataclass(frozen=True, eq=False)
 class Or(Formula):
+    """At least one subformula holds."""
     left: Formula
     right: Formula
 
@@ -208,6 +214,7 @@ class Or(Formula):
 
 @dataclass(frozen=True, eq=False)
 class Next(Formula):
+    """The subformula holds at the next position."""
     sub: Formula
 
     def __post_init__(self):
@@ -217,6 +224,7 @@ class Next(Formula):
 
 @dataclass(frozen=True, eq=False)
 class Eventually(Formula):
+    """The subformula holds at some position, within ``within`` steps when given."""
     sub: Formula
     within: int | None = None
 
@@ -230,6 +238,7 @@ class Eventually(Formula):
 
 @dataclass(frozen=True, eq=False)
 class Always(Formula):
+    """The subformula holds at every position, within ``within`` steps when given."""
     sub: Formula
     within: int | None = None
 

@@ -21,9 +21,13 @@ Markov instance (successors that read only the last scene) a node's
 completions depend only on its residual, last scene and depth, so equal
 nodes merge and each state is progressed once (``_States``). Formulas
 are hash-consed, so equal residuals are one object and merge by
-identity. Paths are read off the DAG depth-first and wrapped as
-trajectories on one grid with the cyclic collector paused (``_leaves``),
-a draw unranks its index through the counts, and enumeration's guard
+identity. Paths are read off the DAG split at its middle level
+(``_paths``): a middle state that several prefixes reach has its
+suffixes read once and shared, so each of its leaves is one
+``prefix + suffix``; one that a single prefix reaches is walked
+depth-first straight from it. The paths are wrapped as trajectories on
+one grid with the cyclic collector paused (``_leaves``), a draw
+unranks its index through the counts, and enumeration's guard
 bounds the accepted leaves before any trajectory is built. The
 uniform-branch and rejection samplers walk the same merged states,
 computing each state's children once per scenario: the table lives as
@@ -37,6 +41,7 @@ import dataclasses
 import gc
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -231,8 +236,9 @@ def expand(
     expansions, so the composition axiom holds by construction. The paths
     are read off the DAG of ``steps`` levels below c (``_count_dag``), or
     grown by the instance's one-step override, whose paths come from
-    outside and are checked. Read off the DAG, the extensions share one
-    grid and are wrapped with the cyclic collector paused (``_leaves``):
+    outside and are checked. Read off the DAG, split at its middle level
+    (``_paths``), the extensions share one grid and are wrapped with the
+    cyclic collector paused (``_leaves``):
     they hold no reference cycle, so a collection could free none of
     them. The pause is process-wide, so another thread's allocations go
     uncollected for its length; scenkit starts no threads.
@@ -273,10 +279,11 @@ def box_step(bounds: Iterable[tuple[float, float]]) -> Callable[[Path, Scene], b
 
 
 class _States:
-    """The merge rule for Markov states. A node is ``(path, *residuals)``;
-    on a Markov instance its completions depend only on its depth, its
-    last scene and its residuals, so nodes equal in all three are one
-    state, and a value stored for one serves every other. Residuals are
+    """The merge rule for Markov states. A node is ``(path, *residuals)``,
+    its path a tuple or list of Scenes; on a Markov instance its
+    completions depend only on its depth, its last scene and its
+    residuals, so nodes equal in all three are one state, and a value
+    stored for one serves every other. Residuals are
     hash-consed (``formulas.HashConsed``), so equal residuals are one
     object and a state's key compares them by identity. At most ``cap``
     states are stored."""
@@ -356,14 +363,14 @@ def _count_dag(
     return _Dag(roots, kids, scenes, counts)
 
 
-def _paths(dag: _Dag, base: Path) -> list[Path]:
-    """Every leaf's path in canonical order after ``base``: a depth-first
-    walk in ``kids`` order that skips states with no leaf below, so no
-    dead subtree is built. It keeps one path, a tuple of it per leaf."""
+def _descend(dag: _Dag, roots: Iterable[int], path: list[Scene], out: list[Path]) -> list[Path]:
+    """``out`` with every leaf's path below ``roots`` appended, each after
+    ``path``, in canonical order: a depth-first walk in ``kids`` order
+    that skips states with no leaf below, so no dead subtree is built. It
+    keeps one path, a tuple of it per leaf."""
     counts, kids, scenes = dag.counts, dag.kids, dag.scenes
     inner = len(kids)
-    out: list[Path] = []
-    path, stack = list(base), [iter(dag.roots)]
+    stack = [iter(roots)]
     while stack:
         for j in stack[-1]:
             if counts[j]:
@@ -375,20 +382,65 @@ def _paths(dag: _Dag, base: Path) -> list[Path]:
                 path.pop()
         else:
             stack.pop()
-            del path[-1:]  # the roots' level pops a base scene or nothing
+            del path[-1:]  # the roots' level pops a path scene or nothing
+    return out
+
+
+def _paths(dag: _Dag, base: Path) -> list[Path]:
+    """Every leaf's path in canonical order after ``base``, read off the
+    DAG split at its middle level, half way down its height (meet in the
+    middle: Horowitz & Sahni, JACM 1974). The upper levels are read
+    breadth first, in canonical order, into prefixes that each end
+    before a state of the middle level. A middle state that several
+    prefixes reach has its suffixes read once, depth-first
+    (``_descend``), and kept only until the last of those prefixes has
+    used them; each of its leaves is one ``prefix + suffix``. A middle
+    state that one prefix reaches is walked depth-first straight from
+    that prefix: a suffix list would serve one prefix, and each of its
+    leaves would be built twice. When no middle state is shared, as on a
+    tree (every non-Markov instance), the whole DAG is walked straight
+    once, and no prefix is built."""
+    counts, kids, scenes = dag.counts, dag.kids, dag.scenes
+    live = [j for j in dag.roots if counts[j]]
+    top = len(_unrank(dag, 0)) // 2 if live else 0
+    # The middle state each prefix ends before, once per prefix.
+    ends = live
+    for _ in range(top):
+        ends = [k for j in ends for k in kids[j] if counts[k]]
+    reach = Counter(ends)
+    if len(reach) == len(ends):
+        return _descend(dag, live, list(base), [])
+    level = [(base, j) for j in live]
+    for _ in range(top):
+        level = [(p + (scenes[j],), k) for p, j in level for k in kids[j] if counts[k]]
+    out: list[Path] = []
+    shared: dict[int, list[Path]] = {}
+    for prefix, k in level:
+        reach[k] -= 1
+        if k in shared:
+            suffixes = shared[k] if reach[k] else shared.pop(k)
+        elif reach[k]:
+            suffixes = shared[k] = _descend(dag, (k,), [], [])
+        else:
+            _descend(dag, (k,), list(prefix), out)
+            continue
+        out += map(prefix.__add__, suffixes)
     return out
 
 
 def _leaves(inst: ScenarioLogicInstance, dag: _Dag, base: Path) -> tuple[Trajectory, ...]:
     """Every leaf's trajectory in canonical order after ``base``, all on
-    one grid. The paths of ``_paths`` hold Scenes the walk built checked
-    on the instance's schema, so none is checked again. They are wrapped
-    with the cyclic collector paused (see ``enumerate_scenarios``); it is
+    one grid. The paths of ``_paths``, read off the DAG split at its
+    middle level, hold the Scenes the walk built checked on the
+    instance's schema, so none is checked again. They are wrapped with
+    the cyclic collector paused (see ``enumerate_scenarios``); it is
     enabled again on the way out, also when wrapping raises, unless it
     was off on entry. The paths are read with it running: a pause over
-    ``_paths`` too raised the peak memory of a 65,536-leaf enumeration
-    by a tenth, held as free blocks in the allocator's small-tuple pools
-    until a full collection."""
+    the split read-off too made the enumeration benchmark's
+    ``scenes_per_s`` a quarter higher again, but raised its
+    ``peak_rss_mib`` by over a tenth (55.6 to 62.6 MiB in a 10 s run),
+    held as free blocks in the allocator's small-tuple pools until a
+    full collection."""
     paths = _paths(dag, base)
     if not paths:
         return ()
@@ -409,7 +461,9 @@ def enumerate_scenarios(
     off the counted DAG. ComplexityError when more than ``guard`` leaves
     are accepted, read from the counts before any trajectory is built;
     ``force`` lifts that guard, not the DAG's bound of ENUMERATION_GUARD
-    states. The leaves share one grid and are wrapped with the cyclic
+    states. The paths are read off the DAG split at its middle level, a
+    shared suffix read once for all the prefixes that reach it
+    (``_paths``). The leaves share one grid and are wrapped with the cyclic
     collector paused (``_leaves``): they hold no reference cycle, so a
     collection could free none of them. The pause is process-wide, so
     another thread's allocations go uncollected for its length; scenkit
@@ -489,7 +543,9 @@ def sample_abstract(
     meet); a call adds at most count × (horizon + 1) states, so a
     repeated draw costs only its walk. A rejection walk carries the
     constraints' residual next to the world's, so a leaf is checked
-    without progressing its path again.
+    without progressing its path again. A walk grows its path as one
+    list and builds its tuple once, for an accepted draw, so a walk costs
+    no copy of its path per step.
     """
     if count < 1:
         raise RangeError("count must be >= 1")
@@ -535,8 +591,8 @@ def sample_abstract(
     def children(node: tuple) -> list[tuple]:
         """A node's children as (last scene, *residuals), ordered as
         ``_children`` orders them."""
-        path = node[0]
-        kids = _children(inst, node[:2])
+        path = tuple(node[0])
+        kids = _children(inst, (path, node[1]))
         if strategy == "uniform-branch":
             return [(p[-1], r) for p, r in kids]
         position, check = len(path), node[2]
@@ -561,17 +617,19 @@ def sample_abstract(
         rng = random.Random(derive_seed(rng_seed, attempts))
         attempts += 1
         node = roots[rng.randrange(len(roots))]
+        path = list(node[0])
         for _ in range(inst.horizon):
             kids = children(node) if states is None else states.lookup(node, children)
             if not kids:
                 break
             scene, *residuals = kids[rng.randrange(len(kids))]
-            node = (node[0] + (scene,), *residuals)
+            path.append(scene)
+            node = (path, *residuals)
         else:
             # At full length every residual has folded to TRUE or FALSE;
             # the walk kept the guide's, so the last one decides.
             if isinstance(node[-1], TrueFormula):
-                out.append(_trusted_trajectory(schema, grid, node[0]))
+                out.append(_trusted_trajectory(schema, grid, tuple(path)))
     return out
 
 
@@ -580,6 +638,7 @@ def sample_abstract(
 
 @dataclass(frozen=True)
 class AxiomReport:
+    """The outcome of ``check_axioms``: the probes run and the counterexamples found."""
     instance_id: str
     probes: int
     counterexamples: tuple[str, ...]

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .core import Scene, TimeGrid, Trajectory, _check_comparable, _checked_columns
 from .core import _columns_of, _sup_distance
@@ -36,6 +36,7 @@ MAX_SCAN_POINTS = 200_000
 
 @dataclass(frozen=True)
 class ContinuousAxis:
+    """A parameter axis over the closed interval [lo, hi]."""
     name: str
     lo: float
     hi: float
@@ -56,6 +57,7 @@ class ContinuousAxis:
 
 @dataclass(frozen=True)
 class DiscreteAxis:
+    """A parameter axis over a finite set of distinct values."""
     name: str
     values: tuple[float, ...]
 
@@ -79,6 +81,7 @@ Axis = ContinuousAxis | DiscreteAxis
 
 @dataclass(frozen=True)
 class ParameterSpace:
+    """The product of uniquely named parameter axes."""
     axes: tuple[Axis, ...]
 
     def __post_init__(self):
@@ -117,6 +120,7 @@ class Uniform:
 
 @dataclass(frozen=True)
 class TruncatedNormal:
+    """A normal marginal of mean ``mu`` and deviation ``sigma``, truncated to its axis."""
     mu: float
     sigma: float
 
@@ -127,6 +131,7 @@ class TruncatedNormal:
 
 @dataclass(frozen=True)
 class DiscreteWeighted:
+    """A marginal over a discrete axis's values, with weights that sum to 1."""
     weights: tuple[float, ...]
 
     def __post_init__(self):
@@ -191,6 +196,9 @@ def derive_seed(seed: int, index: int) -> int:
 
 # --- the scenario itself ---------------------------------------------------
 
+# collections.abc's Callable, not typing's: typing caches a subscripted
+# alias, and the cache would keep Scene and ModelFamily, and through them
+# every module of this import, alive after a fresh import of the package.
 Binder = Callable[[tuple[float, ...]], tuple[Scene, ModelFamily]]
 
 
@@ -269,12 +277,16 @@ def draw_parameters(
 
 @dataclass(frozen=True)
 class Found:
+    """An ``invert`` result: a parameter vector whose realization is
+    within the tolerance, and its residual."""
     x: tuple[float, ...]
     residual: float
 
 
 @dataclass(frozen=True)
 class NotInImage:
+    """An ``invert`` result: no vector within the tolerance; the best
+    one found and its residual."""
     best_x: tuple[float, ...]
     best_residual: float
 

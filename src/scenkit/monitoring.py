@@ -72,6 +72,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class WordReport:
+    """A word verdict, and for a rejection the index of the first violation and the reason."""
     verdict: Verdict
     violation_index: int | None
     reason: str

@@ -45,6 +45,8 @@ def ms_to_kmh(v: float) -> float:
 
 @dataclass(frozen=True)
 class RuralConfig:
+    """The rural overtaking set-up: n red cars, m blue cars, speed
+    caps, gaps, lanes and slot timing."""
     n: int
     m: int
     v_tractor_max: float = 40.0 / KMH
@@ -166,6 +168,8 @@ def rural_schema(n: int, m: int) -> SceneSchema:
 
 @dataclass(frozen=True)
 class _Schedule:
+    """The event times of one maneuver choice: blue crossings,
+    overtake starts, arrivals at the slots."""
     blue_cross: tuple[float, ...]  # crossing time of blue j at the tractor
     overtake_start: tuple[float, ...]  # start time of the i-th overtake
     arrival: dict  # red id -> slot arrival time

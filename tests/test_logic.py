@@ -34,6 +34,7 @@ from scenkit.formulas import (
     Verdict3,
     conjoin,
     evaluate3,
+    progress,
     settle,
 )
 from scenkit.fixtures import planar_instance, reach_or_stop_formula
@@ -870,6 +871,103 @@ def test_memoized_walks_compute_each_state_once(monkeypatch):
     # Two states per depth below the roots, one successors call each;
     # the per-node walk makes 50 x 11.
     assert len(calls) == 22
+
+
+def _tuple_path_walks(scenario, count, strategy, rng_seed, max_attempts=10_000):
+    """uniform-branch and rejection as sampled before a walk kept its path
+    in one list, kept verbatim as the reference: a step extends the path
+    tuple by its new scene."""
+    inst = scenario.instance
+    conj = scenario.conjoined()
+    if isinstance(settle(conj, inst.horizon), FalseFormula):
+        raise UnsatisfiableError("the constraint formula is unsatisfiable")
+    if inst.initial_scenes is None:
+        raise ComplexityError("sampling needs a finite initial scene set")
+    schema, grid = inst.schema, inst.grid(inst.full_length())
+    if strategy == "uniform-branch":
+        roots = _roots(inst, conj)
+    else:
+        check = settle(scenario.constraints, inst.horizon)
+        roots = [
+            (p, r, progress(check, p[0], 0, inst.horizon, inst.scene_tol))
+            for p, r in _roots(inst, conjoin(scenario.world))
+        ]
+    if not roots:
+        raise UnsatisfiableError("no admissible starting scene")
+
+    def children(node: tuple) -> list[tuple]:
+        path = node[0]
+        kids = _children(inst, node[:2])
+        if strategy == "uniform-branch":
+            return [(p[-1], r) for p, r in kids]
+        position, check = len(path), node[2]
+        return [
+            (p[-1], r, progress(check, p[-1], position, inst.horizon, inst.scene_tol))
+            for p, r in kids
+        ]
+
+    states = None
+    if inst.markov:
+        states = scenario.__dict__.setdefault("_walks", logic._States(0))
+        states.cap = len(states.memo) + count * inst.full_length()
+    out = []
+    attempts = 0
+    while len(out) < count:
+        if attempts >= max_attempts:
+            rate = len(out) / attempts
+            raise RejectionBudgetError(
+                f"gave up after {attempts} attempts (acceptance rate {rate:.3g})",
+                acceptance_rate=rate,
+            )
+        rng = random.Random(derive_seed(rng_seed, attempts))
+        attempts += 1
+        node = roots[rng.randrange(len(roots))]
+        for _ in range(inst.horizon):
+            kids = children(node) if states is None else states.lookup(node, children)
+            if not kids:
+                break
+            scene, *residuals = kids[rng.randrange(len(kids))]
+            node = (node[0] + (scene,), *residuals)
+        else:
+            if isinstance(node[-1], TrueFormula):
+                out.append(logic._trusted_trajectory(schema, grid, node[0]))
+    return out
+
+
+def _drawn_bits(draws):
+    """Draws as value bits and grids, or the outcome of a failed call."""
+    if not isinstance(draws, list):
+        return draws
+    return [(t.grid, [[v.hex() for v in s.values] for s in t.samples]) for t in draws]
+
+
+@given(
+    small_instances(max_horizon=5),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["uniform-branch", "rejection"]),
+    st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2**31)), min_size=2, max_size=3),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_list_path_walks_draw_what_the_tuple_path_walk_draws(
+    case, boxed, markov, strategy, calls, data
+):
+    inst, _ = case
+    inst = dataclasses.replace(with_dead_ends(inst) if boxed else inst, markov=markov)
+    formulas = every_node_formulas(inst.schema)
+    A = AbstractScenario(
+        data.draw(formulas), tuple(data.draw(st.lists(formulas, max_size=2))), inst
+    )
+    B = dataclasses.replace(A)
+    # The first call finds each memo cold, and the later ones warm.
+    for count, seed in calls:
+        args = (count, strategy, seed)
+        got = _outcome(sample_abstract, A, *args, max_attempts=40)
+        want = _outcome(_tuple_path_walks, B, *args, max_attempts=40)
+        assert got == want and _drawn_bits(got) == _drawn_bits(want)
+        if isinstance(got, list):
+            assert all(type(t.samples) is tuple for t in got)
 
 
 # --- quantized successors against a per-pair reference ------------------------------

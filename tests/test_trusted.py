@@ -7,6 +7,7 @@ the per-row reference below raises, with the same message."""
 import dataclasses
 import gc
 import math
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 
@@ -42,7 +43,6 @@ from scenkit.fixtures import slope_drive_scenario, straight_drive_scenario
 from scenkit.logic import (
     AbstractScenario,
     _count_dag,
-    _paths,
     _residual,
     _roots,
     binary_scenarios,
@@ -78,10 +78,13 @@ def assert_as_checked(trajectories, schema, step):
 
 
 @st.composite
-def walked_scenarios(draw):
-    inst, _ = draw(small_instances())
+def walked_scenarios(draw, max_horizon=3):
+    """A formula over a small instance, with or without dead ends, and
+    Markov or not: a DAG whose equal nodes merge, or a tree."""
+    inst, _ = draw(small_instances(max_horizon))
     if draw(st.booleans()):
         inst = with_dead_ends(inst)
+    inst = dataclasses.replace(inst, markov=draw(st.booleans()))
     return AbstractScenario(draw(every_node_formulas(inst.schema)), (), inst)
 
 
@@ -334,41 +337,149 @@ def test_every_walk_builds_one_grid_per_call(monkeypatch):
 # --- the leaf read-off --------------------------------------------------------------
 
 
+def depth_first_paths(dag, base):
+    """The reference read-off: the depth-first walk that read the paths
+    off the DAG before the read-off was split at its middle level, kept
+    verbatim. Every leaf's path in canonical order after ``base``: a
+    depth-first walk in ``kids`` order that skips states with no leaf
+    below, so no dead subtree is built. It keeps one path, a tuple of it
+    per leaf."""
+    counts, kids, scenes = dag.counts, dag.kids, dag.scenes
+    inner = len(kids)
+    out = []
+    path, stack = list(base), [iter(dag.roots)]
+    while stack:
+        for j in stack[-1]:
+            if counts[j]:
+                path.append(scenes[j])
+                if j < inner:
+                    stack.append(iter(kids[j]))
+                    break
+                out.append(tuple(path))
+                path.pop()
+        else:
+            stack.pop()
+            del path[-1:]  # the roots' level pops a base scene or nothing
+    return out
+
+
 def checked_leaves(inst, dag, base):
-    """The reference for ``logic._leaves``: each path of the DAG built
-    by the checked constructor, on a grid of its own."""
-    return tuple(Trajectory(inst.schema, inst.grid(len(p)), p) for p in _paths(dag, base))
+    """The reference for ``logic._leaves``: each path that the
+    depth-first reference reads off the DAG, built by the checked
+    constructor on a grid of its own."""
+    return tuple(
+        Trajectory(inst.schema, inst.grid(len(p)), p) for p in depth_first_paths(dag, base)
+    )
 
 
-def assert_same_leaves(got, want, inst):
+def assert_same_leaves(got, want, inst, same_dag=False):
     """The same trajectories in the same order, on equal grids, with the
-    same value bits; and what the checked constructors build."""
+    same value bits; and what the checked constructors build. Read off
+    one DAG (``same_dag``), they hold the very same Scenes."""
     assert type(got) is tuple and len(got) == len(want)
     for t, r in zip(got, want):
         assert t.grid == r.grid
         assert [[v.hex() for v in s.values] for s in t.samples] == [
             [v.hex() for v in s.values] for s in r.samples
         ]
+        if same_dag:
+            assert all(a is b for a, b in zip(t.samples, r.samples, strict=True))
     assert len({id(t.grid) for t in got}) <= 1
     assert_as_checked(got, inst.schema, inst.step)
 
 
+def assert_read_as_the_reference(inst, dag, base):
+    """``logic._leaves`` holds what the depth-first reference reads off
+    the same DAG: the same Scenes, in the same order."""
+    assert_same_leaves(logic._leaves(inst, dag, base), checked_leaves(inst, dag, base), inst, True)
+
+
 @settings(max_examples=150, deadline=None)
-@given(walked_scenarios(), st.data())
+@given(walked_scenarios(max_horizon=5), st.data())
 def test_enumeration_and_expansion_wrap_the_leaves_as_the_checked_constructor(scenario, data):
     inst, conj = scenario.instance, scenario.conjoined()
     dag = _count_dag(inst, _roots(inst, conj), inst.horizon)
+    assert_read_as_the_reference(inst, dag, ())
     assert_same_leaves(enumerate_scenarios(scenario), checked_leaves(inst, dag, ()), inst)
-    prefix = (data.draw(st.sampled_from(inst.initial_scenes)),)
-    for _ in range(data.draw(st.integers(0, inst.horizon))):
-        nxt = inst.successors(prefix)
+    # Expansion from every prefix of one drawn path, by every step count.
+    path = (data.draw(st.sampled_from(inst.initial_scenes)),)
+    while len(path) <= inst.horizon:
+        nxt = inst.successors(path)
         if not nxt:
             break
-        prefix += (Scene(inst.schema, data.draw(st.sampled_from(nxt))),)
-    c = Trajectory(inst.schema, inst.grid(len(prefix)), prefix)
-    for steps in range(1, inst.horizon - len(prefix) + 2):
-        dag = _count_dag(inst, [(prefix, _residual(inst, conj, prefix))], steps)
-        assert_same_leaves(expand(scenario, c, steps), checked_leaves(inst, dag, prefix[:-1]), inst)
+        path += (Scene(inst.schema, data.draw(st.sampled_from(nxt))),)
+    for length in range(1, len(path) + 1):
+        prefix = path[:length]
+        c = Trajectory(inst.schema, inst.grid(length), prefix)
+        for steps in range(1, inst.horizon - length + 2):
+            dag = _count_dag(inst, [(prefix, _residual(inst, conj, prefix))], steps)
+            assert_read_as_the_reference(inst, dag, prefix[:-1])
+            want = checked_leaves(inst, dag, prefix[:-1])
+            assert_same_leaves(expand(scenario, c, steps), want, inst)
+
+
+def _not_markov(scenario):
+    return dataclasses.replace(
+        scenario, instance=dataclasses.replace(scenario.instance, markov=False)
+    )
+
+
+def _walk_scenario():
+    """A three-way walk of 8 steps that stays inside [-3, 3] and reaches 2."""
+    d0 = schema_of(("d0", "dimensionless"))
+    inst = delta_step_instance(d0, [(-1.0,), (0.0,), (1.0,)], 1.0, 8, [Scene(d0, (0.0,))])
+    f = scenkit.formulas
+    within, reach = f.pred(d0=(-3.0, 3.0)), f.pred(d0=(2.0, 2.0))
+    return AbstractScenario(f.And(f.Always(within), f.Eventually(reach)), (), inst)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        binary_scenarios(1),
+        binary_scenarios(3),
+        binary_scenarios(16),
+        _walk_scenario(),
+        _not_markov(binary_scenarios(14)),
+        _not_markov(_walk_scenario()),
+    ],
+    ids=["binary1", "binary3", "binary16", "walk", "binary14-tree", "walk-tree"],
+)
+def test_the_read_off_holds_the_dags_scenes_in_the_reference_order(scenario):
+    inst, conj = scenario.instance, scenario.conjoined()
+    start = inst.initial_scenes[0]
+    # The enumeration's DAG, and an expansion's below a two-scene base.
+    reads = [((), inst.horizon)] + [((start, start), inst.horizon - 1)] * (inst.horizon > 0)
+    for base, steps in reads:
+        roots = [(base, _residual(inst, conj, base))] if base else _roots(inst, conj)
+        dag = _count_dag(inst, roots, steps)
+        got, want = logic._paths(dag, base[:-1]), depth_first_paths(dag, base[:-1])
+        assert len(got) == len(want) == dag.total()
+        for p, q in zip(got, want):
+            assert type(p) is tuple and all(a is b for a, b in zip(p, q, strict=True))
+
+
+def _peak(read, dag):
+    """The peak of the memory traced while ``read`` reads the DAG's leaves."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read(dag, ())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "scenario", [binary_scenarios(14), _not_markov(binary_scenarios(14))], ids=["dag", "tree"]
+)
+def test_the_read_off_peaks_at_most_a_twentieth_above_the_reference(scenario):
+    inst = scenario.instance
+    dag = _count_dag(inst, _roots(inst, scenario.conjoined()), inst.horizon)
+    want = _peak(depth_first_paths, dag)
+    # The leaves alone hold 16,384 tuples of 14 scenes.
+    assert want > 16_384 * 14 * 8
+    assert _peak(logic._paths, dag) <= 1.05 * want
 
 
 def test_expansion_from_a_longer_prefix_wraps_the_leaves_as_the_checked_constructor():
