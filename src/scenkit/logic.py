@@ -29,10 +29,11 @@ depth-first straight from it. The paths are wrapped as trajectories on
 one grid with the cyclic collector paused (``_leaves``), a draw
 unranks its index through the counts, and enumeration's guard
 bounds the accepted leaves before any trajectory is built. The
-uniform-branch and rejection samplers walk the same merged states,
-computing each state's children once per scenario: the table lives as
-long as the ``AbstractScenario``, and each call may add
-count × (horizon + 1) states.
+uniform-branch and rejection samplers walk state records that hold
+their kids, so a step is one random index into a kid list. On a Markov
+instance they merge by the same rule, consulting the table once per
+state; the table lives as long as the ``AbstractScenario``, and each
+call may add count × (horizon + 1) states.
 """
 
 from __future__ import annotations
@@ -285,8 +286,10 @@ class _States:
     residuals, so nodes equal in all three are one state, and a value
     stored for one serves every other. Residuals are
     hash-consed (``formulas.HashConsed``), so equal residuals are one
-    object and a state's key compares them by identity. At most ``cap``
-    states are stored."""
+    object and a state's key compares them by identity. Counting stores
+    a state's number; the samplers store its walk record (``_Record``),
+    looked up once, when the state is first met as a kid. At most
+    ``cap`` states are stored."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -514,12 +517,25 @@ def trace_formula(c: Trajectory) -> Formula:
 # --- sampling ---------------------------------------------------------------
 
 
+class _Record:
+    """A state of a sampling walk. ``guide`` is the residual its kids are
+    grown by and ``check`` the one its leaf is accepted by: the one
+    formula for uniform-branch, the constraints' for rejection. Once
+    expanded, ``kids`` lists ``(scene, child record)`` in ``_children``
+    order. A record holds no path: it is expanded from the walk's."""
+
+    __slots__ = ("guide", "check", "kids")
+
+    def __init__(self, node: tuple):
+        self.guide, self.check, self.kids = node[1], node[-1], None
+
+
 def sample_abstract(
     scenario: AbstractScenario,
     count: int,
     strategy: str,
     rng_seed: int,
-    max_attempts: int = 10_000,
+    max_attempts: int | None = None,
 ) -> list[Trajectory]:
     """Draw accepted concrete scenarios from an abstract scenario.
 
@@ -531,21 +547,27 @@ def sample_abstract(
     rejection walks the world model alone and accepts the leaves that
     satisfy the constraints, which cannot be guaranteed to succeed
     (surfaced as a budget error carrying the acceptance rate so far).
+    ``max_attempts`` bounds the attempts of all draws together; by
+    default it is 10,000 per requested draw.
 
     Attempt i walks with its own generator, seeded by
-    ``derive_seed(rng_seed, i)``. On a Markov instance the two walks go
-    over the states that counting and enumeration merge (depth, residual,
-    last scene): each state's children are computed once, in the order
-    ``_children`` gives them, so a draw picks the same child as a walk
-    that recomputes them at every step. They are kept in one table per
-    scenario, which lives and dies with it and which both strategies
-    share (a rejection state carries two residuals, so their keys never
-    meet); a call adds at most count × (horizon + 1) states, so a
-    repeated draw costs only its walk. A rejection walk carries the
-    constraints' residual next to the world's, so a leaf is checked
-    without progressing its path again. A walk grows its path as one
-    list and builds its tuple once, for an accepted draw, so a walk costs
-    no copy of its path per step.
+    ``derive_seed(rng_seed, i)``, over state records (``_Record``). A record
+    is expanded on its first visit, from the path the walk holds, into its
+    kids in the order ``_children`` gives them, so a step reads a kid list
+    at one random index and a draw picks the child a walk that recomputes
+    the children at every step would pick. Records hold no path, so the kept
+    records cost about what kept kid lists would. On a Markov instance a
+    kid's record comes from the merge rule that counting and enumeration use
+    (``_States``: depth, residuals, last scene), consulted once, when the
+    state is first met as a kid; on any other instance every kid is a fresh
+    record. The table lives and dies with the scenario, and both strategies
+    share it (a rejection state carries two residuals, so their keys never
+    meet), so a repeated draw costs only its walk. A call adds at most
+    count × (horizon + 1) states to the table and keeps the kids of at most
+    as many records; past that, a record is expanded at each visit. A
+    rejection walk carries the constraints' residual next to the world's,
+    so a leaf is checked without progressing its path again. A walk grows
+    its path as one list and builds its tuple once, for an accepted draw.
     """
     if count < 1:
         raise RangeError("count must be >= 1")
@@ -576,39 +598,48 @@ def sample_abstract(
         return out
 
     # A walk node is (path, guide residual), and for rejection also the
-    # constraints' residual, so the leaf check reads it off the node.
+    # constraints' residual, so the leaf check reads it off the record.
     if strategy == "uniform-branch":
-        roots = _roots(inst, conj)
+        nodes = _roots(inst, conj)
     else:
         check = settle(scenario.constraints, inst.horizon)
-        roots = [
+        nodes = [
             (p, r, progress(check, p[0], 0, inst.horizon, inst.scene_tol))
             for p, r in _roots(inst, conjoin(scenario.world))
         ]
-    if not roots:
+    if not nodes:
         raise UnsatisfiableError("no admissible starting scene")
-
-    def children(node: tuple) -> list[tuple]:
-        """A node's children as (last scene, *residuals), ordered as
-        ``_children`` orders them."""
-        path = tuple(node[0])
-        kids = _children(inst, (path, node[1]))
-        if strategy == "uniform-branch":
-            return [(p[-1], r) for p, r in kids]
-        position, check = len(path), node[2]
-        return [
-            (p[-1], r, progress(check, p[-1], position, inst.horizon, inst.scene_tol))
-            for p, r in kids
-        ]
-
-    states = None
+    keep = count * inst.full_length()
     if inst.markov:
         states = scenario.__dict__.setdefault("_walks", _States(0))
-        states.cap = len(states.memo) + count * inst.full_length()
+        states.cap = len(states.memo) + keep
+
+        def record(node: tuple) -> _Record:
+            return states.lookup(node, _Record)
+    else:
+        record = _Record
+
+    def expand(rec: _Record, path: list[Scene]) -> list[tuple[Scene, _Record]]:
+        nonlocal keep
+        position = len(path)
+        kids = []
+        for p, r in _children(inst, (tuple(path), rec.guide)):
+            if strategy == "uniform-branch":
+                node = (p, r)
+            else:
+                node = (p, r, progress(rec.check, p[-1], position, inst.horizon, inst.scene_tol))
+            kids.append((p[-1], record(node)))
+        if keep:
+            rec.kids = kids
+            keep -= 1
+        return kids
+
+    roots = [(node[0][0], record(node)) for node in nodes]
+    budget = 10_000 * count if max_attempts is None else max_attempts
     out: list[Trajectory] = []
     attempts = 0
     while len(out) < count:
-        if attempts >= max_attempts:
+        if attempts >= budget:
             rate = len(out) / attempts
             raise RejectionBudgetError(
                 f"gave up after {attempts} attempts (acceptance rate {rate:.3g})",
@@ -616,19 +647,20 @@ def sample_abstract(
             )
         rng = random.Random(derive_seed(rng_seed, attempts))
         attempts += 1
-        node = roots[rng.randrange(len(roots))]
-        path = list(node[0])
+        scene, rec = roots[rng.randrange(len(roots))]
+        path = [scene]
         for _ in range(inst.horizon):
-            kids = children(node) if states is None else states.lookup(node, children)
+            kids = rec.kids
+            if kids is None:
+                kids = expand(rec, path)
             if not kids:
                 break
-            scene, *residuals = kids[rng.randrange(len(kids))]
+            scene, rec = kids[rng.randrange(len(kids))]
             path.append(scene)
-            node = (path, *residuals)
         else:
-            # At full length every residual has folded to TRUE or FALSE;
-            # the walk kept the guide's, so the last one decides.
-            if isinstance(node[-1], TrueFormula):
+            # At full length every residual has folded to TRUE or FALSE,
+            # and the check decides.
+            if isinstance(rec.check, TrueFormula):
                 out.append(_trusted_trajectory(schema, grid, tuple(path)))
     return out
 

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,18 +34,13 @@ from scenkit.formulas import (
     ScenePredicate,
     TrueFormula,
     Verdict3,
-    conjoin,
     evaluate3,
-    progress,
-    settle,
 )
 from scenkit.fixtures import planar_instance, reach_or_stop_formula
 from scenkit.logic import (
     AbstractScenario,
     ScenarioLogicInstance,
-    _children,
     _count_dag,
-    _residual,
     _roots,
     _unrank,
     binary_branching,
@@ -80,6 +77,7 @@ from conftest import (
     with_dead_ends,
     worlds_and_words,
 )
+from reference import _per_node_walk, _tuple_path_walks
 
 ASSETS = Path(__file__).resolve().parents[1] / "src" / "scenkit" / "assets"
 
@@ -686,51 +684,6 @@ def test_enumeration_guard_counts_leaves_before_building_any(monkeypatch):
 # --- sampling walks over merged states against the per-node walk ---------------------
 
 
-def _per_node_walk(scenario, count, strategy, rng_seed, max_attempts=10_000):
-    """uniform-branch and rejection as sampled before the state memo, kept
-    as the reference: every step of every attempt computes its node's
-    children again, and a rejection leaf progresses the whole formula
-    over its path."""
-    inst = scenario.instance
-    conj = scenario.conjoined()
-    if isinstance(settle(conj, inst.horizon), FalseFormula):
-        raise UnsatisfiableError("the constraint formula is unsatisfiable")
-    if inst.initial_scenes is None:
-        raise ComplexityError("sampling needs a finite initial scene set")
-    guide = conj if strategy == "uniform-branch" else conjoin(scenario.world)
-    roots = _roots(inst, guide)
-    if not roots:
-        raise UnsatisfiableError("no admissible starting scene")
-    out = []
-    attempts = accepted = 0
-    while len(out) < count:
-        if attempts >= max_attempts:
-            rate = accepted / attempts
-            raise RejectionBudgetError(
-                f"gave up after {attempts} attempts (acceptance rate {rate:.3g})",
-                acceptance_rate=rate,
-            )
-        rng = random.Random(derive_seed(rng_seed, attempts))
-        attempts += 1
-        path, r = roots[rng.randrange(len(roots))]
-        dead = False
-        for _ in range(inst.horizon):
-            kids = _children(inst, (path, r))
-            if not kids:
-                dead = True
-                break
-            path, r = kids[rng.randrange(len(kids))]
-        if dead:
-            continue
-        if strategy == "rejection":
-            r = _residual(inst, conj, path)
-        if not isinstance(r, TrueFormula):
-            continue
-        accepted += 1
-        out.append(Trajectory(inst.schema, inst.grid(len(path)), path))
-    return out
-
-
 def _outcome(sample, *args, **kwargs):
     """Draws, or the error raised, with a budget error's acceptance rate."""
     try:
@@ -873,67 +826,6 @@ def test_memoized_walks_compute_each_state_once(monkeypatch):
     assert len(calls) == 22
 
 
-def _tuple_path_walks(scenario, count, strategy, rng_seed, max_attempts=10_000):
-    """uniform-branch and rejection as sampled before a walk kept its path
-    in one list, kept verbatim as the reference: a step extends the path
-    tuple by its new scene."""
-    inst = scenario.instance
-    conj = scenario.conjoined()
-    if isinstance(settle(conj, inst.horizon), FalseFormula):
-        raise UnsatisfiableError("the constraint formula is unsatisfiable")
-    if inst.initial_scenes is None:
-        raise ComplexityError("sampling needs a finite initial scene set")
-    schema, grid = inst.schema, inst.grid(inst.full_length())
-    if strategy == "uniform-branch":
-        roots = _roots(inst, conj)
-    else:
-        check = settle(scenario.constraints, inst.horizon)
-        roots = [
-            (p, r, progress(check, p[0], 0, inst.horizon, inst.scene_tol))
-            for p, r in _roots(inst, conjoin(scenario.world))
-        ]
-    if not roots:
-        raise UnsatisfiableError("no admissible starting scene")
-
-    def children(node: tuple) -> list[tuple]:
-        path = node[0]
-        kids = _children(inst, node[:2])
-        if strategy == "uniform-branch":
-            return [(p[-1], r) for p, r in kids]
-        position, check = len(path), node[2]
-        return [
-            (p[-1], r, progress(check, p[-1], position, inst.horizon, inst.scene_tol))
-            for p, r in kids
-        ]
-
-    states = None
-    if inst.markov:
-        states = scenario.__dict__.setdefault("_walks", logic._States(0))
-        states.cap = len(states.memo) + count * inst.full_length()
-    out = []
-    attempts = 0
-    while len(out) < count:
-        if attempts >= max_attempts:
-            rate = len(out) / attempts
-            raise RejectionBudgetError(
-                f"gave up after {attempts} attempts (acceptance rate {rate:.3g})",
-                acceptance_rate=rate,
-            )
-        rng = random.Random(derive_seed(rng_seed, attempts))
-        attempts += 1
-        node = roots[rng.randrange(len(roots))]
-        for _ in range(inst.horizon):
-            kids = children(node) if states is None else states.lookup(node, children)
-            if not kids:
-                break
-            scene, *residuals = kids[rng.randrange(len(kids))]
-            node = (node[0] + (scene,), *residuals)
-        else:
-            if isinstance(node[-1], TrueFormula):
-                out.append(logic._trusted_trajectory(schema, grid, node[0]))
-    return out
-
-
 def _drawn_bits(draws):
     """Draws as value bits and grids, or the outcome of a failed call."""
     if not isinstance(draws, list):
@@ -968,6 +860,63 @@ def test_list_path_walks_draw_what_the_tuple_path_walk_draws(
         assert got == want and _drawn_bits(got) == _drawn_bits(want)
         if isinstance(got, list):
             assert all(type(t.samples) is tuple for t in got)
+
+
+def _three_way_walk(horizon, constraint):
+    d0 = schema_of(("d0", "dimensionless"))
+    inst = delta_step_instance(
+        d0, [(-1.0,), (0.0,), (1.0,)], 1.0, horizon, [Scene(d0, (0.0,))]
+    )
+    return AbstractScenario(constraint, (), inst)
+
+
+def test_record_walks_draw_what_the_per_node_walk_draws_on_the_benchmark_walk():
+    in_box = Atom(ScenePredicate((("d0", -3.0, 3.0),)))
+    at_goal = Atom(ScenePredicate((("d0", 2.0, 2.0),)))
+    # One scenario across every call, so later calls walk warm records
+    # that both strategies' earlier calls left in its table.
+    A = _three_way_walk(8, And(Always(in_box), Eventually(at_goal)))
+    for seed in range(200):
+        for strategy, count in (("uniform-branch", 10), ("rejection", 5)):
+            got = sample_abstract(A, count, strategy, seed)
+            want = _per_node_walk(A, count, strategy, seed)
+            assert got == want and _drawn_bits(got) == _drawn_bits(want)
+
+
+def _kept_bytes(sample, *args):
+    """A 200-step walk's scenario, and the bytes a call on it leaves
+    allocated once its draws are dropped: what it kept in the table."""
+    A = _three_way_walk(200, TrueFormula())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample(A, *args)
+        gc.collect()
+        return A, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_records_keep_no_path():
+    args = (100, "uniform-branch", 3)
+    A, kept = _kept_bytes(sample_abstract, *args)
+    B, reference = _kept_bytes(_tuple_path_walks, *args)
+    # A record holding a copy of its path would keep about 2.8x the
+    # reference's kid lists on this walk.
+    assert kept <= 1.3 * reference, (kept, reference)
+    got, want = sample_abstract(A, *args), _tuple_path_walks(B, *args)
+    assert got == want and _drawn_bits(got) == _drawn_bits(want)
+
+
+@pytest.mark.parametrize("strategy", ["uniform-branch", "rejection"])
+def test_the_default_attempt_budget_scales_with_the_count(strategy):
+    A = binary_scenarios(3)
+    assert len(sample_abstract(A, 10_001, strategy, 1)) == 10_001
+    # An explicit budget bounds the attempts of all draws together.
+    message = r"gave up after 10000 attempts \(acceptance rate 1\)"
+    with pytest.raises(RejectionBudgetError, match=message):
+        sample_abstract(A, 10_001, strategy, 1, max_attempts=10_000)
 
 
 # --- quantized successors against a per-pair reference ------------------------------
